@@ -31,9 +31,10 @@ struct ClassInfo {
 
 /// Interns ClassInfo records and maps header class indices back to them.
 ///
-/// Lookup by index is lock-free after registration; registration takes a
-/// mutex.  Class indices fit in 24 bits (they share a header word with 8
-/// bits of flags).
+/// Registration and lookup by index both take the registry mutex; the
+/// returned ClassInfo is immutable and lives as long as the registry.
+/// Class indices fit in 24 bits (they share a header word with 8 bits of
+/// flags).
 class ClassRegistry {
 public:
   static constexpr uint32_t MaxClassIndex = (1u << 24) - 1;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
@@ -132,4 +133,138 @@ TEST(Heap, ConcurrentAllocationProducesDistinctObjects) {
   EXPECT_EQ(All.size(), static_cast<size_t>(NumThreads) * PerThread);
   EXPECT_EQ(TheHeap.objectsAllocated(),
             static_cast<uint64_t>(NumThreads) * PerThread);
+}
+
+//===----------------------------------------------------------------------===//
+// Walks, counts and identity hashes over per-thread allocation buffers
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::vector<const Object *> walk(const Heap &TheHeap) {
+  std::vector<const Object *> Seen;
+  TheHeap.forEachObject([&](const Object &Obj) { Seen.push_back(&Obj); });
+  return Seen;
+}
+
+} // namespace
+
+TEST(Heap, ForEachObjectVisitsEachObjectOnceInAllocationOrder) {
+  Heap TheHeap(/*BlockBytes=*/4096);
+  const ClassInfo &Small = TheHeap.classes().registerClass("Small", 2);
+  const ClassInfo &Big = TheHeap.classes().registerClass("Big", 64);
+  const ClassInfo &Huge = TheHeap.classes().registerClass("Huge", 2048);
+  std::vector<const Object *> Allocated;
+  uint64_t Bytes = 0;
+  auto Allocate = [&](const ClassInfo &Class) {
+    Allocated.push_back(TheHeap.allocate(Class));
+    Bytes += sizeof(Object) + sizeof(uint64_t) * Class.SlotCount;
+  };
+  // Several 4 KiB refills, with an object larger than a whole buffer in
+  // the middle of them.
+  for (int I = 0; I < 200; ++I)
+    Allocate(I % 7 == 0 ? Big : Small);
+  Allocate(Huge);
+  for (int I = 0; I < 100; ++I)
+    Allocate(I % 5 == 0 ? Big : Small);
+
+  EXPECT_EQ(walk(TheHeap), Allocated);
+  EXPECT_EQ(TheHeap.objectsAllocated(), Allocated.size());
+  EXPECT_EQ(TheHeap.bytesAllocated(), Bytes);
+}
+
+TEST(Heap, WalkDuringConcurrentAllocationSeesOnlyConstructedObjects) {
+  Heap TheHeap(/*BlockBytes=*/4096);
+  // Different footprints: a walk that read a half-built header would
+  // step to the wrong offset and derail.
+  std::vector<const ClassInfo *> Classes;
+  for (uint32_t Slots : {0u, 1u, 5u, 17u})
+    Classes.push_back(&TheHeap.classes().registerClass("W", Slots));
+  uint32_t NumClasses = TheHeap.classes().size();
+
+  constexpr int NumThreads = 4;
+  constexpr int PerThread = 5000;
+  std::atomic<int> Running{NumThreads};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < NumThreads; ++T)
+    Workers.emplace_back([&, T] {
+      for (int I = 0; I < PerThread; ++I)
+        TheHeap.allocate(*Classes[(I + T) % Classes.size()]);
+      Running.fetch_sub(1, std::memory_order_release);
+    });
+
+  uint64_t Walks = 0, Bad = 0;
+  do {
+    TheHeap.forEachObject([&](const Object &Obj) {
+      bool Constructed =
+          Obj.classIndex() < NumClasses &&
+          Obj.headerBits() == (Obj.identityHash() & 0xFFu) &&
+          (Obj.lockWord().load(std::memory_order_relaxed) & 0xFFu) ==
+              Obj.headerBits();
+      Bad += Constructed ? 0 : 1;
+    });
+    EXPECT_LE(TheHeap.objectsAllocated(),
+              static_cast<uint64_t>(NumThreads) * PerThread);
+    ++Walks;
+  } while (Running.load(std::memory_order_acquire) != 0);
+  for (auto &W : Workers)
+    W.join();
+
+  EXPECT_EQ(Bad, 0u) << "over " << Walks << " walks";
+  EXPECT_EQ(TheHeap.objectsAllocated(),
+            static_cast<uint64_t>(NumThreads) * PerThread);
+  EXPECT_EQ(walk(TheHeap).size(), TheHeap.objectsAllocated());
+}
+
+TEST(Heap, SameSingleThreadedSequenceGivesSameIdentityHashes) {
+  // Three classes of different sizes, and enough objects to cross
+  // several 4 KiB refills.
+  constexpr int Count = 600;
+  struct Replay {
+    Heap TheHeap{4096};
+    std::vector<const ClassInfo *> Classes;
+    std::vector<uint32_t> Hashes;
+    Replay() {
+      for (uint32_t Slots : {0u, 4u, 8u})
+        Classes.push_back(&TheHeap.classes().registerClass("S", Slots));
+    }
+    void step(int I) {
+      Hashes.push_back(TheHeap.allocate(*Classes[I % 3])->identityHash());
+    }
+  };
+
+  Replay Alone;
+  for (int I = 0; I < Count; ++I)
+    Alone.step(I);
+  // The same sequence on two fresh heaps this thread alternates between:
+  // each resumes its own buffer, so neither hash stream is disturbed.
+  Replay First, Second;
+  for (int I = 0; I < Count; ++I) {
+    First.step(I);
+    Second.step(I);
+  }
+
+  EXPECT_EQ(First.Hashes, Alone.Hashes);
+  EXPECT_EQ(Second.Hashes, Alone.Hashes);
+  std::set<uint32_t> Distinct(Alone.Hashes.begin(), Alone.Hashes.end());
+  EXPECT_GT(Distinct.size(), static_cast<size_t>(Count) - 5);
+}
+
+TEST(Heap, HeapRebuiltAtSameAddressSeesOnlyItsOwnObjects) {
+  // thinbench and bench_fig5 declare a Heap inside a loop: each
+  // iteration's heap sits where the previous, destroyed one did, and the
+  // thread's buffer from that dead heap still has room.
+  const Heap *FirstAddress = nullptr;
+  for (uint64_t Round = 1; Round <= 5; ++Round) {
+    Heap TheHeap;
+    if (!FirstAddress)
+      FirstAddress = &TheHeap;
+    ASSERT_EQ(&TheHeap, FirstAddress) << "test premise: same address";
+    const ClassInfo &Class = TheHeap.classes().registerClass("R", 1);
+    std::vector<const Object *> Allocated;
+    for (uint64_t I = 0; I < Round * 10; ++I)
+      Allocated.push_back(TheHeap.allocate(Class));
+    EXPECT_EQ(TheHeap.objectsAllocated(), Allocated.size());
+    EXPECT_EQ(walk(TheHeap), Allocated);
+  }
 }
