@@ -18,7 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <map>
+#include <string>
+#include <tuple>
 #include <vector>
 
 using namespace thinlocks;
@@ -122,6 +128,87 @@ TEST(Zipf, DegenerateParamsDeterministicUnderReseeding) {
       EXPECT_EQ(Point.sample(Rng), 0u);
   }
 }
+
+//===----------------------------------------------------------------------===//
+// ZipfSampler::rank — the cut-point table changes no draw
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+// The normalized CDF, built by the same formula as ZipfSampler's.
+std::vector<double> referenceCdf(size_t N, double Theta) {
+  std::vector<double> Cdf;
+  double Sum = 0;
+  for (size_t I = 0; I < N; ++I) {
+    Sum += 1.0 / std::pow(static_cast<double>(I + 1), Theta);
+    Cdf.push_back(Sum);
+  }
+  for (double &Value : Cdf)
+    Value /= Sum;
+  Cdf.back() = 1.0;
+  return Cdf;
+}
+
+// The rank a search over the whole CDF returns.
+size_t fullSearch(const std::vector<double> &Cdf, double U) {
+  return static_cast<size_t>(std::lower_bound(Cdf.begin(), Cdf.end(), U) -
+                             Cdf.begin());
+}
+
+class ZipfRank
+    : public ::testing::TestWithParam<std::tuple<size_t, double>> {};
+
+} // namespace
+
+// The indexed search must return exactly the full search's rank.  Probes:
+// 1 M seeded draws; every cut point J/M, where the table switches buckets;
+// every CDF value, where the full search switches ranks; and the doubles
+// on either side of each of these.
+TEST_P(ZipfRank, MatchesFullSearch) {
+  const auto [N, Theta] = GetParam();
+  const ZipfSampler Sampler(N, Theta);
+  const std::vector<double> Cdf = referenceCdf(N, Theta);
+
+  SplitMix64 Drawn(7), Reference(7);
+  size_t DrawMismatches = 0;
+  for (int I = 0; I < 1'000'000; ++I)
+    DrawMismatches += Sampler.sample(Drawn) !=
+                      fullSearch(Cdf, Reference.nextDouble());
+  EXPECT_EQ(DrawMismatches, 0u);
+
+  size_t Mismatches = 0;
+  double FirstMismatch = -1;
+  auto probeAround = [&](double Point) {
+    for (double U : {std::nextafter(Point, 0.0), Point,
+                     std::nextafter(Point, 1.0)}) {
+      if (U < 0 || U >= 1)
+        continue; // Outside rank()'s domain.
+      if (Sampler.rank(U) != fullSearch(Cdf, U) && Mismatches++ == 0)
+        FirstMismatch = U;
+    }
+  };
+  const size_t M = std::bit_ceil(std::max<size_t>(1, N / 4)); // As Zipf.h.
+  for (size_t J = 0; J <= M; ++J)
+    probeAround(static_cast<double>(J) / static_cast<double>(M));
+  for (double Value : Cdf)
+    probeAround(Value);
+  EXPECT_EQ(Mismatches, 0u) << "first at U = " << std::hexfloat
+                            << FirstMismatch;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ZipfRank,
+    ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 8, 64, 1000,
+                                                 1'000'000),
+                       ::testing::Values(0.0, 0.5, 0.8, 0.99, 1.0, 1.2)),
+    [](const ::testing::TestParamInfo<ZipfRank::ParamType> &Info) {
+      char Name[48]; // e.g. N1000_Theta0_99
+      std::snprintf(Name, sizeof(Name), "N%zu_Theta%.2f",
+                    std::get<0>(Info.param), std::get<1>(Info.param));
+      std::string Id(Name);
+      std::replace(Id.begin(), Id.end(), '.', '_');
+      return Id;
+    });
 
 //===----------------------------------------------------------------------===//
 // AdmissionController — ladder driven with synthetic pressure

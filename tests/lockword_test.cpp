@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 using namespace thinlocks;
@@ -106,7 +107,15 @@ std::vector<SweepParam> sweepParams() {
             continue; // Invariant: unlocked implies count 0.
           if (Caller == 0)
             continue; // Callers are always attached threads.
-          Params.push_back(SweepParam{Owner, Count, Header, Caller});
+          // gtest prints every byte of a parameter into its test name, the
+          // padding too; zero it so the names are the same in every build.
+          SweepParam P;
+          std::memset(&P, 0, sizeof(P));
+          P.Owner = Owner;
+          P.Count = Count;
+          P.Header = Header;
+          P.Caller = Caller;
+          Params.push_back(P);
         }
   return Params;
 }
