@@ -5,6 +5,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <thread>
 
 namespace thinlocks {
@@ -118,8 +119,9 @@ bool occLockWriteSet(const TxnTable &Table, const ThreadContext &Thread,
     // validator that read this object must see the odd mark and abort,
     // and lock-free seqlock readers retry past it.  We hold the
     // monitor, so no concurrent writer races this word.
-    uint64_t Version = Table.Versions[Idx].load(std::memory_order_relaxed);
-    Table.Versions[Idx].store(Version | 1, std::memory_order_release);
+    std::atomic<uint64_t> &Version = Table.Cells[Idx].Version;
+    Version.store(Version.load(std::memory_order_relaxed) | 1,
+                  std::memory_order_release);
   }
   return true;
 }
@@ -130,9 +132,9 @@ void occAbortWriteSet(const TxnTable &Table, const ThreadContext &Thread,
     size_t Idx = Acquired[I];
     // Restore the pre-window even version before the monitor is
     // released; nothing was published, so readers see the old snapshot.
-    uint64_t Version = Table.Versions[Idx].load(std::memory_order_relaxed);
-    Table.Versions[Idx].store(Version & ~uint64_t(1),
-                              std::memory_order_release);
+    std::atomic<uint64_t> &Version = Table.Cells[Idx].Version;
+    Version.store(Version.load(std::memory_order_relaxed) & ~uint64_t(1),
+                  std::memory_order_release);
     Table.Sync->unlock(Table.Objects[Idx], Thread);
   }
   Acquired.clear();
@@ -148,7 +150,8 @@ bool occValidateReadSet(const TxnTable &Table, const std::vector<size_t> &Reads,
   // even with the marks in place.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   for (size_t I = 0; I < Reads.size(); ++I) {
-    uint64_t Now = Table.Versions[Reads[I]].load(std::memory_order_acquire);
+    uint64_t Now =
+        Table.Cells[Reads[I]].Version.load(std::memory_order_acquire);
     // Snapshots are always even, so `Now != snapshot` catches both a
     // moved version (conflicting commit) and an odd one (a concurrent
     // transaction's commit lock).
@@ -167,11 +170,12 @@ namespace {
 /// no-op when the OCC commit window already marked it); release
 /// ordering makes the final even version carry the value.
 void applyWrite(const TxnTable &Table, size_t Idx, TxnScratch &Scratch) {
-  uint64_t Version = Table.Versions[Idx].load(std::memory_order_relaxed);
+  TxnCell &Cell = Table.Cells[Idx];
+  uint64_t Version = Cell.Version.load(std::memory_order_relaxed);
   uint64_t Next = ((Version >> 1) + 1) << 1;
-  Table.Versions[Idx].store(Version | 1, std::memory_order_release);
-  Table.Values[Idx].store(Next, std::memory_order_release);
-  Table.Versions[Idx].store(Next, std::memory_order_release);
+  Cell.Version.store(Version | 1, std::memory_order_release);
+  Cell.Value.store(Next, std::memory_order_release);
+  Cell.Version.store(Next, std::memory_order_release);
   ++Scratch.WritesApplied;
 }
 
@@ -179,8 +183,9 @@ void applyWrite(const TxnTable &Table, size_t Idx, TxnScratch &Scratch) {
 /// must be quiescent (even) and the value must mirror it.  Any torn or
 /// lost update shows up here.
 void checkHeldRead(const TxnTable &Table, size_t Idx, TxnScratch &Scratch) {
-  uint64_t Version = Table.Versions[Idx].load(std::memory_order_acquire);
-  uint64_t Value = Table.Values[Idx].load(std::memory_order_acquire);
+  const TxnCell &Cell = Table.Cells[Idx];
+  uint64_t Version = Cell.Version.load(std::memory_order_acquire);
+  uint64_t Value = Cell.Value.load(std::memory_order_acquire);
   if ((Version & 1) != 0 || Value != Version)
     ++Scratch.ConsistencyViolations;
 }
@@ -195,40 +200,32 @@ void holdFor(uint64_t Nanos) {
     std::this_thread::yield();
 }
 
-/// Shared 2PL body once every access is locked: check reads, publish
-/// writes, release everything in reverse acquisition order.  \p StampTs
-/// non-zero means wait-die stamps must be cleared before each unlock.
-TxnStatus commitTwoPhase(const TxnTable &Table, const ThreadContext &Thread,
-                         const TxnAccess &Access, TxnScratch &Scratch,
-                         uint64_t StampTs, uint64_t HoldNanos) {
-  holdFor(HoldNanos);
-  for (size_t Idx : Access.Reads)
-    checkHeldRead(Table, Idx, Scratch);
-  for (size_t Idx : Access.Writes)
-    applyWrite(Table, Idx, Scratch);
+/// Releases every 2PL lock, newest first, and \returns \p Status.  On a
+/// WaitDie table (the only kind with OwnerTs) each stamp is cleared
+/// before its unlock.
+TxnStatus releaseTwoPhase(const TxnTable &Table, const ThreadContext &Thread,
+                          TxnScratch &Scratch, TxnStatus Status) {
   for (size_t I = Scratch.Acquired.size(); I-- > 0;) {
     size_t Idx = Scratch.Acquired[I];
-    if (StampTs != 0)
-      Table.OwnerTs[Idx].store(0, std::memory_order_release);
-    Table.Sync->unlock(Table.Objects[Idx], Thread);
-  }
-  Scratch.Acquired.clear();
-  return TxnStatus::Committed;
-}
-
-/// Abort path shared by the 2PL policies: release whatever was
-/// acquired, newest first, clearing wait-die stamps when present.
-TxnStatus abortTwoPhase(const TxnTable &Table, const ThreadContext &Thread,
-                        TxnScratch &Scratch, uint64_t StampTs,
-                        TxnStatus Status) {
-  for (size_t I = Scratch.Acquired.size(); I-- > 0;) {
-    size_t Idx = Scratch.Acquired[I];
-    if (StampTs != 0)
+    if (Table.OwnerTs)
       Table.OwnerTs[Idx].store(0, std::memory_order_release);
     Table.Sync->unlock(Table.Objects[Idx], Thread);
   }
   Scratch.Acquired.clear();
   return Status;
+}
+
+/// Shared 2PL body once every access is locked: check reads, publish
+/// writes, release everything in reverse acquisition order.
+TxnStatus commitTwoPhase(const TxnTable &Table, const ThreadContext &Thread,
+                         const TxnAccess &Access, TxnScratch &Scratch,
+                         uint64_t HoldNanos) {
+  holdFor(HoldNanos);
+  for (size_t Idx : Access.Reads)
+    checkHeldRead(Table, Idx, Scratch);
+  for (size_t Idx : Access.Writes)
+    applyWrite(Table, Idx, Scratch);
+  return releaseTwoPhase(Table, Thread, Scratch, TxnStatus::Committed);
 }
 
 class NoWaitPolicy final : public ConflictPolicy {
@@ -252,13 +249,12 @@ public:
     for (const std::vector<size_t> *Set : {&Access.Writes, &Access.Reads}) {
       for (size_t Idx : *Set) {
         if (!Table.Sync->tryLock(Table.Objects[Idx], Thread))
-          return abortTwoPhase(Table, Thread, Scratch, /*StampTs=*/0,
-                               TxnStatus::AbortedBusy);
+          return releaseTwoPhase(Table, Thread, Scratch,
+                                 TxnStatus::AbortedBusy);
         Scratch.Acquired.push_back(Idx);
       }
     }
-    return commitTwoPhase(Table, Thread, Access, Scratch, /*StampTs=*/0,
-                          Tuning.HoldNanos);
+    return commitTwoPhase(Table, Thread, Access, Scratch, Tuning.HoldNanos);
   }
 };
 
@@ -268,7 +264,9 @@ class WaitDiePolicy final : public ConflictPolicy {
 
 public:
   WaitDiePolicy(const TxnTable &Table, const PolicyTuning &Tuning)
-      : Table(Table), Tuning(Tuning) {}
+      : Table(Table), Tuning(Tuning) {
+    assert(Table.OwnerTs && "wait-die needs the table's stamp array");
+  }
 
   ConflictPolicyKind kind() const override {
     return ConflictPolicyKind::WaitDie;
@@ -314,12 +312,11 @@ public:
       for (size_t Idx : *Set) {
         TxnStatus Status = acquire(Thread, Ts, Idx);
         if (Status != TxnStatus::Committed)
-          return abortTwoPhase(Table, Thread, Scratch, Ts, Status);
+          return releaseTwoPhase(Table, Thread, Scratch, Status);
         Scratch.Acquired.push_back(Idx);
       }
     }
-    return commitTwoPhase(Table, Thread, Access, Scratch, Ts,
-                          Tuning.HoldNanos);
+    return commitTwoPhase(Table, Thread, Access, Scratch, Tuning.HoldNanos);
   }
 };
 
@@ -346,12 +343,13 @@ public:
     // conclusive (a newer writer's odd mark is visible by then).
     for (size_t Idx : Access.Reads) {
       bool Stable = false;
+      const TxnCell &Cell = Table.Cells[Idx];
       for (uint32_t Attempt = 0; Attempt < Tuning.MaxReadRetries; ++Attempt) {
-        uint64_t Before = Table.Versions[Idx].load(std::memory_order_acquire);
+        uint64_t Before = Cell.Version.load(std::memory_order_acquire);
         if ((Before & 1) != 0)
           continue;
-        uint64_t Value = Table.Values[Idx].load(std::memory_order_acquire);
-        uint64_t After = Table.Versions[Idx].load(std::memory_order_acquire);
+        uint64_t Value = Cell.Value.load(std::memory_order_acquire);
+        uint64_t After = Cell.Version.load(std::memory_order_acquire);
         if (Before != After)
           continue;
         if (Value != Before)

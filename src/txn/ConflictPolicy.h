@@ -39,10 +39,10 @@
 ///    validate against still-unchanged versions, and both publish — a
 ///    write-skew cycle committed as "serializable".
 ///
-/// Every object's Value mirrors its Version at publish time, committed
-/// under the same monitor/version protocol — so `Value == Version`
-/// (and Version even) is a serializability spot-check every strategy
-/// can assert on its read path.
+/// Every object's Value mirrors its Version (the two share a TxnCell)
+/// at publish time, committed under the same monitor/version protocol
+/// — so `Value == Version` (and Version even) is a serializability
+/// spot-check every strategy can assert on its read path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,15 +89,24 @@ enum class TxnStatus : uint8_t {
 const char *txnStatusName(TxnStatus Status);
 inline bool isAbort(TxnStatus Status) { return Status != TxnStatus::Committed; }
 
+/// One object's transactional record, Silo-style: the version sits next
+/// to the value it guards, so a seqlock read, a commit mark and a
+/// publish each touch one cache line.  16 bytes, 16-aligned, so no cell
+/// straddles a line.  Version follows the seqlock-style protocol
+/// described in the file header; Value mirrors it at publish time.
+struct alignas(16) TxnCell {
+  std::atomic<uint64_t> Version{0};
+  std::atomic<uint64_t> Value{0};
+};
+
 /// The shared substrate every transaction runs over.  Owned by the
-/// engine; policies hold a const view.  Versions/Values follow the
-/// seqlock-style protocol described in the file header; OwnerTs is the
-/// wait-die side channel (holder's timestamp, 0 = unstamped/free).
+/// engine; policies hold a const view.  OwnerTs is the wait-die side
+/// channel (holder's timestamp, 0 = unstamped/free); it exists only
+/// for WaitDie tables and is nullptr otherwise.
 struct TxnTable {
   SyncBackend *Sync = nullptr;
   Object *const *Objects = nullptr;
-  std::atomic<uint64_t> *Versions = nullptr;
-  std::atomic<uint64_t> *Values = nullptr;
+  TxnCell *Cells = nullptr;
   std::atomic<uint64_t> *OwnerTs = nullptr;
   size_t Size = 0;
 };
@@ -217,8 +226,9 @@ public:
   virtual ConflictPolicyKind kind() const = 0;
   const char *name() const { return conflictPolicyName(kind()); }
 
-  /// Runs one transaction attempt as \p Thread with timestamp \p Ts
-  /// (unique per attempt, engine-issued).  On any return — commit or
+  /// Runs one transaction attempt as \p Thread with timestamp \p Ts.
+  /// Only WaitDie reads it: the engine issues it unique per attempt for
+  /// WaitDie and passes 0 otherwise.  On any return — commit or
   /// abort — every monitor acquired during the attempt has been
   /// released (the no-lost-locks contract the hygiene tests pin).
   virtual TxnStatus execute(const ThreadContext &Thread, uint64_t Ts,

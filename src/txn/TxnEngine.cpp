@@ -63,14 +63,13 @@ TxnEngine::TxnEngine(SyncBackend &Sync, Heap &TheHeap,
     Objects.push_back(TheHeap.allocate(Class));
   // Value-initialized: every version/value/stamp starts at 0 ("version
   // 0, unstamped"), satisfying Value == Version from the first read.
-  Versions = std::make_unique<std::atomic<uint64_t>[]>(Universe);
-  Values = std::make_unique<std::atomic<uint64_t>[]>(Universe);
-  OwnerStamps = std::make_unique<std::atomic<uint64_t>[]>(Universe);
+  Cells = std::make_unique<TxnCell[]>(Universe);
+  if (Kind == ConflictPolicyKind::WaitDie)
+    OwnerStamps = std::make_unique<std::atomic<uint64_t>[]>(Universe);
 
   Table.Sync = &Sync;
   Table.Objects = Objects.data();
-  Table.Versions = Versions.get();
-  Table.Values = Values.get();
+  Table.Cells = Cells.get();
   Table.OwnerTs = OwnerStamps.get();
   Table.Size = Universe;
   Policy = makeConflictPolicy(Kind, Table, Params.Tuning);
@@ -86,8 +85,11 @@ TxnStats TxnEngine::runWorker(const ThreadContext &Thread, unsigned WorkerId) {
   for (uint64_t T = 0; T < Params.TxnsPerThread; ++T) {
     drawTxnAccess(Popularity, Rng, Params.ReadSetSize, Params.WriteSetSize,
                   Access);
-    // Timestamps start at 1 so 0 stays the "unstamped" sentinel.
-    uint64_t Ts = Clock.fetch_add(1, std::memory_order_relaxed) + 1;
+    // Timestamps start at 1 so 0 stays the "unstamped" sentinel.  Only
+    // wait-die reads them, so only its engines pay the shared counter.
+    uint64_t Ts = Table.OwnerTs
+                      ? Clock.fetch_add(1, std::memory_order_relaxed) + 1
+                      : 0;
     StopWatch Watch;
     TxnStatus Status = Policy->execute(Thread, Ts, Access, Scratch);
     Stats.record(Status, Watch.elapsedNanos());
@@ -130,7 +132,7 @@ TxnStats TxnEngine::run() {
 uint64_t TxnEngine::versionSum() const {
   uint64_t Sum = 0;
   for (size_t I = 0; I < Table.Size; ++I)
-    Sum += Versions[I].load(std::memory_order_acquire) >> 1;
+    Sum += Cells[I].Version.load(std::memory_order_acquire) >> 1;
   return Sum;
 }
 

@@ -10,8 +10,9 @@
 /// conflicts onto a few monitors (inflation/morphing territory) while
 /// the long tail keeps millions of objects on the thin fast path.
 ///
-/// The engine owns the per-object side arrays (versions, mirrored
-/// values, wait-die stamps) and the accounting; the protocol and heap
+/// The engine owns the per-object side arrays (one TxnCell of version
+/// and mirrored value per object, plus wait-die stamps for WaitDie
+/// engines only) and the accounting; the protocol and heap
 /// substrate are either borrowed (TxnEngine, so tests can inject a
 /// ThinLock handle and audit its MonitorTable) or owned per run
 /// (runTxnScenario, the bench entry point, which builds the protocol by
@@ -113,15 +114,18 @@ public:
 private:
   TxnParams Params;
   std::vector<Object *> Objects;
-  std::unique_ptr<std::atomic<uint64_t>[]> Versions;
-  std::unique_ptr<std::atomic<uint64_t>[]> Values;
+  std::unique_ptr<TxnCell[]> Cells;
+  /// Allocated for WaitDie engines only; the other policies never stamp.
   std::unique_ptr<std::atomic<uint64_t>[]> OwnerStamps;
   TxnTable Table;
   ThreadRegistry &Registry;
   load::ZipfSampler Popularity;
   std::unique_ptr<ConflictPolicy> Policy;
-  /// Wait-die timestamp authority: unique, monotone per attempt.
-  std::atomic<uint64_t> Clock{0};
+  /// Wait-die timestamp authority: unique, monotone per attempt.  Only
+  /// WaitDie engines draw from it; the others pass Ts = 0.  It has its
+  /// own cache line, so its per-attempt writes do not evict the fields
+  /// every draw reads (the sampler, the policy pointer).
+  alignas(64) std::atomic<uint64_t> Clock{0};
 };
 
 /// Bench-facing wrapper: one cell of the protocol x policy grid.

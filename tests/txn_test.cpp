@@ -28,6 +28,11 @@ using namespace thinlocks::txn;
 
 namespace {
 
+// One version/value record per object: a seqlock read, a commit mark
+// and a publish each touch a single cache line.
+static_assert(sizeof(TxnCell) == 16, "TxnCell is one 16-byte record");
+static_assert(alignof(TxnCell) == 16, "a cell never straddles a line");
+
 //===----------------------------------------------------------------------===//
 // Pure pieces: names, the wait-die rule, the access draw.
 //===----------------------------------------------------------------------===//
@@ -199,6 +204,32 @@ TEST_F(TxnEngineTest, TxnSingleObjectUniverseDegeneratesSafely) {
   }
 }
 
+TEST_F(TxnEngineTest, TxnOnlyWaitDieAllocatesOwnerStamps) {
+  // Only wait-die reads holder stamps, so only its engine allocates them.
+  TxnParams Params;
+  Params.HeapObjects = 64;
+  Params.TxnsPerThread = 500;
+  Params.Tuning.WaitNanos = 500'000;
+  for (ConflictPolicyKind Kind :
+       {ConflictPolicyKind::NoWait, ConflictPolicyKind::Validated}) {
+    TxnEngine Engine(sync(), TheHeap, Registry, Kind, Params);
+    EXPECT_EQ(Engine.table().OwnerTs, nullptr) << conflictPolicyName(Kind);
+  }
+
+  TxnEngine Engine(sync(), TheHeap, Registry, ConflictPolicyKind::WaitDie,
+                   Params);
+  const TxnTable &Table = Engine.table();
+  ASSERT_NE(Table.OwnerTs, nullptr);
+  ASSERT_EQ(Table.Size, 64u);
+  for (size_t I = 0; I < Table.Size; ++I)
+    EXPECT_EQ(Table.OwnerTs[I].load(), 0u) << "stamp " << I;
+  // Every release clears its stamp, so a finished run leaves none.
+  TxnStats Stats = Engine.run();
+  EXPECT_GT(Stats.Committed, 0u);
+  for (size_t I = 0; I < Table.Size; ++I)
+    EXPECT_EQ(Table.OwnerTs[I].load(), 0u) << "stamp " << I;
+}
+
 TEST_F(TxnEngineTest, TxnNoWaitAbortsBusyAndReleasesEverything) {
   TxnParams Params;
   Params.HeapObjects = 8;
@@ -361,7 +392,7 @@ TEST_F(TxnEngineTest, TxnOccCommitLockMarksVersionsAndAbortRestoresThem) {
   ASSERT_EQ(Acquired.size(), 2u);
   for (size_t Idx : Writes) {
     EXPECT_TRUE(sync().holdsLock(Table.Objects[Idx], main()));
-    EXPECT_EQ(Table.Versions[Idx].load() & 1, 1u)
+    EXPECT_EQ(Table.Cells[Idx].Version.load() & 1, 1u)
         << "commit lock not observable in the version word";
   }
 
@@ -376,7 +407,7 @@ TEST_F(TxnEngineTest, TxnOccCommitLockMarksVersionsAndAbortRestoresThem) {
   EXPECT_TRUE(Acquired.empty());
   for (size_t Idx : Writes) {
     EXPECT_FALSE(sync().holdsLock(Table.Objects[Idx], main()));
-    EXPECT_EQ(Table.Versions[Idx].load(), 0u)
+    EXPECT_EQ(Table.Cells[Idx].Version.load(), 0u)
         << "abort must restore the pre-window version";
   }
   // With the window gone the old snapshot validates again, and no
@@ -428,11 +459,11 @@ TEST_F(TxnEngineTest, TxnOccCrossingCommitWindowsCannotBothCommit) {
       return;
     }
     // Validated: publish (what applyWrite does) and release.
+    TxnCell &Cell = Table.Cells[WriteIdx];
     uint64_t Next =
-        ((Table.Versions[WriteIdx].load(std::memory_order_relaxed) >> 1) + 1)
-        << 1;
-    Table.Values[WriteIdx].store(Next, std::memory_order_release);
-    Table.Versions[WriteIdx].store(Next, std::memory_order_release);
+        ((Cell.Version.load(std::memory_order_relaxed) >> 1) + 1) << 1;
+    Cell.Value.store(Next, std::memory_order_release);
+    Cell.Version.store(Next, std::memory_order_release);
     sync().unlock(Table.Objects[WriteIdx], Me);
     DidCommit = true;
   };
@@ -447,8 +478,8 @@ TEST_F(TxnEngineTest, TxnOccCrossingCommitWindowsCannotBothCommit) {
       << "write skew: both crossing commit windows committed";
   // Whatever the outcome, the windows closed cleanly: versions even
   // and the version sum accounts exactly for the committed writes.
-  EXPECT_EQ(Table.Versions[X].load() & 1, 0u);
-  EXPECT_EQ(Table.Versions[Y].load() & 1, 0u);
+  EXPECT_EQ(Table.Cells[X].Version.load() & 1, 0u);
+  EXPECT_EQ(Table.Cells[Y].Version.load() & 1, 0u);
   EXPECT_EQ(Engine.versionSum(), Commits);
 }
 
