@@ -23,6 +23,7 @@
 
 #include "baselines/HotLocks.h"
 #include "baselines/MonitorCache.h"
+#include "core/ProtocolRegistry.h"
 #include "core/ThinLock.h"
 #include "heap/Heap.h"
 #include "threads/ThreadRegistry.h"
@@ -40,7 +41,8 @@ using namespace thinlocks::workload;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// VM (interpreted) family — arg 0: 0 = ThinLock, 1 = JDK111, 2 = IBM112.
+// VM (interpreted) family — arg 0 indexes registeredProtocolNames():
+// 0 = ThinLock, 1 = JDK111, 2 = IBM112.
 //===----------------------------------------------------------------------===//
 
 struct VmFixture {
@@ -49,28 +51,23 @@ struct VmFixture {
   ScopedThreadAttachment Main;
   Object *Target;
 
-  explicit VmFixture(ProtocolKind Kind)
-      : Vm(makeConfig(Kind)), Programs(buildMicroPrograms(Vm)),
+  explicit VmFixture(const std::string &Protocol)
+      : Vm(VM::Config{Protocol, {}}), Programs(buildMicroPrograms(Vm)),
         Main(Vm.threads(), "bench"),
         Target(Vm.newInstance(*Programs.BenchKlass)) {}
-
-  static VM::Config makeConfig(ProtocolKind Kind) {
-    VM::Config Cfg;
-    Cfg.Protocol = Kind;
-    return Cfg;
-  }
 };
 
 void runVmBenchmark(benchmark::State &State,
                     const Method *MicroPrograms::*Program) {
-  ProtocolKind Kind = static_cast<ProtocolKind>(State.range(0));
-  VmFixture Fixture(Kind);
+  const std::string &Protocol =
+      registeredProtocolNames().at(static_cast<size_t>(State.range(0)));
+  VmFixture Fixture(Protocol);
   constexpr int32_t Inner = 2000;
   for (auto _ : State)
     runMicroProgram(Fixture.Vm, *(Fixture.Programs.*Program), Inner,
                     Fixture.Target, Fixture.Main.context());
   State.SetItemsProcessed(State.iterations() * Inner);
-  State.SetLabel(protocolKindName(Kind));
+  State.SetLabel(Protocol);
 }
 
 void VM_NoSync(benchmark::State &State) {

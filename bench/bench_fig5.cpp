@@ -17,9 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "baselines/HotLocks.h"
-#include "baselines/MonitorCache.h"
-#include "core/ThinLock.h"
+#include "core/ProtocolRegistry.h"
 #include "heap/Heap.h"
 #include "support/TableFormatter.h"
 #include "threads/ThreadRegistry.h"
@@ -56,34 +54,12 @@ uint64_t medianReplayNanos(const BenchmarkProfile &Profile,
   return Times[Times.size() / 2];
 }
 
-uint64_t runThin(const BenchmarkProfile &Profile) {
+template <typename P> uint64_t runReplay(const BenchmarkProfile &Profile) {
   Heap TheHeap;
   ThreadRegistry Registry;
-  MonitorTable Monitors;
-  ThinLockManager Locks(Monitors);
+  ProtocolMaker<P> Maker{ProtocolConfig()};
   ScopedThreadAttachment Main(Registry);
-  return replayProfile(Profile, Locks, TheHeap, Main.context(),
-                       replayConfig(Profile))
-      .ElapsedNanos;
-}
-
-uint64_t runJdk111(const BenchmarkProfile &Profile) {
-  Heap TheHeap;
-  ThreadRegistry Registry;
-  MonitorCache Cache(/*PoolSize=*/128);
-  ScopedThreadAttachment Main(Registry);
-  return replayProfile(Profile, Cache, TheHeap, Main.context(),
-                       replayConfig(Profile))
-      .ElapsedNanos;
-}
-
-uint64_t runIbm112(const BenchmarkProfile &Profile) {
-  Heap TheHeap;
-  ThreadRegistry Registry;
-  HotLocks Hot(/*NumHotLocks=*/32, /*PromotionThreshold=*/4,
-               /*PoolSize=*/128);
-  ScopedThreadAttachment Main(Registry);
-  return replayProfile(Profile, Hot, TheHeap, Main.context(),
+  return replayProfile(Profile, Maker.Protocol, TheHeap, Main.context(),
                        replayConfig(Profile))
       .ElapsedNanos;
 }
@@ -109,9 +85,9 @@ int main() {
 
   std::vector<double> ThinSpeedups, IbmSpeedups;
   for (const BenchmarkProfile &Profile : macroBenchmarkProfiles()) {
-    uint64_t Jdk = medianReplayNanos(Profile, runJdk111);
-    uint64_t Thin = medianReplayNanos(Profile, runThin);
-    uint64_t Ibm = medianReplayNanos(Profile, runIbm112);
+    uint64_t Jdk = medianReplayNanos(Profile, runReplay<MonitorCache>);
+    uint64_t Thin = medianReplayNanos(Profile, runReplay<ThinLockManager>);
+    uint64_t Ibm = medianReplayNanos(Profile, runReplay<HotLocks>);
 
     double ThinSpeedup = static_cast<double>(Jdk) / Thin;
     double IbmSpeedup = static_cast<double>(Jdk) / Ibm;

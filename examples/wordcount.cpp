@@ -35,11 +35,9 @@ namespace {
 /// distribution (a Zipf-ish vocabulary, like real text), counts them in
 /// a Hashtable, and keeps the distinct words in a Vector.  Returns the
 /// elapsed nanos; optionally records the lock trace.
-uint64_t runWordCount(ProtocolKind Protocol, int32_t Words,
+uint64_t runWordCount(const char *Protocol, int32_t Words,
                       LockTrace *TraceOut) {
-  VM::Config Cfg;
-  Cfg.Protocol = Protocol;
-  VM Vm(Cfg);
+  VM Vm(VM::Config{Protocol, {}});
   NativeLibrary Lib(Vm);
 
   std::unique_ptr<TracingBackend> Tracer;
@@ -87,7 +85,7 @@ uint64_t runWordCount(ProtocolKind Protocol, int32_t Words,
 
   Vm.overrideSync(nullptr);
   std::printf("  %-10s %8.2f ms   (%d distinct words)\n",
-              protocolKindName(Protocol), Nanos / 1e6, DistinctWords);
+              Protocol, Nanos / 1e6, DistinctWords);
   return Nanos;
 }
 
@@ -99,9 +97,9 @@ int main(int Argc, char **Argv) {
               "Vector (single thread)\n\n",
               Words);
 
-  uint64_t Jdk = runWordCount(ProtocolKind::MonitorCache, Words, nullptr);
-  uint64_t Ibm = runWordCount(ProtocolKind::HotLocks, Words, nullptr);
-  uint64_t Thin = runWordCount(ProtocolKind::ThinLock, Words, nullptr);
+  uint64_t Jdk = runWordCount("JDK111", Words, nullptr);
+  uint64_t Ibm = runWordCount("IBM112", Words, nullptr);
+  uint64_t Thin = runWordCount("ThinLock", Words, nullptr);
 
   std::printf("\nspeedup of thin locks over JDK111: %.2fx   over IBM112: "
               "%.2fx\n",
@@ -111,7 +109,7 @@ int main(int Argc, char **Argv) {
   // mutex + append per operation, so it must never share a timed run).
   LockTrace Trace;
   std::printf("\nrecording pass for characterization:\n");
-  runWordCount(ProtocolKind::ThinLock, Words, &Trace);
+  runWordCount("ThinLock", Words, &Trace);
 
   std::printf("\nlock-trace characterization:\n");
   std::printf("  synchronized objects: %u\n", Trace.objectCount());

@@ -3,6 +3,7 @@
 #include "vm/VM.h"
 
 #include "core/OwnershipAudit.h"
+#include "support/Fatal.h"
 #include "vm/Interpreter.h"
 
 #include <cassert>
@@ -10,51 +11,21 @@
 using namespace thinlocks;
 using namespace thinlocks::vm;
 
-const char *vm::protocolKindName(ProtocolKind Kind) {
-  switch (Kind) {
-  case ProtocolKind::ThinLock:
-    return "ThinLock";
-  case ProtocolKind::MonitorCache:
-    return "JDK111";
-  case ProtocolKind::HotLocks:
-    return "IBM112";
-  case ProtocolKind::EagerMonitor:
-    return "EagerMonitor";
-  }
-  return "<bad protocol>";
-}
-
 VM::VM() : VM(Config()) {}
 
-VM::VM(Config Cfg) : Cfg(Cfg), Monitors(Cfg.MonitorCapacity) {
-  switch (Cfg.Protocol) {
-  case ProtocolKind::ThinLock:
-    Thin = std::make_unique<ThinLockManager>(
-        Monitors, Cfg.CollectLockStats ? &Stats : nullptr,
-        Cfg.ThinLockDeflation ? DeflationPolicy::WhenQuiescent
-                              : DeflationPolicy::Never,
-        Cfg.Contention);
-    Backend = makeSyncBackend(*Thin);
-    // Thread-index recycling safety: detach() quarantines any index a
-    // live lock word still encodes (a thread that died holding a lock),
-    // so the next spawn cannot impersonate the stale owner.
-    Registry.setIndexAuditor(makeLockWordAuditor(TheHeap, Monitors));
-    break;
-  case ProtocolKind::MonitorCache:
-    Jdk111 = std::make_unique<MonitorCache>(Cfg.MonitorCachePoolSize);
-    Backend = makeSyncBackend(*Jdk111);
-    break;
-  case ProtocolKind::HotLocks:
-    Ibm112 = std::make_unique<HotLocks>(
-        Cfg.NumHotLocks, Cfg.HotPromotionThreshold,
-        Cfg.MonitorCachePoolSize);
-    Backend = makeSyncBackend(*Ibm112);
-    break;
-  case ProtocolKind::EagerMonitor:
-    Eager = std::make_unique<EagerMonitor>();
-    Backend = makeSyncBackend(*Eager);
-    break;
-  }
+VM::VM(const Config &Cfg) : Handle(createProtocol(Cfg.Protocol, Cfg.Sync)) {
+  if (!Handle)
+    fatalError("vm: unknown protocol '%s' (see core/ProtocolRegistry.h for "
+               "the registered names)",
+               Cfg.Protocol.c_str());
+  Builtin = &Handle->sync();
+  // Thread-index recycling safety: detach() quarantines any index a live
+  // lock word still encodes (a thread that died holding a lock), so the
+  // next spawn cannot impersonate the stale owner.  The auditor reads
+  // lock words through the MonitorTable, so only protocols with one get
+  // it.
+  if (MonitorTable *Monitors = Handle->monitorTable())
+    Registry.setIndexAuditor(makeLockWordAuditor(TheHeap, *Monitors));
 
   // Class objects are instances of the primordial "java/lang/Class".
   defineClass("java/lang/Class", {});

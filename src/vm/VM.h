@@ -5,21 +5,16 @@
 /// protocol + class/method tables + an interpreter entry point.  It is
 /// the substrate standing in for the paper's JDK 1.1.2: all Table 2
 /// micro-benchmarks and the macro-workload replays execute as interpreted
-/// bytecode on top of one of three protocols — ThinLock (the paper's
-/// contribution), MonitorCache ("JDK111") or HotLocks ("IBM112").
+/// bytecode on top of any registered protocol (core/ProtocolRegistry.h),
+/// chosen by name — ThinLock (the paper's contribution), MonitorCache
+/// ("JDK111"), HotLocks ("IBM112"), or any other the registry lists.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef THINLOCKS_VM_VM_H
 #define THINLOCKS_VM_VM_H
 
-#include "baselines/EagerMonitor.h"
-#include "baselines/HotLocks.h"
-#include "baselines/MonitorCache.h"
-#include "core/LockStats.h"
-#include "core/SyncBackend.h"
-#include "core/ThinLock.h"
-#include "fatlock/MonitorTable.h"
+#include "core/ProtocolRegistry.h"
 #include "heap/Heap.h"
 #include "threads/ThreadRegistry.h"
 #include "vm/Klass.h"
@@ -34,12 +29,6 @@
 
 namespace thinlocks {
 namespace vm {
-
-/// Which synchronization protocol a VM instance runs on.
-enum class ProtocolKind { ThinLock, MonitorCache, HotLocks, EagerMonitor };
-
-/// \returns the display name used in benchmark output.
-const char *protocolKindName(ProtocolKind Kind);
 
 /// Result of executing a method: a trap (or None) plus the return value.
 struct RunResult {
@@ -58,29 +47,17 @@ struct RunResult {
 class VM {
 public:
   struct Config {
-    ProtocolKind Protocol = ProtocolKind::ThinLock;
-    /// JDK111 model: monitor pool size ("size of the monitor cache").
-    size_t MonitorCachePoolSize = 128;
-    /// IBM112 model: number of hot locks (the paper's system used 32).
-    size_t NumHotLocks = 32;
-    uint64_t HotPromotionThreshold = 4;
-    /// Thin-lock model: deflate fat locks at quiescence (extension; the
-    /// paper's discipline keeps inflation permanent).
-    bool ThinLockDeflation = false;
-    /// Record LockStats (thin-lock protocol only).
-    bool CollectLockStats = false;
-    /// Fat-lock table size (thin-lock protocol).  Lowering it makes the
-    /// exhaustion degradation path testable without 8M inflations; the
-    /// table's shared emergency monitor absorbs overflow either way.
-    uint32_t MonitorCapacity = MonitorTable::MaxMonitorIndex;
-    /// Thin-lock contention tuning (escalation ladder + deadlock
-    /// watchdog).
-    ContentionOptions Contention;
+    /// Registry name of the synchronization protocol; an unregistered
+    /// name is fatal.
+    std::string Protocol = DefaultProtocolName;
+    /// Substrate knobs for the protocol (deflation, stats sink, monitor
+    /// capacity); protocols without the notion ignore them.
+    ProtocolConfig Sync;
   };
 
   /// Constructs a VM with default configuration (thin locks).
   VM();
-  explicit VM(Config Cfg);
+  explicit VM(const Config &Cfg);
   ~VM();
 
   VM(const VM &) = delete;
@@ -88,18 +65,13 @@ public:
 
   Heap &heap() { return TheHeap; }
   ThreadRegistry &threads() { return Registry; }
-  SyncBackend &sync() { return SyncOverride ? *SyncOverride : *Backend; }
-  ProtocolKind protocol() const { return Cfg.Protocol; }
+  SyncBackend &sync() { return SyncOverride ? *SyncOverride : *Builtin; }
 
   /// Routes all interpreter synchronization through \p External (e.g. a
   /// workload::TracingBackend wrapping sync()) instead of the built-in
   /// backend; pass nullptr to restore.  Not owning; the override must
   /// outlive execution.  Install before spawning VM threads.
   void overrideSync(SyncBackend *External) { SyncOverride = External; }
-
-  /// \returns thin-lock statistics, or nullptr if not collecting / not
-  /// running the thin-lock protocol.
-  LockStats *lockStats() { return Cfg.CollectLockStats ? &Stats : nullptr; }
 
   // --- Definition ---------------------------------------------------------
 
@@ -179,18 +151,12 @@ private:
   };
   friend class Interpreter;
 
-  Config Cfg;
   Heap TheHeap;
   ThreadRegistry Registry;
-  MonitorTable Monitors;
-  LockStats Stats;
-
-  // Exactly one protocol is constructed, per Cfg.Protocol.
-  std::unique_ptr<ThinLockManager> Thin;
-  std::unique_ptr<MonitorCache> Jdk111;
-  std::unique_ptr<HotLocks> Ibm112;
-  std::unique_ptr<EagerMonitor> Eager;
-  std::unique_ptr<SyncBackend> Backend;
+  std::unique_ptr<ProtocolHandle> Handle;
+  /// Handle->sync(), cached so an interpreted monitor op is one virtual
+  /// call.
+  SyncBackend *Builtin = nullptr;
   SyncBackend *SyncOverride = nullptr;
 
   mutable std::mutex DefMutex;

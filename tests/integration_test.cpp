@@ -29,8 +29,9 @@ TEST(Integration, CompiledExpressionsDriveSynchronizedLibraryWork) {
   // Compile f(i) = i * i - i, fill a synchronized Vector with f(0..N),
   // then verify sums via synchronized elementAt — all interpreted, all
   // through the thin-lock protocol, fully traced.
+  LockStats Stats;
   VM::Config Cfg;
-  Cfg.CollectLockStats = true;
+  Cfg.Sync.Stats = &Stats;
   VM Vm(Cfg);
   NativeLibrary Lib(Vm);
   Klass &K = Vm.defineClass("it/App", {});
@@ -82,9 +83,8 @@ TEST(Integration, CompiledExpressionsDriveSynchronizedLibraryWork) {
   EXPECT_DOUBLE_EQ(Mix[0], 1.0);
 
   // Stats agree with the trace, and nothing ever inflated.
-  EXPECT_EQ(Vm.lockStats()->totalAcquisitions(),
-            Trace.lockOperationCount());
-  EXPECT_EQ(Vm.lockStats()->inflations(), 0u);
+  EXPECT_EQ(Stats.totalAcquisitions(), Trace.lockOperationCount());
+  EXPECT_EQ(Stats.inflations(), 0u);
 
   // The recorded trace replays cleanly on both baselines.
   {
@@ -172,9 +172,10 @@ TEST(Integration, ProfileReplayCharacterizationMatchesTraceAnalysis) {
 }
 
 TEST(Integration, DeflatingVmRunsTheFullMicroSuite) {
+  LockStats Stats;
   VM::Config Cfg;
-  Cfg.ThinLockDeflation = true;
-  Cfg.CollectLockStats = true;
+  Cfg.Sync.DeflateWhenQuiescent = true;
+  Cfg.Sync.Stats = &Stats;
   VM Vm(Cfg);
   MicroPrograms Programs = buildMicroPrograms(Vm);
   Object *Target = Vm.newInstance(*Programs.BenchKlass);
@@ -186,8 +187,7 @@ TEST(Integration, DeflatingVmRunsTheFullMicroSuite) {
   runMicroProgram(Vm, *Programs.Sync, 500, Target, Main.context());
   runMicroProgram(Vm, *Programs.NestedSync, 500, Target, Main.context());
   EXPECT_FALSE(Vm.sync().holdsLock(Target, Main.context()));
-  EXPECT_EQ(Vm.lockStats()->totalAcquisitions(),
-            Vm.lockStats()->totalReleases());
+  EXPECT_EQ(Stats.totalAcquisitions(), Stats.totalReleases());
 }
 
 TEST(Integration, DisassembledListingsCoverEveryDefinedMethod) {

@@ -1,7 +1,8 @@
 //===- tests/vmthreads_test.cpp - Multi-threaded VM execution -------------===//
 //
-// End-to-end: interpreted bytecode racing on shared objects under each of
-// the three protocols, exactly the configuration the paper benchmarks.
+// End-to-end: interpreted bytecode racing on shared objects under every
+// registered protocol — the paper's configuration (ThinLock, JDK111,
+// IBM112) plus the others the registry lists.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,14 +18,12 @@ using namespace thinlocks::workload;
 
 namespace {
 
-class VmThreadsTest : public ::testing::TestWithParam<ProtocolKind> {
+class VmThreadsTest : public ::testing::TestWithParam<std::string> {
 protected:
   std::unique_ptr<VM> Vm;
 
   void SetUp() override {
-    VM::Config Cfg;
-    Cfg.Protocol = GetParam();
-    Vm = std::make_unique<VM>(Cfg);
+    Vm = std::make_unique<VM>(VM::Config{GetParam(), {}});
   }
 };
 
@@ -122,50 +121,28 @@ TEST_P(VmThreadsTest, ThreadsBenchmarkContendsCorrectly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, VmThreadsTest,
-                         ::testing::Values(ProtocolKind::ThinLock,
-                                           ProtocolKind::MonitorCache,
-                                           ProtocolKind::HotLocks,
-                                           ProtocolKind::EagerMonitor),
-                         [](const ::testing::TestParamInfo<ProtocolKind> &I) {
-                           return protocolKindName(I.param);
+                         ::testing::ValuesIn(registeredProtocolNames()),
+                         [](const ::testing::TestParamInfo<std::string> &I) {
+                           return I.param;
                          });
+
+TEST(VmConfigDeathTest, UnknownProtocolNameIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH({ VM Vm(VM::Config{"NoSuchProtocol", {}}); },
+               "unknown protocol");
+}
 
 //===----------------------------------------------------------------------===//
 // Thin-lock specific VM integration
 //===----------------------------------------------------------------------===//
 
-TEST(VmThinLockIntegration, LockStatsFlowThroughTheInterpreter) {
-  VM::Config Cfg;
-  Cfg.Protocol = ProtocolKind::ThinLock;
-  Cfg.CollectLockStats = true;
-  VM Vm(Cfg);
-  MicroPrograms Programs = buildMicroPrograms(Vm);
-  ScopedThreadAttachment Main(Vm.threads(), "main");
-  Object *Target = Vm.newInstance(*Programs.BenchKlass);
+namespace {
 
-  runMicroProgram(Vm, *Programs.Sync, 100, Target, Main.context());
-  LockStats *Stats = Vm.lockStats();
-  ASSERT_NE(Stats, nullptr);
-  EXPECT_EQ(Stats->totalAcquisitions(), 100u);
-  EXPECT_EQ(Stats->depthBucket(0), 100u); // All first locks.
-
-  runMicroProgram(Vm, *Programs.NestedSync, 100, Target, Main.context());
-  // NestedSync: 1 outer + 100 inner (depth 2).
-  EXPECT_EQ(Stats->totalAcquisitions(), 201u);
-  EXPECT_EQ(Stats->depthBucket(1), 100u);
-}
-
-TEST(VmThinLockIntegration, VmThreadsContentionInflatesTarget) {
-  VM::Config Cfg;
-  Cfg.Protocol = ProtocolKind::ThinLock;
-  Cfg.CollectLockStats = true;
-  VM Vm(Cfg);
-  MicroPrograms Programs = buildMicroPrograms(Vm);
-  Object *Target = Vm.newInstance(*Programs.BenchKlass);
-
-  // Deterministic contention: hold the target's monitor from outside the
-  // VM while an interpreted thread reaches its first monitorenter, so
-  // the interpreted thread must take the contention path and inflate.
+/// Holds \p Target's monitor from outside the VM while an interpreted
+/// thread reaches its first monitorenter, so that thread must take the
+/// contention path and inflate; then releases and joins it.
+void contendFromOutside(VM &Vm, const MicroPrograms &Programs,
+                        Object *Target) {
   ScopedThreadAttachment Main(Vm.threads(), "holder");
   Vm.sync().lock(Target, Main.context());
   VM::VMThread Worker = Vm.spawn(
@@ -176,7 +153,66 @@ TEST(VmThinLockIntegration, VmThreadsContentionInflatesTarget) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   Vm.sync().unlock(Target, Main.context());
   ASSERT_TRUE(Worker.join().ok());
+}
 
-  EXPECT_GE(Vm.lockStats()->contentionInflations(), 1u);
+} // namespace
+
+TEST(VmThinLockIntegration, LockStatsFlowThroughTheInterpreter) {
+  LockStats Stats;
+  VM::Config Cfg;
+  Cfg.Sync.Stats = &Stats;
+  VM Vm(Cfg);
+  MicroPrograms Programs = buildMicroPrograms(Vm);
+  ScopedThreadAttachment Main(Vm.threads(), "main");
+  Object *Target = Vm.newInstance(*Programs.BenchKlass);
+
+  runMicroProgram(Vm, *Programs.Sync, 100, Target, Main.context());
+  EXPECT_EQ(Stats.totalAcquisitions(), 100u);
+  EXPECT_EQ(Stats.depthBucket(0), 100u); // All first locks.
+
+  runMicroProgram(Vm, *Programs.NestedSync, 100, Target, Main.context());
+  // NestedSync: 1 outer + 100 inner (depth 2).
+  EXPECT_EQ(Stats.totalAcquisitions(), 201u);
+  EXPECT_EQ(Stats.depthBucket(1), 100u);
+}
+
+TEST(VmThinLockIntegration, VmThreadsContentionInflatesTarget) {
+  LockStats Stats;
+  VM::Config Cfg;
+  Cfg.Sync.Stats = &Stats;
+  VM Vm(Cfg);
+  MicroPrograms Programs = buildMicroPrograms(Vm);
+  Object *Target = Vm.newInstance(*Programs.BenchKlass);
+
+  ASSERT_NO_FATAL_FAILURE(contendFromOutside(Vm, Programs, Target));
+  EXPECT_GE(Stats.contentionInflations(), 1u);
   EXPECT_TRUE(lockword::isFat(Target->lockWord().load()));
+}
+
+TEST(VmThinLockIntegration, DeflatingVmReturnsContendedTargetToThin) {
+  // The same contention with the deflation switch on: the inflated
+  // monitor is retired once the worker's last release leaves it idle.
+  LockStats Stats;
+  VM::Config Cfg;
+  Cfg.Sync.DeflateWhenQuiescent = true;
+  Cfg.Sync.Stats = &Stats;
+  VM Vm(Cfg);
+  MicroPrograms Programs = buildMicroPrograms(Vm);
+  Object *Target = Vm.newInstance(*Programs.BenchKlass);
+
+  ASSERT_NO_FATAL_FAILURE(contendFromOutside(Vm, Programs, Target));
+  EXPECT_GE(Stats.contentionInflations(), 1u);
+  EXPECT_GE(Stats.deflations(), 1u);
+  EXPECT_TRUE(lockword::isThin(Target->lockWord().load()));
+}
+
+TEST(VmThinLockIntegration, ThinLockVmQuarantinesIndexOfDeadOwner) {
+  // A thread that detaches while holding a lock leaves its index in the
+  // lock word; the VM's auditor must keep that index out of reuse.
+  VM Vm;
+  Object *Obj = Vm.newInstance(Vm.defineClass("Held", {}));
+  ThreadContext Doomed = Vm.threads().attach("doomed");
+  Vm.sync().lock(Obj, Doomed);
+  Vm.threads().detach(Doomed);
+  EXPECT_EQ(Vm.threads().quarantinedIndexCount(), 1u);
 }
