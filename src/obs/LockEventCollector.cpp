@@ -13,6 +13,81 @@
 using namespace thinlocks;
 using namespace thinlocks::obs;
 
+namespace {
+
+uint64_t tieBreakKey(const HotLockEntry &E) { return E.ObjectAddr; }
+uint64_t tieBreakKey(const HotClassEntry &E) { return E.ClassIndex; }
+
+/// The profile's rank order: blocked time, then contended acquires, then
+/// inflations, all descending, then the key ascending.
+template <typename EntryT> bool ranksBefore(const EntryT &A, const EntryT &B) {
+  if (A.BlockedNanos != B.BlockedNanos)
+    return A.BlockedNanos > B.BlockedNanos;
+  if (A.ContendedAcquires != B.ContendedAcquires)
+    return A.ContendedAcquires > B.ContendedAcquires;
+  if (A.Inflations != B.Inflations)
+    return A.Inflations > B.Inflations;
+  return tieBreakKey(A) < tieBreakKey(B);
+}
+
+} // namespace
+
+template <typename KeyT, typename EntryT>
+EntryT &LockEventCollector::RankedTable<KeyT, EntryT>::touch(KeyT Key) {
+  Row &R = Rows[Key];
+  // With no ranking kept, the next one walks every row anyway.
+  if (K != 0 && R.ListedIn != Pass) {
+    R.ListedIn = Pass;
+    Moved.push_back(&R);
+  }
+  return R.Entry;
+}
+
+template <typename KeyT, typename EntryT>
+std::vector<EntryT>
+LockEventCollector::RankedTable<KeyT, EntryT>::top(size_t N) const {
+  if (N == 0)
+    return {};
+  // Rank in Moved's buffer: it becomes Top, and the old Top's buffer
+  // becomes the next Moved.
+  std::vector<const Row *> &Candidates = Moved;
+  if (N > K) {
+    K = N;
+    Candidates.clear();
+    Candidates.reserve(Rows.size());
+    for (const auto &KV : Rows)
+      Candidates.push_back(&KV.second);
+  } else {
+    for (const Row *Kept : Top)
+      if (Kept->ListedIn != Pass)
+        Candidates.push_back(Kept);
+  }
+  ++Pass;
+  // partial_sort keeps a bounded K-heap over the candidates.
+  size_t Keep = std::min(K, Candidates.size());
+  std::partial_sort(Candidates.begin(), Candidates.begin() + Keep,
+                    Candidates.end(), [](const Row *A, const Row *B) {
+                      return ranksBefore(A->Entry, B->Entry);
+                    });
+  Candidates.resize(Keep);
+  Top.swap(Candidates);
+  Moved.clear();
+  size_t Count = std::min(N, Top.size());
+  std::vector<EntryT> Result;
+  Result.reserve(Count);
+  for (size_t I = 0; I < Count; ++I)
+    Result.push_back(Top[I]->Entry);
+  return Result;
+}
+
+template <typename KeyT, typename EntryT>
+void LockEventCollector::RankedTable<KeyT, EntryT>::clear() {
+  Rows.clear();
+  K = 0;
+  Top.clear();
+  Moved.clear();
+}
+
 LockEventCollector::LockEventCollector(ThreadRegistry &Registry,
                                        size_t MaxRetainedEvents)
     : Registry(Registry), MaxRetainedEvents(MaxRetainedEvents) {}
@@ -50,8 +125,8 @@ void LockEventCollector::fold(const LockEvent &E) {
   if (E.Kind == EventKind::PolicyDecision || E.ObjectAddr == 0)
     return;
 
-  HotLockEntry &Entry = Profile[E.ObjectAddr];
-  HotClassEntry &Rollup = ClassProfile[E.ClassIndex];
+  HotLockEntry &Entry = Profile.touch(E.ObjectAddr);
+  HotClassEntry &Rollup = ClassProfile.touch(E.ClassIndex);
   Rollup.ClassIndex = E.ClassIndex;
   // Count distinct objects per class: a fresh profile entry is one, and
   // so is an existing address re-recorded under a new class (the
@@ -118,44 +193,12 @@ uint64_t LockEventCollector::droppedEvents() const {
 
 std::vector<HotLockEntry> LockEventCollector::topLocks(size_t N) const {
   LockGuard G(Mu);
-  std::vector<HotLockEntry> All;
-  All.reserve(Profile.size());
-  for (const auto &KV : Profile)
-    All.push_back(KV.second);
-  std::sort(All.begin(), All.end(),
-            [](const HotLockEntry &A, const HotLockEntry &B) {
-              if (A.BlockedNanos != B.BlockedNanos)
-                return A.BlockedNanos > B.BlockedNanos;
-              if (A.ContendedAcquires != B.ContendedAcquires)
-                return A.ContendedAcquires > B.ContendedAcquires;
-              if (A.Inflations != B.Inflations)
-                return A.Inflations > B.Inflations;
-              return A.ObjectAddr < B.ObjectAddr;
-            });
-  if (All.size() > N)
-    All.resize(N);
-  return All;
+  return Profile.top(N);
 }
 
 std::vector<HotClassEntry> LockEventCollector::topClasses(size_t N) const {
   LockGuard G(Mu);
-  std::vector<HotClassEntry> All;
-  All.reserve(ClassProfile.size());
-  for (const auto &KV : ClassProfile)
-    All.push_back(KV.second);
-  std::sort(All.begin(), All.end(),
-            [](const HotClassEntry &A, const HotClassEntry &B) {
-              if (A.BlockedNanos != B.BlockedNanos)
-                return A.BlockedNanos > B.BlockedNanos;
-              if (A.ContendedAcquires != B.ContendedAcquires)
-                return A.ContendedAcquires > B.ContendedAcquires;
-              if (A.Inflations != B.Inflations)
-                return A.Inflations > B.Inflations;
-              return A.ClassIndex < B.ClassIndex;
-            });
-  if (All.size() > N)
-    All.resize(N);
-  return All;
+  return ClassProfile.top(N);
 }
 
 std::string

@@ -101,12 +101,22 @@ public:
   uint64_t droppedEvents() const TL_EXCLUDES(Mu);
 
   /// \returns the top \p N objects by cumulative blocked time (ties
-  /// broken by contended-acquire count, then by inflations).
+  /// broken by contended-acquire count, then by inflations, then by
+  /// address ascending).
+  ///
+  /// All three ranking keys only grow, so a row outside the last
+  /// ranking's top K that has not been folded since cannot have
+  /// overtaken any row inside it.  The collector keeps that ranking
+  /// (K = the largest N asked so far) and ranks only it plus the rows
+  /// folded since: a call costs K plus those rows, not the profile.
+  /// The first call, a call with N above K, and the first call after
+  /// reset() walk the whole profile.
   std::vector<HotLockEntry> topLocks(size_t N) const TL_EXCLUDES(Mu);
 
   /// \returns the top \p N classes by cumulative blocked time (ties
   /// broken by contended-acquire count, then inflations, then by class
-  /// index ascending).  Fed by the same folds as topLocks().
+  /// index ascending).  Fed by the same folds as topLocks(), and ranked
+  /// incrementally the same way.
   std::vector<HotClassEntry> topClasses(size_t N) const TL_EXCLUDES(Mu);
 
   /// Renders topLocks(N) as an aligned text table.  When \p Classes is
@@ -120,14 +130,44 @@ public:
   void reset() TL_EXCLUDES(Mu);
 
 private:
+  /// One profile table keyed by object address or class index, plus the
+  /// incremental ranking over it described at topLocks().
+  template <typename KeyT, typename EntryT> class RankedTable {
+  public:
+    /// \returns the row for \p Key, created empty on first use, and
+    /// lists it as moved for the next ranking.
+    EntryT &touch(KeyT Key);
+    /// \returns the first \p N rows in rank order.
+    std::vector<EntryT> top(size_t N) const;
+    void clear();
+
+  private:
+    struct Row {
+      EntryT Entry;
+      /// The ranking pass this row was last listed in Moved for.
+      uint64_t ListedIn = 0;
+    };
+    /// unordered_map values keep their addresses across rehash, so the
+    /// ranking holds row pointers rather than keys.
+    std::unordered_map<KeyT, Row> Rows;
+    /// Largest N asked since the last reset(); 0 = no ranking kept.
+    mutable size_t K = 0;
+    /// The last ranking's first K rows, best first.
+    mutable std::vector<const Row *> Top;
+    /// Rows touched since the last ranking, each listed once.
+    mutable std::vector<const Row *> Moved;
+    /// Bumped by every ranking, so a row lists itself again afterward.
+    mutable uint64_t Pass = 1;
+  };
+
   void fold(const LockEvent &E) TL_REQUIRES(Mu);
 
   ThreadRegistry &Registry;
   const size_t MaxRetainedEvents;
   mutable Mutex Mu;
   std::vector<LockEvent> Retained TL_GUARDED_BY(Mu);
-  std::unordered_map<uint64_t, HotLockEntry> Profile TL_GUARDED_BY(Mu);
-  std::unordered_map<uint32_t, HotClassEntry> ClassProfile TL_GUARDED_BY(Mu);
+  RankedTable<uint64_t, HotLockEntry> Profile TL_GUARDED_BY(Mu);
+  RankedTable<uint32_t, HotClassEntry> ClassProfile TL_GUARDED_BY(Mu);
   uint64_t FoldedEvents TL_GUARDED_BY(Mu) = 0;
   uint64_t RetentionDrops TL_GUARDED_BY(Mu) = 0;
   uint64_t RingDrops TL_GUARDED_BY(Mu) = 0;

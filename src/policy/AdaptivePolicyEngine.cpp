@@ -12,8 +12,6 @@
 #include "park/ParkingLot.h"
 #include "threads/ThreadContext.h"
 
-#include <unordered_set>
-
 using namespace thinlocks;
 using namespace thinlocks::policy;
 
@@ -227,13 +225,11 @@ void AdaptivePolicyEngine::tick(const ThreadContext *Recorder) {
   // first sighting only seeds its baseline; deltas start on the second
   // sighting.  Tracked objects absent from this tick's table (fell out
   // of the top-N, or simply quiet) take an idle step.
-  std::unordered_set<uint64_t> Seen;
-  Seen.reserve(Top.size());
   for (const obs::HotLockEntry &E : Top) {
     if (E.ObjectAddr == 0)
       continue; // Defensive: address 0 is DecisionTable's empty sentinel.
-    Seen.insert(E.ObjectAddr);
     Tracked &T = Objects[E.ObjectAddr];
+    T.SeenInTick = Counters.Ticks;
     T.ClassIndex = E.ClassIndex;
     Deltas D;
     if (T.Seeded) {
@@ -253,7 +249,7 @@ void AdaptivePolicyEngine::tick(const ThreadContext *Recorder) {
   }
   for (auto It = Objects.begin(); It != Objects.end();) {
     Tracked &T = It->second;
-    if (!Seen.count(It->first))
+    if (T.SeenInTick != Counters.Ticks)
       stepKey(T, Deltas(), It->first, /*IsClass=*/false, Recorder);
     // Long-cold and nothing published: forget the object entirely.  (A
     // published decision is never stranded — stepKey expires it at
@@ -267,13 +263,11 @@ void AdaptivePolicyEngine::tick(const ThreadContext *Recorder) {
   // --- Per-class pass: same machinery over class rollups, gated so a
   // class needs a population (MinClassObjects) before its long tail
   // inherits a decision.
-  std::unordered_set<uint32_t> SeenClasses;
-  SeenClasses.reserve(TopC.size());
   for (const obs::HotClassEntry &E : TopC) {
     if (E.Objects < Config.MinClassObjects)
       continue;
-    SeenClasses.insert(E.ClassIndex);
     Tracked &T = Classes[E.ClassIndex];
+    T.SeenInTick = Counters.Ticks;
     T.ClassIndex = E.ClassIndex;
     Deltas D;
     if (T.Seeded) {
@@ -293,7 +287,7 @@ void AdaptivePolicyEngine::tick(const ThreadContext *Recorder) {
   }
   for (auto It = Classes.begin(); It != Classes.end();) {
     Tracked &T = It->second;
-    if (!SeenClasses.count(It->first))
+    if (T.SeenInTick != Counters.Ticks)
       stepKey(T, Deltas(), It->first, /*IsClass=*/true, Recorder);
     if (T.IdleTicks >= 2 * Config.ColdTicks && T.Published.isDefault())
       It = Classes.erase(It);

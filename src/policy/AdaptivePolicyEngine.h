@@ -164,6 +164,9 @@ private:
     LockPolicy Desired;
     unsigned DesiredStreak = 0;
     unsigned IdleTicks = 0;
+    /// The last tick (Counters.Ticks) whose profiler table listed this
+    /// key; keys it missed take an idle step.
+    uint64_t SeenInTick = 0;
     bool Seeded = false;
   };
 

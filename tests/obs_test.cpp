@@ -3,8 +3,9 @@
 // Covers the obs layer end to end: event word packing, EventRing
 // wraparound and torn-slot discipline, ring recycling across thread
 // detach/attach, the tracing-off guarantee (no events recorded, ever),
-// the hot-lock profiler's ranking, and the Chrome trace exporter round-
-// tripping through its own schema validator (plus the validator's
+// the hot-lock profiler's ranking (checked call by call against a full
+// sort, also with concurrent rankers), and the Chrome trace exporter
+// round-tripping through its own schema validator (plus the validator's
 // rejection cases).
 //
 //===----------------------------------------------------------------------===//
@@ -15,12 +16,18 @@
 
 #include "core/ThinLock.h"
 #include "heap/Heap.h"
+#include "support/SplitMix64.h"
 #include "threads/ThreadRegistry.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <iterator>
+#include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 using namespace thinlocks;
@@ -350,6 +357,284 @@ TEST(ObsCollectorTest, TopClassesReattributesRecycledAddresses) {
   std::vector<obs::HotLockEntry> Objects = Collector.topLocks(1);
   ASSERT_EQ(Objects.size(), 1u);
   EXPECT_EQ(Objects[0].ClassIndex, 2u);
+}
+
+TEST(ObsCollectorTest, TopLocksBreaksFullTiesByAscendingAddress) {
+  ThreadRegistry Registry;
+  obs::LockEventCollector Collector(Registry);
+  ThreadContext Main = Registry.attach("main");
+  obs::EventRing *Ring = Main.eventRing();
+
+  // 0x9000 leads the first ranking alone; then 0x3000 and 0x6000 catch
+  // up to it on all three keys between two rankings.
+  Ring->record(contendedEvent(0x9000, Main.index(), 1, 200, 1));
+  Ring->record(contendedEvent(0x3000, Main.index(), 2, 100, 1));
+  Ring->record(contendedEvent(0x6000, Main.index(), 3, 100, 1));
+  EXPECT_EQ(Collector.drain(), 3u);
+  std::vector<obs::HotLockEntry> Top = Collector.topLocks(2);
+  ASSERT_EQ(Top.size(), 2u);
+  EXPECT_EQ(Top[0].ObjectAddr, 0x9000u);
+  EXPECT_EQ(Top[1].ObjectAddr, 0x3000u);
+
+  Ring->record(contendedEvent(0x6000, Main.index(), 4, 100, 1));
+  Ring->record(contendedEvent(0x3000, Main.index(), 5, 100, 1));
+  Ring->record(contendedEvent(0x9000, Main.index(), 6, 0, 1));
+  Registry.detach(Main);
+  EXPECT_EQ(Collector.drain(), 3u);
+  Top = Collector.topLocks(3);
+  ASSERT_EQ(Top.size(), 3u);
+  EXPECT_EQ(Top[0].ObjectAddr, 0x3000u);
+  EXPECT_EQ(Top[1].ObjectAddr, 0x6000u);
+  EXPECT_EQ(Top[2].ObjectAddr, 0x9000u);
+  for (const obs::HotLockEntry &E : Top) {
+    EXPECT_EQ(E.BlockedNanos, 200u);
+    EXPECT_EQ(E.ContendedAcquires, 2u);
+  }
+}
+
+namespace {
+
+/// The rows a stream of events must fold into, ranked by a plain full
+/// sort: the reference the collector's incremental ranking must match.
+/// Models the event kinds randomEvent() emits.
+struct ReferenceProfile {
+  std::map<uint64_t, obs::HotLockEntry> Objects;
+  std::map<uint32_t, obs::HotClassEntry> Classes;
+
+  /// The documented order: blocked time, contended acquires and
+  /// inflations descending, then address (or class index) ascending.
+  template <typename EntryT>
+  static bool rankedBefore(const EntryT &A, const EntryT &B) {
+    return std::make_tuple(B.BlockedNanos, B.ContendedAcquires, B.Inflations,
+                           key(A)) < std::make_tuple(A.BlockedNanos,
+                                                     A.ContendedAcquires,
+                                                     A.Inflations, key(B));
+  }
+  static uint64_t key(const obs::HotLockEntry &E) { return E.ObjectAddr; }
+  static uint64_t key(const obs::HotClassEntry &E) { return E.ClassIndex; }
+
+  void fold(const obs::LockEvent &E) {
+    obs::HotLockEntry &Row = Objects[E.ObjectAddr];
+    obs::HotClassEntry &Rollup = Classes[E.ClassIndex];
+    Rollup.ClassIndex = E.ClassIndex;
+    if (Row.ObjectAddr == 0 || Row.ClassIndex != E.ClassIndex)
+      ++Rollup.Objects;
+    Row.ObjectAddr = E.ObjectAddr;
+    Row.ClassIndex = E.ClassIndex;
+    switch (E.Kind) {
+    case obs::EventKind::ContendedAcquire:
+      ++Row.ContendedAcquires;
+      ++Rollup.ContendedAcquires;
+      Row.BlockedNanos += E.Arg;
+      Rollup.BlockedNanos += E.Arg;
+      Row.MaxQueueDepth = std::max<uint64_t>(Row.MaxQueueDepth, E.Extra);
+      Rollup.MaxQueueDepth = std::max<uint64_t>(Rollup.MaxQueueDepth, E.Extra);
+      break;
+    case obs::EventKind::Inflate:
+      ++Row.Inflations;
+      ++Rollup.Inflations;
+      break;
+    case obs::EventKind::Deflate:
+      ++Row.Deflations;
+      ++Rollup.Deflations;
+      break;
+    case obs::EventKind::Park:
+      ++Row.Parks;
+      ++Rollup.Parks;
+      Row.BlockedNanos += E.Arg;
+      Rollup.BlockedNanos += E.Arg;
+      break;
+    default:
+      ADD_FAILURE() << "reference does not model this kind";
+    }
+  }
+
+  std::vector<obs::HotLockEntry> topLocks(size_t N) const {
+    return fullSort(Objects, N);
+  }
+  std::vector<obs::HotClassEntry> topClasses(size_t N) const {
+    return fullSort(Classes, N);
+  }
+
+private:
+  template <typename KeyT, typename EntryT>
+  static std::vector<EntryT> fullSort(const std::map<KeyT, EntryT> &Rows,
+                                      size_t N) {
+    std::vector<EntryT> All;
+    for (const auto &KV : Rows)
+      All.push_back(KV.second);
+    std::sort(All.begin(), All.end(), rankedBefore<EntryT>);
+    if (All.size() > N)
+      All.resize(N);
+    return All;
+  }
+};
+
+auto fieldsOf(const obs::HotLockEntry &E) {
+  return std::make_tuple(E.ObjectAddr, E.ClassIndex, E.ContendedAcquires,
+                         E.Inflations, E.Deflations, E.Parks, E.Waits,
+                         E.Notifies, E.BlockedNanos, E.MaxQueueDepth);
+}
+
+auto fieldsOf(const obs::HotClassEntry &E) {
+  return std::make_tuple(E.ClassIndex, E.Objects, E.ContendedAcquires,
+                         E.Inflations, E.Deflations, E.Parks, E.Waits,
+                         E.Notifies, E.BlockedNanos, E.MaxQueueDepth);
+}
+
+template <typename EntryT>
+bool sameRows(const std::vector<EntryT> &Got,
+              const std::vector<EntryT> &Want) {
+  return std::equal(Got.begin(), Got.end(), Want.begin(), Want.end(),
+                    [](const EntryT &A, const EntryT &B) {
+                      return fieldsOf(A) == fieldsOf(B);
+                    });
+}
+
+/// A random event on \p Addr.  Small quantized arguments make rows tie
+/// on all three ranking keys often, and Deflate-only rows tie at zero.
+obs::LockEvent randomEvent(SplitMix64 &Rng, uint64_t Addr,
+                           uint32_t ClassIndex) {
+  obs::LockEvent E;
+  E.ObjectAddr = Addr;
+  E.ClassIndex = ClassIndex;
+  switch (Rng.nextBounded(5)) {
+  case 0:
+  case 1:
+    E.Kind = obs::EventKind::ContendedAcquire;
+    E.Arg = 100 * Rng.nextBounded(4);
+    E.Extra = static_cast<uint16_t>(Rng.nextBounded(8));
+    break;
+  case 2:
+    E.Kind = obs::EventKind::Park;
+    E.Arg = 100 * Rng.nextBounded(3);
+    break;
+  case 3:
+    E.Kind = obs::EventKind::Inflate;
+    break;
+  default:
+    E.Kind = obs::EventKind::Deflate;
+    break;
+  }
+  return E;
+}
+
+} // namespace
+
+TEST(ObsCollectorTest, IncrementalRankingMatchesFullSort) {
+  // Sizes asked of the rankings: 0, 1, growing and shrinking in random
+  // order, and past the row count.
+  const size_t Sizes[] = {0, 1, 2, 3, 5, 8, 13, 32, 64, 100, 1000};
+  const uint64_t Seeds = 80;
+  const unsigned Rankings = 400;
+  // Coverage of the cases the stream is built to hit.
+  unsigned Resets = 0, FullTies = 0;
+  for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
+    SplitMix64 Rng(Seed);
+    ThreadRegistry Registry;
+    obs::LockEventCollector Collector(Registry);
+    ThreadContext Main = Registry.attach("main");
+    ReferenceProfile Ref;
+    std::vector<obs::LockEvent> Undrained;
+    // Each address keeps its class until the allocator "recycles" it.
+    const size_t Pool = 8 + Rng.nextBounded(200);
+    std::vector<uint32_t> ClassOf(Pool, 0);
+    for (unsigned Step = 0; Step < Rankings; ++Step) {
+      for (uint64_t I = Rng.nextBounded(12); I > 0; --I) {
+        size_t Slot = Rng.nextBounded(Pool);
+        if (Rng.nextBool(0.02))
+          ClassOf[Slot] = static_cast<uint32_t>(Rng.nextBounded(6));
+        obs::LockEvent E =
+            randomEvent(Rng, 0x1000 + 0x40 * Slot, ClassOf[Slot]);
+        Main.eventRing()->record(E);
+        Undrained.push_back(E);
+      }
+      if (Rng.nextBool(0.5) || Undrained.size() > 1000) {
+        ASSERT_EQ(Collector.drain(), Undrained.size());
+        for (const obs::LockEvent &E : Undrained)
+          Ref.fold(E);
+        Undrained.clear();
+      }
+      // Undrained events survive a reset; the aggregate does not.
+      if (Rng.nextBool(0.01)) {
+        Collector.reset();
+        Ref = ReferenceProfile();
+        ++Resets;
+      }
+      size_t N = Sizes[Rng.nextBounded(std::size(Sizes))];
+      std::vector<obs::HotLockEntry> Top = Collector.topLocks(N);
+      ASSERT_TRUE(sameRows(Top, Ref.topLocks(N)))
+          << "topLocks(" << N << "), seed " << Seed << ", step " << Step;
+      for (size_t I = 1; I < Top.size(); ++I)
+        FullTies += Top[I - 1].BlockedNanos == Top[I].BlockedNanos &&
+                    Top[I - 1].ContendedAcquires == Top[I].ContendedAcquires &&
+                    Top[I - 1].Inflations == Top[I].Inflations;
+      N = Sizes[Rng.nextBounded(std::size(Sizes))];
+      ASSERT_TRUE(sameRows(Collector.topClasses(N), Ref.topClasses(N)))
+          << "topClasses(" << N << "), seed " << Seed << ", step " << Step;
+    }
+    Registry.detach(Main);
+  }
+  EXPECT_GT(Resets, 0u);
+  EXPECT_GT(FullTies, 0u);
+}
+
+TEST(ObsCollectorTest, ConcurrentRankersMatchFinalProfile) {
+  // TSan target for the ranking state topLocks() and topClasses() keep
+  // between calls: one thread records and drains while two others rank.
+  ThreadRegistry Registry;
+  obs::LockEventCollector Collector(Registry);
+  ReferenceProfile Ref;
+  std::atomic<bool> Done{false};
+  std::thread Recorder([&] {
+    ScopedThreadAttachment Attach(Registry, "recorder");
+    obs::EventRing &Ring = *Attach.context().eventRing();
+    SplitMix64 Rng(16);
+    std::vector<obs::LockEvent> Undrained;
+    for (unsigned Step = 0; Step < 2000; ++Step) {
+      for (unsigned I = 0; I < 8; ++I) {
+        uint64_t Slot = Rng.nextBounded(300);
+        obs::LockEvent E = randomEvent(Rng, 0x1000 + 0x40 * Slot,
+                                       static_cast<uint32_t>(Slot % 5));
+        Ring.record(E);
+        Undrained.push_back(E);
+      }
+      if (Step % 4 == 3 || Step == 1999) {
+        Collector.drain();
+        for (const obs::LockEvent &E : Undrained)
+          Ref.fold(E);
+        Undrained.clear();
+      }
+    }
+    Done.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> Rankers;
+  for (size_t Base : {4, 24}) {
+    Rankers.emplace_back([&Collector, &Done, Base] {
+      for (size_t I = 0; !Done.load(std::memory_order_acquire); ++I) {
+        std::vector<obs::HotLockEntry> Top = Collector.topLocks(Base + I % 9);
+        EXPECT_TRUE(std::is_sorted(Top.begin(), Top.end(),
+                                   ReferenceProfile::rankedBefore<
+                                       obs::HotLockEntry>));
+        std::vector<obs::HotClassEntry> TopC = Collector.topClasses(I % 6);
+        EXPECT_TRUE(std::is_sorted(TopC.begin(), TopC.end(),
+                                   ReferenceProfile::rankedBefore<
+                                       obs::HotClassEntry>));
+        EXPECT_FALSE(Collector.formatTopLocks(Base).empty());
+      }
+    });
+  }
+  Recorder.join();
+  for (std::thread &T : Rankers)
+    T.join();
+
+  // Within the kept K, past it (a full walk), then within it again.
+  for (size_t N : {8, 32, 1000, 16}) {
+    EXPECT_TRUE(sameRows(Collector.topLocks(N), Ref.topLocks(N)))
+        << "topLocks(" << N << ")";
+    EXPECT_TRUE(sameRows(Collector.topClasses(N), Ref.topClasses(N)))
+        << "topClasses(" << N << ")";
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,8 +8,9 @@
 // and the end-to-end levers through a real ThinLockManager: KeepFat
 // suppressing quiescent retirement, EagerInflate on the timed-acquire
 // path, the slow-path-only invariant, and speculative deflation of a
-// cold inflated object.  The concurrent stress tests are the TSan
-// targets for the wait-free-reader claims.
+// cold inflated object.  One engine test runs over a profile far
+// larger than the engine's top-N.  The concurrent stress tests are the
+// TSan targets for the wait-free-reader claims.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,7 @@
 #include "obs/EventRing.h"
 #include "obs/LockEventCollector.h"
 #include "support/SpinWait.h"
+#include "support/SplitMix64.h"
 #include "threads/ThreadRegistry.h"
 
 #include <gtest/gtest.h>
@@ -59,16 +61,17 @@ void recordThrash(obs::EventRing &Ring, uint64_t Addr, uint16_t Tid,
   Ring.record(E);
 }
 
-/// Records a contended acquire whose mean blocked time lands in the
-/// classifier's dead zone (no spin-class vote either way).
+/// Records a contended acquire blocked for \p BlockedNanos.  The
+/// default, 50us, lies between FastRelease (5us) and Convoy (100us):
+/// the classifier's dead zone (no spin-class vote either way).
 void recordContended(obs::EventRing &Ring, uint64_t Addr, uint16_t Tid,
-                     uint32_t ClassIndex) {
+                     uint32_t ClassIndex, uint64_t BlockedNanos = 50'000) {
   obs::LockEvent E;
   E.Kind = obs::EventKind::ContendedAcquire;
   E.ObjectAddr = Addr;
   E.ThreadIndex = Tid;
   E.ClassIndex = ClassIndex;
-  E.Arg = 50'000; // 50us: between FastRelease (5us) and Convoy (100us).
+  E.Arg = BlockedNanos;
   Ring.record(E);
 }
 
@@ -410,6 +413,62 @@ TEST(AdaptiveEngineTest, ClassRollupCoversThePopulationTail) {
   EXPECT_TRUE(H.Engine.policyStore().forObject(0xF0000, Cls).KeepFat);
   // Instances of other classes do not.
   EXPECT_FALSE(H.Engine.policyStore().forObject(0xF0000, Cls + 1).KeepFat);
+}
+
+TEST(AdaptiveEngineTest, HotObjectsDecideAmidLargeColdProfile) {
+  // Four hot objects tick alongside 5,000 one-shot rows that enter the
+  // profile once and never return, so the profiler's table outgrows the
+  // engine's top-N within three ticks and its top rows churn every tick.
+  // Speculative deflation stays off: the addresses are synthetic.
+  EngineHarness H;
+  const uint64_t FastAddr = 0x10000, ConvoyAddr = 0x20000,
+                 ThrashAddr = 0x30000, FadingAddr = 0x40000;
+  const uint32_t ColdClass = 7;
+  const unsigned Ticks = 100, ColdPerTick = 50, FadingTicks = 40;
+  const uint16_t Tid = H.Me.index();
+  SplitMix64 Rng(2024);
+  for (unsigned Tick = 0; Tick < Ticks; ++Tick) {
+    for (int I = 0; I < 4; ++I)
+      recordContended(H.ring(), FastAddr, Tid, 1, 1'000); // Deep.
+    recordContended(H.ring(), ConvoyAddr, Tid, 2, 200'000); // ParkEarly.
+    recordThrash(H.ring(), ThrashAddr, Tid, 3);
+    recordContended(H.ring(), ThrashAddr, Tid, 3);
+    if (Tick < FadingTicks) // Deep, then cold.
+      for (int I = 0; I < 2; ++I)
+        recordContended(H.ring(), FadingAddr, Tid, 4, 2'000);
+    // Later cold rows block longer, so each tick's rows push earlier
+    // ones out of the top-N.
+    for (unsigned I = 0; I < ColdPerTick; ++I)
+      recordContended(H.ring(), 0x1000000 + 0x40 * (Tick * ColdPerTick + I),
+                      Tid, ColdClass, 100 * Tick + Rng.nextBounded(1000));
+    H.Engine.tick();
+  }
+
+  const PolicyStore &Store = H.Engine.policyStore();
+  EXPECT_EQ(Store.objectDecisions(), 3u);
+  EXPECT_EQ(Store.forObject(FastAddr, 1).Spin, SpinClass::Deep);
+  EXPECT_EQ(Store.forObject(ConvoyAddr, 2).Spin, SpinClass::ParkEarly);
+  EXPECT_EQ(Store.forObject(ThrashAddr, 3), keepFatPolicy());
+  EXPECT_TRUE(Store.forObject(FadingAddr, 4).isDefault());
+  EXPECT_EQ(Store.classDecisions(), 0u);
+  EXPECT_TRUE(Store.forObject(0x1000000, ColdClass).isDefault());
+
+  // The cold class earned Deep while its rows blocked briefly, then
+  // lost it once their blocked times left the fast-release band.
+  PolicyCounters C = H.Engine.counters();
+  EXPECT_EQ(C.Ticks, Ticks);
+  EXPECT_EQ(C.Promotions, 4u);
+  EXPECT_EQ(C.Demotions, 0u);
+  EXPECT_EQ(C.Expiries, 1u);
+  EXPECT_EQ(C.DeepSpinDecisions, 3u);
+  EXPECT_EQ(C.ParkEarlyDecisions, 1u);
+  EXPECT_EQ(C.KeepFatDecisions, 1u);
+  EXPECT_EQ(C.ClassPromotions, 1u);
+  EXPECT_EQ(C.ClassDemotions, 1u);
+  EXPECT_EQ(C.SpeculativeDeflations, 0u);
+  EXPECT_EQ(C.DeflationScans, 0u);
+  EXPECT_EQ(C.PublishFailures, 0u);
+  EXPECT_EQ(C.ObjectsTracked, 491u);
 }
 
 TEST(AdaptiveEngineTest, ConcurrentTickAndConsumeStress) {
