@@ -16,11 +16,13 @@
 #define TL_NOINLINE __attribute__((noinline))
 #define TL_LIKELY(X) __builtin_expect(!!(X), 1)
 #define TL_UNLIKELY(X) __builtin_expect(!!(X), 0)
+#define TL_PREFETCH(Addr, ForWrite) __builtin_prefetch((Addr), (ForWrite))
 #else
 #define TL_ALWAYS_INLINE inline
 #define TL_NOINLINE
 #define TL_LIKELY(X) (X)
 #define TL_UNLIKELY(X) (X)
+#define TL_PREFETCH(Addr, ForWrite) ((void)(Addr))
 #endif
 
 namespace thinlocks {

@@ -2,6 +2,7 @@
 
 #include "txn/ConflictPolicy.h"
 
+#include "support/Compiler.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -58,6 +59,25 @@ const char *txnStatusName(TxnStatus Status) {
   return "?";
 }
 
+namespace {
+
+/// Zipf draws one access slot may reject before drawTxnAccess falls back
+/// to a scan for a free index.
+constexpr unsigned DrawAttemptsPerSlot = 64;
+
+/// Ranks drawTxnAccess draws up front in one ZipfSampler::sampleBatch,
+/// so their table misses overlap.  Exactness: a fallback scan comes only
+/// after a slot's 64 rejected draws, so no scan's nextBounded consumes
+/// one of the first 64 PRNG outputs, and every slot makes at least one
+/// draw, so every pre-drawn rank is used.  Attempts take the pre-drawn
+/// ranks in order, so the ranks and the final PRNG state are those of
+/// one sample() per attempt.
+constexpr size_t PreDrawnRanks = 16;
+static_assert(PreDrawnRanks < DrawAttemptsPerSlot,
+              "a pre-drawn rank must never stand in for a scan's draw");
+
+} // namespace
+
 void drawTxnAccess(const load::ZipfSampler &Popularity, SplitMix64 &Rng,
                    uint32_t ReadTarget, uint32_t WriteTarget,
                    TxnAccess &Access) {
@@ -76,9 +96,14 @@ void drawTxnAccess(const load::ZipfSampler &Popularity, SplitMix64 &Rng,
            std::find(Access.Reads.begin(), Access.Reads.end(), Idx) !=
                Access.Reads.end();
   };
+  size_t Ranks[PreDrawnRanks]; // Unzeroed; sampleBatch fills what is read.
+  const size_t PreDrawn = std::min(Total, PreDrawnRanks);
+  Popularity.sampleBatch(Rng, Ranks, PreDrawn);
+  size_t NextRank = 0;
   auto drawDistinct = [&]() -> size_t {
-    for (unsigned Attempt = 0; Attempt < 64; ++Attempt) {
-      size_t Idx = Popularity.sample(Rng);
+    for (unsigned Attempt = 0; Attempt < DrawAttemptsPerSlot; ++Attempt) {
+      size_t Idx = NextRank < PreDrawn ? Ranks[NextRank++]
+                                       : Popularity.sample(Rng);
       if (!taken(Idx))
         return Idx;
     }
@@ -336,6 +361,16 @@ public:
                     const TxnAccess &Access, TxnScratch &Scratch) override {
     Scratch.Acquired.clear();
     Scratch.ReadVersions.clear();
+
+    // Start the misses on every line the attempt touches at once instead
+    // of one per access: each read's cell, and each write's cell and lock
+    // word, which the commit window writes.
+    for (size_t Idx : Access.Reads)
+      TL_PREFETCH(&Table.Cells[Idx], /*ForWrite=*/0);
+    for (size_t Idx : Access.Writes) {
+      TL_PREFETCH(&Table.Cells[Idx], /*ForWrite=*/1);
+      TL_PREFETCH(&Table.Objects[Idx]->lockWord(), /*ForWrite=*/1);
+    }
 
     // Read phase: lock-free seqlock reads.  A stable snapshot is an
     // even version observed unchanged around the value load; the

@@ -161,7 +161,8 @@ class ZipfRank
 } // namespace
 
 // The indexed search must return exactly the full search's rank.  Probes:
-// 1 M seeded draws; every cut point J/M, where the table switches buckets;
+// 1 M seeded draws, through sample() and through sampleBatch() in batches
+// of 1 to 16; every cut point J/M, where the table switches buckets;
 // every CDF value, where the full search switches ranks; and the doubles
 // on either side of each of these.
 TEST_P(ZipfRank, MatchesFullSearch) {
@@ -169,12 +170,24 @@ TEST_P(ZipfRank, MatchesFullSearch) {
   const ZipfSampler Sampler(N, Theta);
   const std::vector<double> Cdf = referenceCdf(N, Theta);
 
-  SplitMix64 Drawn(7), Reference(7);
-  size_t DrawMismatches = 0;
-  for (int I = 0; I < 1'000'000; ++I)
-    DrawMismatches += Sampler.sample(Drawn) !=
-                      fullSearch(Cdf, Reference.nextDouble());
+  constexpr size_t Draws = 1'000'000, MaxBatch = 16;
+  SplitMix64 Drawn(7), Batched(7), Reference(7);
+  size_t DrawMismatches = 0, BatchMismatches = 0;
+  size_t Ranks[MaxBatch];
+  for (size_t Done = 0, Size = 1; Done < Draws;
+       Done += Size, Size = Size % MaxBatch + 1) {
+    Size = std::min(Size, Draws - Done);
+    Sampler.sampleBatch(Batched, Ranks, Size);
+    for (size_t I = 0; I < Size; ++I) {
+      const size_t Want = fullSearch(Cdf, Reference.nextDouble());
+      DrawMismatches += Sampler.sample(Drawn) != Want;
+      BatchMismatches += Ranks[I] != Want;
+    }
+  }
   EXPECT_EQ(DrawMismatches, 0u);
+  EXPECT_EQ(BatchMismatches, 0u);
+  EXPECT_EQ(Batched.next(), Drawn.next())
+      << "sampleBatch left the PRNG where sample() calls would not";
 
   size_t Mismatches = 0;
   double FirstMismatch = -1;

@@ -110,6 +110,83 @@ TEST(TxnPolicyTest, DrawAccessDeterministicPerSeed) {
   }
 }
 
+// The reference for drawTxnAccess: the same algorithm with one sample()
+// per attempt and no pre-drawn ranks.  Counts the fallback scans it
+// makes.
+void sequentialDrawTxnAccess(const load::ZipfSampler &Popularity,
+                             SplitMix64 &Rng, uint32_t ReadTarget,
+                             uint32_t WriteTarget, TxnAccess &Access,
+                             uint64_t &FallbackScans) {
+  Access.Reads.clear();
+  Access.Writes.clear();
+  const size_t Universe = Popularity.universe();
+  size_t Total = std::min<size_t>(Universe, size_t(ReadTarget) + WriteTarget);
+  size_t Writes = std::min<size_t>(WriteTarget, Total);
+  auto taken = [&Access](size_t Idx) {
+    return std::find(Access.Writes.begin(), Access.Writes.end(), Idx) !=
+               Access.Writes.end() ||
+           std::find(Access.Reads.begin(), Access.Reads.end(), Idx) !=
+               Access.Reads.end();
+  };
+  auto drawDistinct = [&]() -> size_t {
+    for (unsigned Attempt = 0; Attempt < 64; ++Attempt) {
+      size_t Idx = Popularity.sample(Rng);
+      if (!taken(Idx))
+        return Idx;
+    }
+    ++FallbackScans;
+    size_t Start = Rng.nextBounded(Universe);
+    for (size_t I = 0; I < Universe; ++I) {
+      size_t Idx = (Start + I) % Universe;
+      if (!taken(Idx))
+        return Idx;
+    }
+    return 0;
+  };
+  for (size_t I = 0; I < Writes; ++I)
+    Access.Writes.push_back(drawDistinct());
+  for (size_t I = Writes; I < Total; ++I)
+    Access.Reads.push_back(drawDistinct());
+}
+
+// Pre-drawing ranks in a batch must change no draw and no PRNG output:
+// every seeded txn schedule depends on it.  The grid covers universes
+// smaller than the access set (reads shed), skews that force the
+// fallback scan (theta 4 on 6 or 70 objects), and access sets larger
+// than the 16-rank batch.
+TEST(TxnPolicyTest, DrawAccessMatchesSequentialDraws) {
+  struct Shape {
+    uint32_t Reads, Writes;
+  };
+  const Shape Shapes[] = {{4, 2}, {0, 3}, {1, 0}, {20, 4}, {66, 4}};
+  uint64_t FallbackScans = 0;
+  size_t MostSlots = 0;
+  for (size_t N : {size_t(1), size_t(2), size_t(3), size_t(6), size_t(64),
+                   size_t(70), size_t(4096), size_t(1'000'000)}) {
+    for (double Theta : {0.0, 0.8, 1.2, 4.0}) {
+      const load::ZipfSampler Popularity(N, Theta);
+      for (const Shape &S : Shapes) {
+        SCOPED_TRACE(::testing::Message() << "N=" << N << " theta=" << Theta
+                                          << " reads=" << S.Reads
+                                          << " writes=" << S.Writes);
+        SplitMix64 Rng(N * 31 + S.Reads), RefRng(N * 31 + S.Reads);
+        TxnAccess Got, Want;
+        for (int Draw = 0; Draw < 100; ++Draw) {
+          drawTxnAccess(Popularity, Rng, S.Reads, S.Writes, Got);
+          sequentialDrawTxnAccess(Popularity, RefRng, S.Reads, S.Writes, Want,
+                                  FallbackScans);
+          ASSERT_EQ(Got.Writes, Want.Writes) << "draw " << Draw;
+          ASSERT_EQ(Got.Reads, Want.Reads) << "draw " << Draw;
+          ASSERT_EQ(Rng.next(), RefRng.next()) << "draw " << Draw;
+          MostSlots = std::max(MostSlots, Got.Writes.size() + Got.Reads.size());
+        }
+      }
+    }
+  }
+  EXPECT_GT(FallbackScans, 0u) << "no case reached the fallback scan";
+  EXPECT_GT(MostSlots, 16u) << "no access set outgrew the rank batch";
+}
+
 TEST(TxnPolicyTest, StatsRecordAndMergeKeepTheIdentity) {
   TxnStats A;
   A.record(TxnStatus::Committed, 1000);
