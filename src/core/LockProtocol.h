@@ -34,7 +34,10 @@ enum class NotifyStatus {
   NotOwner, ///< Caller did not own the monitor (IllegalMonitorState).
 };
 
-/// Outcome of a bounded acquisition attempt (tryLockFor).
+/// Outcome of a bounded acquisition attempt (tryLockFor).  Every
+/// protocol reads the timeout the same way: a positive one bounds the
+/// wait, and a non-positive one makes one attempt and never blocks —
+/// there is no "wait forever" value.
 enum class TimedLockStatus : uint8_t {
   Acquired, ///< The monitor is now held by the caller.
   TimedOut, ///< Deadline expired; no cycle was confirmed.

@@ -61,6 +61,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <thread>
 
 #if defined(THINLOCKS_FASTPATH_GUARD_PROBE)
@@ -95,22 +96,19 @@ enum class DeflationPolicy : uint8_t { Never, WhenQuiescent };
 /// see SpinPolicy) and the deadlock watchdog layered on top of it.
 struct ContentionOptions {
   /// The spin/yield/park ladder used while contending on a thin word.
-  /// Every slow path (lockSlow, tryLock's fat-Retired retry, tryLockFor)
-  /// escalates on this one policy.
+  /// Every slow path (the contended-acquire loop behind lock() and
+  /// tryLockFor(), tryLock's fat-Retired retry) escalates on this one
+  /// policy.
   SpinPolicy Spin = DefaultSpinPolicy;
-  /// Run owner-graph cycle walks from blocked lock() calls.  (tryLockFor
-  /// always checks at its deadline regardless of this flag.)
-  bool DeadlockWatchdog = true;
   /// On a confirmed cycle in lock(): terminate with the formatted report
   /// (true), or record it in LockStats and keep waiting (false — for
   /// systems that prefer a hung thread to a dead process).
   bool AbortOnDeadlock = true;
-  /// Thin-word contention: parked rounds between cycle walks.  At the
-  /// default 2ms park cap, 512 parks is roughly one second blocked.
+  /// Thin-word contention: parked rounds between the watchdog's cycle
+  /// walks.  At the default 2ms park cap, 512 parks is roughly one
+  /// second blocked.  (Fat-lock waits run the watchdog once per
+  /// ThinLockImpl::WatchdogSliceNanos slice.)
   uint64_t WatchdogParkPeriod = 512;
-  /// Fat-lock contention: the bounded wait slice, after which the
-  /// watchdog walks the graph and re-queues.  Nanoseconds.
-  int64_t WatchdogNanos = 1'000'000'000;
 };
 
 /// Thin-lock protocol over a MonitorTable, parameterized by a fence /
@@ -219,14 +217,9 @@ public:
       // KeepFat is the policy engine's veto on quiescent deflation: the
       // profiler saw this object thrash thin<->fat, so retiring its
       // monitor would only buy the next contention burst an inflation.
-      if (Deflation == DeflationPolicy::Never ||
-          TL_UNLIKELY(policyFor(Obj).KeepFat)) {
-        bool Ok = Fat->unlockChecked(Thread);
-        if (Ok && Stats)
-          Stats->recordRelease();
-        return Ok;
-      }
-      switch (Fat->unlockAndTryRetire(Thread)) {
+      bool MayRetire = Deflation == DeflationPolicy::WhenQuiescent &&
+                       TL_LIKELY(!policyFor(Obj).KeepFat);
+      switch (Fat->release(Thread, MayRetire)) {
       case FatLock::ReleaseResult::NotOwner:
         return false;
       case FatLock::ReleaseResult::Released:
@@ -338,7 +331,8 @@ public:
   /// double-confirmed cycle yields TimedLockStatus::Deadlock (and fills
   /// \p Report when non-null) instead of a bare timeout, letting callers
   /// break cycles deliberately rather than guessing.  A non-positive
-  /// timeout degenerates to tryLock() plus the deadlock check.
+  /// timeout makes one attempt and never blocks (core/LockProtocol.h),
+  /// still classifying a failure through the deadlock check.
   TimedLockStatus tryLockFor(Object *Obj, const ThreadContext &Thread,
                              int64_t TimeoutNanos,
                              DeadlockReport *Report = nullptr) {
@@ -348,100 +342,10 @@ public:
       maybeEagerInflate(Obj, Thread);
       return TimedLockStatus::Acquired;
     }
-
-    const auto Deadline = std::chrono::steady_clock::now() +
-                          std::chrono::nanoseconds(TimeoutNanos);
-    std::atomic<uint32_t> &Word = Obj->lockWord();
-    uint32_t Shifted = Thread.shiftedIndex();
-    const policy::LockPolicy Pol = policyFor(Obj);
-    SpinWait Spinner(policy::spinPolicyFor(Pol.Spin, Options.Spin));
-    BlockedOnScope Blocked(Thread, Obj);
-    bool SawContention = false;
-    const bool Tracing = obs::tracingEnabled();
-    const uint64_t TraceT0 = Tracing ? obs::monotonicNanos() : 0;
-    const uint64_t TraceParks =
-        Tracing && Thread.parker() ? Thread.parker()->blockedParkCount() : 0;
-    for (;;) {
-      uint32_t Value = Word.load(std::memory_order_acquire);
-
-      if (lockword::isFat(Value)) {
-        FatLock *Fat = Monitors.resolve(Value);
-        int64_t Remaining = std::chrono::duration_cast<
-                                std::chrono::nanoseconds>(
-                                Deadline - std::chrono::steady_clock::now())
-                                .count();
-        if (Remaining <= 0)
-          return deadlineExpired(Obj, Thread, Report);
-        switch (Fat->lockIfLiveFor(Thread, Remaining)) {
-        case FatLock::TimedResult::Acquired:
-          Policy::afterAcquireFence();
-          if (TL_UNLIKELY(Tracing))
-            recordContendedAcquire(Obj, Thread, TraceT0, TraceParks,
-                                   Fat->entryQueueLength());
-          if (Stats) {
-            Stats->recordFatPath();
-            Stats->recordAcquire(Fat->holdCount());
-            Stats->recordSpinIterations(Spinner.totalSpins());
-          }
-          return TimedLockStatus::Acquired;
-        case FatLock::TimedResult::Retired:
-          backoffOnWord(Obj, Thread, Spinner, Value, Deadline);
-          continue;
-        case FatLock::TimedResult::TimedOut:
-          return deadlineExpired(Obj, Thread, Report);
-        }
-      }
-
-      if (lockword::isThinOwnedBy(Value, Shifted)) {
-        uint32_t Count = lockword::countOf(Value);
-        if (Count < lockword::MaxCount) {
-          Word.store(Value + lockword::CountUnit,
-                     std::memory_order_relaxed);
-          if (Stats)
-            Stats->recordAcquire(Count + 2);
-          return TimedLockStatus::Acquired;
-        }
-        inflateOwned(Obj, Thread, Value, Count + 2,
-                     obs::InflateCause::Overflow);
-        if (Stats) {
-          Stats->recordOverflowInflation();
-          Stats->recordAcquire(Count + 2);
-        }
-        return TimedLockStatus::Acquired;
-      }
-
-      if (lockword::isUnlocked(Value)) {
-        uint32_t Old = Value & lockword::HeaderBitsMask;
-        if (Word.compare_exchange_weak(Old, Old | Shifted,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-          Policy::afterAcquireFence();
-          // §2.3.4 locality of contention, as in lockSlow(): only
-          // inflate when the bounded wait actually met a contender — or
-          // when the policy engine already knows this object re-inflates
-          // (EagerInflate skips the remainder of the thin dance).
-          if (SawContention || Pol.EagerInflate) {
-            inflateOwned(Obj, Thread, Old | Shifted, 1,
-                         obs::InflateCause::Contention);
-            if (TL_UNLIKELY(Tracing))
-              recordContendedAcquire(Obj, Thread, TraceT0, TraceParks, 0);
-            if (Stats)
-              Stats->recordContentionInflation();
-          }
-          if (Stats) {
-            Stats->recordAcquire(1);
-            Stats->recordSpinIterations(Spinner.totalSpins());
-          }
-          return TimedLockStatus::Acquired;
-        }
-        continue; // Lost a race; reevaluate the fresh value.
-      }
-
-      SawContention = true;
-      if (std::chrono::steady_clock::now() >= Deadline)
-        return deadlineExpired(Obj, Thread, Report);
-      backoffOnWord(Obj, Thread, Spinner, Value, Deadline);
-    }
+    return acquireContended(Obj, Thread,
+                            std::chrono::steady_clock::now() +
+                                std::chrono::nanoseconds(TimeoutNanos),
+                            Report);
   }
 
   /// \returns true if \p Thread owns \p Obj's monitor.
@@ -671,47 +575,61 @@ private:
     }
   }
 
-  /// One watchdog tick from a blocked lock(): walk the owner graph; on a
-  /// double-confirmed cycle either terminate with the report (the
-  /// default — a deadlocked thread never recovers on its own) or record
-  /// it and let the caller keep waiting.
-  void watchdogCheck(Object *Obj, const ThreadContext &Thread) {
-    DeadlockReport Report =
-        detectDeadlock(Thread.index(), Obj, Thread.registry(), Monitors);
-    if (!Report.hasCycle())
-      return;
-    if (obs::tracingEnabled())
-      recordEvent(Obj, Thread, obs::EventKind::Deadlock, 0,
-                  static_cast<uint16_t>(Report.Cycle.size()));
-    if (Stats)
-      Stats->recordDeadlock();
-    if (Options.AbortOnDeadlock)
-      fatalError("thread %u cannot make progress\n%s", Thread.index(),
-                 Report.format().c_str());
-  }
+  /// Fat-lock contention in lock(): the bounded wait slice after which
+  /// the watchdog walks the owner graph and the thread re-queues.
+  static constexpr int64_t WatchdogSliceNanos = 1'000'000'000;
 
-  /// tryLockFor()'s deadline path: classify the failure as Deadlock
-  /// (double-confirmed cycle) or plain TimedOut.
-  TimedLockStatus deadlineExpired(Object *Obj, const ThreadContext &Thread,
-                                  DeadlockReport *Report) {
+  /// The cycle check of a blocked acquire: walks the owner graph from
+  /// \p Thread, blocked on \p Obj, and records a double-confirmed cycle
+  /// (trace event, LockStats).  A \p Watchdog tick from lock() then
+  /// terminates with the report under AbortOnDeadlock — a deadlocked
+  /// thread never recovers on its own — or keeps waiting.  An expired
+  /// tryLockFor() gets the verdict: Deadlock, with the cycle moved into
+  /// \p Report when non-null, or a recorded TimedOut.
+  TimedLockStatus checkDeadlock(Object *Obj, const ThreadContext &Thread,
+                                bool Watchdog, DeadlockReport *Report) {
     DeadlockReport Detected =
         detectDeadlock(Thread.index(), Obj, Thread.registry(), Monitors);
-    if (Detected.hasCycle()) {
-      if (obs::tracingEnabled())
-        recordEvent(Obj, Thread, obs::EventKind::Deadlock, 0,
-                    static_cast<uint16_t>(Detected.Cycle.size()));
-      if (Stats)
-        Stats->recordDeadlock();
-      if (Report)
-        *Report = std::move(Detected);
-      return TimedLockStatus::Deadlock;
+    if (!Detected.hasCycle()) {
+      if (Stats && !Watchdog)
+        Stats->recordTimedOut();
+      return TimedLockStatus::TimedOut;
     }
+    if (obs::tracingEnabled())
+      recordEvent(Obj, Thread, obs::EventKind::Deadlock, 0,
+                  static_cast<uint16_t>(Detected.Cycle.size()));
     if (Stats)
-      Stats->recordTimedOut();
-    return TimedLockStatus::TimedOut;
+      Stats->recordDeadlock();
+    if (Watchdog && Options.AbortOnDeadlock)
+      fatalError("thread %u cannot make progress\n%s", Thread.index(),
+                 Detected.format().c_str());
+    if (Report)
+      *Report = std::move(Detected);
+    return TimedLockStatus::Deadlock;
   }
 
   TL_NOINLINE void lockSlow(Object *Obj, const ThreadContext &Thread) {
+    acquireContended(Obj, Thread, std::nullopt, nullptr);
+  }
+
+  /// The contended-acquire loop (§2.3.4: spin until the owner lets go,
+  /// take the word, inflate), shared by lock() and tryLockFor().
+  ///  - Without \p Deadline (lock()): fat waits run in WatchdogSliceNanos
+  ///    slices with a watchdog tick after each, thin waits tick every
+  ///    WatchdogParkPeriod parks, and winning the word always inflates —
+  ///    we only got here because another thread held it.
+  ///  - With \p Deadline (tryLockFor()): every wait is bounded by the time
+  ///    left, and expiry is classified by checkDeadlock() without the
+  ///    aborting watchdog.  Winning the word inflates only after meeting
+  ///    a contender here (the failed tryLock may have lost a mere race)
+  ///    or under the policy engine's EagerInflate.
+  /// Always inlined, so each entry point gets a copy with the deadline
+  /// tests folded away and lock()'s fat branch reads no clock.
+  TL_ALWAYS_INLINE TimedLockStatus
+  acquireContended(Object *Obj, const ThreadContext &Thread,
+                   std::optional<std::chrono::steady_clock::time_point>
+                       Deadline,
+                   DeadlockReport *Report) {
     std::atomic<uint32_t> &Word = Obj->lockWord();
     uint32_t Shifted = Thread.shiftedIndex();
     // Adaptive spin class: contenders on an object the policy engine has
@@ -719,6 +637,9 @@ private:
     const policy::LockPolicy Pol = policyFor(Obj);
     SpinWait Spinner(policy::spinPolicyFor(Pol.Spin, Options.Spin));
     BlockedOnScope Blocked(Thread, Obj);
+    const auto ParkClamp =
+        Deadline.value_or(std::chrono::steady_clock::time_point::max());
+    bool InflateOnWin = !Deadline || Pol.EagerInflate;
     uint64_t ParksAtLastCheck = 0;
     const bool Tracing = obs::tracingEnabled();
     const uint64_t TraceT0 = Tracing ? obs::monotonicNanos() : 0;
@@ -729,35 +650,37 @@ private:
 
       if (lockword::isFat(Value)) {
         FatLock *Fat = Monitors.resolve(Value);
-        if (Options.DeadlockWatchdog) {
-          // Bounded slices instead of an open-ended block, so the
-          // watchdog keeps running while queued on the fat lock.
-          FatLock::TimedResult Result =
-              Fat->lockIfLiveFor(Thread, Options.WatchdogNanos);
-          if (Result == FatLock::TimedResult::Retired) {
-            backoffOnWord(Obj, Thread, Spinner, Value);
-            continue;
+        int64_t Slice = WatchdogSliceNanos;
+        if (Deadline) {
+          Slice = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      *Deadline - std::chrono::steady_clock::now())
+                      .count();
+          if (Slice <= 0)
+            return checkDeadlock(Obj, Thread, /*Watchdog=*/false, Report);
+        }
+        switch (Fat->lockIfLiveFor(Thread, Slice)) {
+        case FatLock::TimedResult::Acquired:
+          Policy::afterAcquireFence();
+          if (TL_UNLIKELY(Tracing))
+            recordContendedAcquire(Obj, Thread, TraceT0, TraceParks,
+                                   Fat->entryQueueLength());
+          if (Stats) {
+            Stats->recordFatPath();
+            Stats->recordAcquire(Fat->holdCount());
+            Stats->recordSpinIterations(Spinner.totalSpins());
           }
-          if (Result == FatLock::TimedResult::TimedOut) {
-            watchdogCheck(Obj, Thread);
-            continue;
-          }
-        } else if (TL_UNLIKELY(!Fat->lockIfLive(Thread))) {
+          return TimedLockStatus::Acquired;
+        case FatLock::TimedResult::Retired:
           // Monitor retired by deflation; back off briefly (the
           // deflater has yet to store the fresh thin word), re-read.
-          backoffOnWord(Obj, Thread, Spinner, Value);
+          backoffOnWord(Obj, Thread, Spinner, Value, ParkClamp);
+          continue;
+        case FatLock::TimedResult::TimedOut:
+          if (Deadline)
+            return checkDeadlock(Obj, Thread, /*Watchdog=*/false, Report);
+          checkDeadlock(Obj, Thread, /*Watchdog=*/true, nullptr);
           continue;
         }
-        Policy::afterAcquireFence();
-        if (TL_UNLIKELY(Tracing))
-          recordContendedAcquire(Obj, Thread, TraceT0, TraceParks,
-                                 Fat->entryQueueLength());
-        if (Stats) {
-          Stats->recordFatPath();
-          Stats->recordAcquire(Fat->holdCount());
-          Stats->recordSpinIterations(Spinner.totalSpins());
-        }
-        return;
       }
 
       if (lockword::isThinOwnedBy(Value, Shifted)) {
@@ -767,18 +690,17 @@ private:
           Word.store(Value + lockword::CountUnit, std::memory_order_relaxed);
           if (Stats)
             Stats->recordAcquire(Count + 2);
-          return;
+          return TimedLockStatus::Acquired;
         }
         // 257th hold: inflate, transferring the 256 existing holds plus
         // this acquisition.
-        FatLock *Fat = inflateOwned(Obj, Thread, Value, Count + 2,
-                                    obs::InflateCause::Overflow);
-        (void)Fat;
+        inflateOwned(Obj, Thread, Value, Count + 2,
+                     obs::InflateCause::Overflow);
         if (Stats) {
           Stats->recordOverflowInflation();
           Stats->recordAcquire(Count + 2);
         }
-        return;
+        return TimedLockStatus::Acquired;
       }
 
       if (lockword::isUnlocked(Value)) {
@@ -787,19 +709,21 @@ private:
                                        std::memory_order_acquire,
                                        std::memory_order_relaxed)) {
           Policy::afterAcquireFence();
-          // §2.3.4: we reached here because another thread held the
-          // lock; by the locality-of-contention principle, inflate now
+          // §2.3.4: by the locality-of-contention principle, inflate now
           // so future contention uses the fat lock's queues.
-          inflateOwned(Obj, Thread, Old | Shifted, 1,
-                       obs::InflateCause::Contention);
-          if (TL_UNLIKELY(Tracing))
-            recordContendedAcquire(Obj, Thread, TraceT0, TraceParks, 0);
+          if (InflateOnWin) {
+            inflateOwned(Obj, Thread, Old | Shifted, 1,
+                         obs::InflateCause::Contention);
+            if (TL_UNLIKELY(Tracing))
+              recordContendedAcquire(Obj, Thread, TraceT0, TraceParks, 0);
+            if (Stats)
+              Stats->recordContentionInflation();
+          }
           if (Stats) {
-            Stats->recordContentionInflation();
             Stats->recordAcquire(1);
             Stats->recordSpinIterations(Spinner.totalSpins());
           }
-          return;
+          return TimedLockStatus::Acquired;
         }
         continue; // Lost a race; reevaluate the fresh value.
       }
@@ -809,12 +733,15 @@ private:
       // the contended-for owner inflates and publishes the fat word we
       // are woken to queue on the monitor instead of finishing a blind
       // sleep.
-      backoffOnWord(Obj, Thread, Spinner, Value);
-      if (TL_UNLIKELY(Options.DeadlockWatchdog && Spinner.isParking() &&
+      InflateOnWin = true;
+      if (Deadline && std::chrono::steady_clock::now() >= *Deadline)
+        return checkDeadlock(Obj, Thread, /*Watchdog=*/false, Report);
+      backoffOnWord(Obj, Thread, Spinner, Value, ParkClamp);
+      if (TL_UNLIKELY(!Deadline && Spinner.isParking() &&
                       Spinner.totalParks() - ParksAtLastCheck >=
                           Options.WatchdogParkPeriod)) {
         ParksAtLastCheck = Spinner.totalParks();
-        watchdogCheck(Obj, Thread);
+        checkDeadlock(Obj, Thread, /*Watchdog=*/true, nullptr);
       }
     }
   }

@@ -6,7 +6,6 @@
 #include "park/Parker.h"
 
 #include <cassert>
-#include <chrono>
 
 using namespace thinlocks;
 
@@ -48,24 +47,51 @@ void FatLock::grantTo(EntryNode *Node, uint16_t Index) {
   recordWakeLatency(Node->Pk);
 }
 
-void FatLock::acquireSlow(UniqueLock &Guard,
-                          const ThreadContext &Thread) {
+bool FatLock::acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
+                          std::optional<int64_t> TimeoutNanos) {
   if (Owner == 0 && EntryHead == nullptr) {
+    // Uncontended: no deadline needed (computing one up front would tax
+    // every post-inflation acquisition with a clock read).
     Owner = Thread.index();
-    return;
+    return true;
   }
   ++Counters.ContendedAcquisitions;
   EntryNode Node;
   Node.Pk = Thread.parker();
   pushEntry(&Node);
+  std::optional<Clock::time_point> Deadline;
+  if (TimeoutNanos)
+    Deadline = Clock::now() + std::chrono::nanoseconds(*TimeoutNanos);
+  return awaitGrant(Guard, Node, Thread.index(), Deadline);
+}
+
+bool FatLock::awaitGrant(UniqueLock &Guard, EntryNode &Node, uint16_t Index,
+                         std::optional<Clock::time_point> Deadline) {
   while (!claimable(&Node)) {
+    if (Deadline && Clock::now() >= *Deadline) {
+      ++Counters.Timeouts;
+      removeEntry(&Node);
+      // If the monitor is free we may have just consumed (or be about
+      // to consume) the releaser's handoff; pass it to the new head so
+      // the wake is not lost with our departure.
+      if (Parker *Next = Owner == 0 ? entryHandoffTarget() : nullptr) {
+        Guard.unlock();
+        Next->unpark();
+        Guard.lock();
+      }
+      return false;
+    }
     // Park outside the mutex; a releaser that hands off in this window
     // leaves a sticky token, so the park below returns immediately.
     Guard.unlock();
-    Node.Pk->park();
+    if (Deadline)
+      Node.Pk->parkUntil(*Deadline);
+    else
+      Node.Pk->park();
     Guard.lock();
   }
-  grantTo(&Node, Thread.index());
+  grantTo(&Node, Index);
+  return true;
 }
 
 void FatLock::lock(const ThreadContext &Thread) {
@@ -77,25 +103,8 @@ void FatLock::lock(const ThreadContext &Thread) {
     ++Hold;
     return;
   }
-  acquireSlow(Guard, Thread);
+  acquireSlow(Guard, Thread, std::nullopt);
   Hold = 1;
-}
-
-bool FatLock::lockIfLive(const ThreadContext &Thread) {
-  assert(Thread.isValid() && "locking with an unattached thread");
-  UniqueLock Guard(Mu);
-  if (Retired)
-    return false;
-  ++Counters.Acquisitions;
-  if (Owner == Thread.index()) {
-    ++Hold;
-    return true;
-  }
-  // Retirement requires an empty entry queue, so enqueueing below
-  // guarantees the monitor stays live until we acquire it.
-  acquireSlow(Guard, Thread);
-  Hold = 1;
-  return true;
 }
 
 FatLock::TimedResult FatLock::lockIfLiveFor(const ThreadContext &Thread,
@@ -109,64 +118,27 @@ FatLock::TimedResult FatLock::lockIfLiveFor(const ThreadContext &Thread,
     ++Hold;
     return TimedResult::Acquired;
   }
-  if (TimeoutNanos < 0) {
-    ++Counters.Acquisitions;
-    acquireSlow(Guard, Thread);
-    Hold = 1;
-    return TimedResult::Acquired;
-  }
-  if (Owner == 0 && EntryHead == nullptr) {
-    // Uncontended: acquire without reading the clock (computing the
-    // deadline up front would tax every post-inflation acquisition).
-    ++Counters.Acquisitions;
-    Owner = Thread.index();
-    Hold = 1;
-    return TimedResult::Acquired;
-  }
-  // As in lockIfLive: being queued blocks retirement, so the monitor
-  // stays live until we either acquire or dequeue ourselves.
-  ++Counters.ContendedAcquisitions;
-  EntryNode Node;
-  Node.Pk = Thread.parker();
-  pushEntry(&Node);
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::nanoseconds(TimeoutNanos);
-  for (;;) {
-    if (claimable(&Node)) {
-      ++Counters.Acquisitions;
-      grantTo(&Node, Thread.index());
-      Hold = 1;
-      return TimedResult::Acquired;
-    }
-    if (std::chrono::steady_clock::now() >= Deadline) {
-      ++Counters.Timeouts;
-      removeEntry(&Node);
-      // If the monitor is free we may have just consumed (or be about
-      // to consume) the releaser's handoff; pass it to the new head so
-      // the wake is not lost with our departure.
-      Parker *Next = Owner == 0 ? entryHandoffTarget() : nullptr;
-      Guard.unlock();
-      if (Next)
-        Next->unpark();
-      return TimedResult::TimedOut;
-    }
-    Guard.unlock();
-    Node.Pk->parkUntil(Deadline);
-    Guard.lock();
-  }
+  // Being queued blocks retirement, so the monitor stays live until we
+  // either acquire or dequeue ourselves.
+  if (!acquireSlow(Guard, Thread, TimeoutNanos))
+    return TimedResult::TimedOut;
+  ++Counters.Acquisitions;
+  Hold = 1;
+  return TimedResult::Acquired;
 }
 
-FatLock::ReleaseResult
-FatLock::unlockAndTryRetire(const ThreadContext &Thread) {
+FatLock::ReleaseResult FatLock::release(const ThreadContext &Thread,
+                                        bool MayRetire) {
   UniqueLock Guard(Mu);
   if (Owner != Thread.index())
     return ReleaseResult::NotOwner;
   assert(Hold > 0 && "owner with zero hold count");
-  if (Hold == 1 && !Pinned && EntryHead == nullptr && ThreadsInWait == 0) {
+  if (MayRetire && Hold == 1 && !Pinned && EntryHead == nullptr &&
+      ThreadsInWait == 0) {
     // Fully quiescent: nobody is queued and nobody is waiting.  Retire
     // instead of releasing; late arrivals that already resolved this
-    // monitor bounce out of lockIfLive() and re-read the object's lock
-    // word.
+    // monitor bounce out of lockIfLiveFor() and re-read the object's
+    // lock word.
     Hold = 0;
     Owner = 0;
     Retired = true;
@@ -175,6 +147,8 @@ FatLock::unlockAndTryRetire(const ThreadContext &Thread) {
   Parker *Next = nullptr;
   if (--Hold == 0) {
     Owner = 0;
+    // Direct FIFO handoff: wake exactly the head of the entry queue; it
+    // has the exclusive claim on the free monitor.
     Next = entryHandoffTarget();
   }
   // Unpark after dropping the mutex: the wakee immediately relocks it.
@@ -194,10 +168,10 @@ bool FatLock::retireIfQuiescent() {
   if (Retired || Pinned || Owner != 0 || EntryHead != nullptr ||
       ThreadsInWait != 0)
     return false;
-  // Owner == 0 makes this mutually exclusive with unlockAndTryRetire
-  // (which requires ownership), and an empty entry queue means no
-  // handoff claim is outstanding: nobody can acquire this monitor
-  // except through lockIfLive(), which now rejects it.
+  // Owner == 0 makes this mutually exclusive with release() (which
+  // requires ownership), and an empty entry queue means no handoff
+  // claim is outstanding: nobody can acquire this monitor except
+  // through lockIfLiveFor() or tryLockStatus(), which now reject it.
   Retired = true;
   return true;
 }
@@ -252,7 +226,7 @@ void FatLock::lockMergingCount(const ThreadContext &Thread, uint32_t Count) {
     Hold += Count;
     return;
   }
-  acquireSlow(Guard, Thread);
+  acquireSlow(Guard, Thread, std::nullopt);
   Hold = Count;
 }
 
@@ -272,21 +246,7 @@ void FatLock::unlock(const ThreadContext &Thread) {
 }
 
 bool FatLock::unlockChecked(const ThreadContext &Thread) {
-  UniqueLock Guard(Mu);
-  if (Owner != Thread.index())
-    return false;
-  assert(Hold > 0 && "owner with zero hold count");
-  Parker *Next = nullptr;
-  if (--Hold == 0) {
-    Owner = 0;
-    // Direct FIFO handoff: wake exactly the head of the entry queue; it
-    // has the exclusive claim on the free monitor.
-    Next = entryHandoffTarget();
-  }
-  Guard.unlock();
-  if (Next)
-    Next->unpark();
-  return true;
+  return release(Thread, /*MayRetire=*/false) != ReleaseResult::NotOwner;
 }
 
 void FatLock::removeWaiter(WaitNode *Node) {
@@ -319,6 +279,9 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
   WaitTail = &Node;
   ++WaitLen;
   uint32_t SavedHold = Hold;
+  std::optional<Clock::time_point> Deadline;
+  if (TimeoutNanos >= 0)
+    Deadline = Clock::now() + std::chrono::nanoseconds(TimeoutNanos);
 
   // Release the monitor completely (Java semantics: all holds at once)
   // and hand it to the entry-queue head.
@@ -326,40 +289,16 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
   Hold = 0;
   Parker *Next = entryHandoffTarget();
 
-  bool HasDeadline = TimeoutNanos >= 0;
-  auto Deadline = std::chrono::steady_clock::time_point();
-  if (HasDeadline)
-    Deadline = std::chrono::steady_clock::now() +
-               std::chrono::nanoseconds(TimeoutNanos);
-  // Two-phase sleep on one park site.  Phase 1: in the wait set, parked
-  // until notified (morphed onto the entry queue) or timed out.  Phase 2:
-  // morphed, parked until the handoff that makes us claimable — the
-  // deadline no longer applies, reacquisition is unbounded like any
-  // lock().  Only a timeout leaves the loop unacquired.
-  bool WasNotified = false;
-  bool Granted = false;
-  bool CountedContention = false;
+  // Phase 1: in the wait set, parked until notified (morphed onto the
+  // entry queue) or timed out.
   Parker::WakeReason Reason = Parker::WakeReason::Spurious;
-  for (;;) {
-    if (Node.Notified) {
-      WasNotified = true;
-      if (claimable(&Node.Entry)) {
-        ++Counters.Acquisitions;
-        grantTo(&Node.Entry, Thread.index());
-        Granted = true;
-        break;
-      }
-      if (!CountedContention) {
-        ++Counters.ContendedAcquisitions;
-        CountedContention = true;
-      }
-    } else if (HasDeadline && (Reason == Parker::WakeReason::TimedOut ||
-                               std::chrono::steady_clock::now() >= Deadline)) {
+  while (!Node.Notified) {
+    if (Deadline && (Reason == Parker::WakeReason::TimedOut ||
+                     Clock::now() >= *Deadline)) {
       removeWaiter(&Node);
       ++Counters.Timeouts;
       break;
     }
-    bool Morphed = Node.Notified;
     Guard.unlock();
     if (Next) {
       Next->unpark();
@@ -367,20 +306,29 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
     }
     // A wake racing this window leaves a sticky token; stale tokens and
     // spurious wakes just re-run the check.
-    Reason = (HasDeadline && !Morphed) ? Node.Entry.Pk->parkUntil(Deadline)
-                                       : Node.Entry.Pk->park();
+    Reason = Deadline ? Node.Entry.Pk->parkUntil(*Deadline)
+                      : Node.Entry.Pk->park();
     Guard.lock();
   }
-  if (!Granted) {
-    // Timed out in the wait set: reacquire through the entry queue like
-    // any other entrant.
-    ++Counters.Acquisitions;
-    acquireSlow(Guard, Thread);
+  // A wait that expired before its first park still owes the head its
+  // wake; without it we would queue behind a head nobody woke.
+  if (Next)
+    Next->unpark();
+  // Phase 2: reacquire, unbounded like any lock().  A notified thread is
+  // already queued and keeps sleeping on the same Parker until the
+  // handoff that grants it; a timed-out one queues like any entrant.
+  ++Counters.Acquisitions;
+  if (!Node.Notified) {
+    acquireSlow(Guard, Thread, std::nullopt);
+  } else {
+    if (!claimable(&Node.Entry))
+      ++Counters.ContendedAcquisitions;
+    awaitGrant(Guard, Node.Entry, Thread.index(), std::nullopt);
   }
   Hold = SavedHold;
   assert(ThreadsInWait > 0 && "wait bookkeeping out of balance");
   --ThreadsInWait;
-  return WasNotified ? WaitResult::Notified : WaitResult::TimedOut;
+  return Node.Notified ? WaitResult::Notified : WaitResult::TimedOut;
 }
 
 bool FatLock::notify(const ThreadContext &Thread) {

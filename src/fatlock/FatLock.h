@@ -40,7 +40,9 @@
 #include "threads/ThreadContext.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 
 namespace thinlocks {
 
@@ -77,29 +79,26 @@ public:
   /// Asserts that the monitor has not been retired.
   void lock(const ThreadContext &Thread) TL_EXCLUDES(Mu);
 
-  /// Like lock(), but \returns false without acquiring if the monitor
-  /// has been *retired* by deflation — the caller must re-read the
-  /// object's lock word and start over.  Retirement can only happen
-  /// while the entry queue is empty, so once this call has queued it
-  /// cannot be stranded.
-  bool lockIfLive(const ThreadContext &Thread) TL_EXCLUDES(Mu);
-
   /// Outcome of a bounded acquisition attempt.
   enum class TimedResult { Acquired, TimedOut, Retired };
 
-  /// Like lockIfLive(), but gives up after \p TimeoutNanos (negative =
-  /// wait forever).  On timeout the thread dequeues itself from the
-  /// entry FIFO — later entrants are not stranded behind it — and the
-  /// caller typically runs a deadlock check before retrying (see
-  /// ThinLockImpl).
+  /// Like lock(), but gives up after \p TimeoutNanos, dequeuing itself
+  /// so later entrants are not stranded (a non-positive timeout makes
+  /// one attempt and never parks), and \returns Retired without
+  /// acquiring if deflation has *retired* the monitor: the caller must
+  /// re-read the object's lock word and start over.  Retirement needs an
+  /// empty entry queue, so once this call has queued it cannot be
+  /// stranded.
   TimedResult lockIfLiveFor(const ThreadContext &Thread,
                             int64_t TimeoutNanos) TL_EXCLUDES(Mu);
 
-  /// Releases one hold; when releasing the last hold finds the monitor
-  /// completely quiescent (no queued entrants, no waiters), retires it:
-  /// a retired monitor rejects all future use via lockIfLive().  The
-  /// caller then owns re-publishing the object's thin lock word.
-  ReleaseResult unlockAndTryRetire(const ThreadContext &Thread)
+  /// Releases one hold.  With \p MayRetire, releasing the last hold of a
+  /// completely quiescent monitor (no queued entrants, no waiters, not
+  /// pinned) retires it instead: a retired monitor rejects all future
+  /// use via lockIfLiveFor() and tryLockStatus(), and the caller owns
+  /// re-publishing the object's thin lock word.  \returns NotOwner,
+  /// leaving the monitor untouched, when \p Thread is not the owner.
+  ReleaseResult release(const ThreadContext &Thread, bool MayRetire)
       TL_EXCLUDES(Mu);
 
   /// \returns true once the monitor has been retired by deflation.
@@ -108,7 +107,7 @@ public:
   /// Third-party retirement for the adaptive engine's speculative
   /// deflation scan: retires the monitor iff it is fully quiescent
   /// (unowned, empty entry queue, no waiters, not pinned, not already
-  /// retired).  Unlike unlockAndTryRetire() the caller is NOT the owner
+  /// retired).  Unlike release() the caller is NOT the owner
   /// — quiescence is the entire claim.  On success the caller owns
   /// re-publishing the object's thin lock word, exactly as with
   /// ReleaseResult::RetiredNow.
@@ -231,12 +230,21 @@ private:
   /// the wake-latency sample to the stats sink.
   void grantTo(EntryNode *Node, uint16_t Index) TL_REQUIRES(Mu);
 
-  // Blocks until the calling thread holds the monitor; Guard must hold
-  // Mu on entry and holds it on return (it is dropped around each park).
-  // Counts the acquisition as contended unless the monitor was free with
-  // an empty queue.
-  void acquireSlow(UniqueLock &Guard, const ThreadContext &Thread)
-      TL_REQUIRES(Mu);
+  using Clock = std::chrono::steady_clock;
+
+  // The entry path of every blocking acquire: takes a monitor that is
+  // free with an empty queue at once, without reading the clock;
+  // otherwise counts the contention, queues, and waits in awaitGrant()
+  // for at most \p TimeoutNanos (none = unbounded).  \returns false on
+  // timeout.  Guard holds Mu on entry and on return.
+  bool acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
+                   std::optional<int64_t> TimeoutNanos) TL_REQUIRES(Mu);
+  // The one entry-queue wait: parks until the queued \p Node is the
+  // claimable head and grants it the monitor, or, once \p Deadline has
+  // passed, dequeues \p Node, passes on any handoff it absorbed, and
+  // \returns false.  Guard is dropped around each park.
+  bool awaitGrant(UniqueLock &Guard, EntryNode &Node, uint16_t Index,
+                  std::optional<Clock::time_point> Deadline) TL_REQUIRES(Mu);
   void removeWaiter(WaitNode *Node) TL_REQUIRES(Mu);
   void recordWakeLatency(const Parker *Pk);
 

@@ -55,32 +55,6 @@ std::string microsOf(uint64_t Nanos) {
   return Buf;
 }
 
-/// \returns the start timestamp of \p E: duration events start Arg
-/// nanoseconds before their (end-stamped) record time.
-uint64_t startNanosOf(const LockEvent &E) {
-  switch (E.Kind) {
-  case EventKind::ContendedAcquire:
-  case EventKind::Park:
-  case EventKind::Wait:
-  case EventKind::Wake:
-    return E.Arg <= E.TimeNanos ? E.TimeNanos - E.Arg : 0;
-  default:
-    return E.TimeNanos;
-  }
-}
-
-bool isDurationKind(EventKind Kind) {
-  switch (Kind) {
-  case EventKind::ContendedAcquire:
-  case EventKind::Park:
-  case EventKind::Wait:
-  case EventKind::Wake:
-    return true;
-  default:
-    return false;
-  }
-}
-
 } // namespace
 
 std::string obs::toChromeTraceJson(const std::vector<LockEvent> &Events,

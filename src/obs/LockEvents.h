@@ -68,6 +68,21 @@ enum class EventKind : uint8_t {
   PolicyDecision,
 };
 
+/// \returns true for the kinds that span time (ContendedAcquire, Park,
+/// Wake, Wait): they are stamped at their end and carry their duration
+/// in nanoseconds in Arg.  Every other kind is an instant.
+constexpr bool isDurationKind(EventKind Kind) {
+  switch (Kind) {
+  case EventKind::ContendedAcquire:
+  case EventKind::Park:
+  case EventKind::Wake:
+  case EventKind::Wait:
+    return true;
+  default:
+    return false;
+  }
+}
+
 /// Why a lock inflated (the Arg of EventKind::Inflate).  The first three
 /// are the paper's §2.3 causes; Emergency is the MonitorTable-exhaustion
 /// degradation; Hint is the explicit pre-inflation API.
@@ -118,6 +133,14 @@ struct LockEvent {
     return E;
   }
 };
+
+/// \returns when \p E began: a duration event starts Arg nanoseconds
+/// before its record time (clamped at 0), an instant at its record time.
+inline uint64_t startNanosOf(const LockEvent &E) {
+  if (!isDurationKind(E.Kind))
+    return E.TimeNanos;
+  return E.Arg <= E.TimeNanos ? E.TimeNanos - E.Arg : 0;
+}
 
 /// The process-global tracing mode flag.  Off by default; flipped by
 /// setTracing().  Sites read it with one relaxed load.

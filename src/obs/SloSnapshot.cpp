@@ -66,20 +66,6 @@ void appendQuantiles(std::string &Out, const char *Key,
   Out += Buf;
 }
 
-/// Mirrors ChromeTrace's view: duration events are stamped at their end
-/// and carry the duration in Arg.
-uint64_t eventStartNanos(const LockEvent &E) {
-  switch (E.Kind) {
-  case EventKind::ContendedAcquire:
-  case EventKind::Park:
-  case EventKind::Wait:
-  case EventKind::Wake:
-    return E.Arg <= E.TimeNanos ? E.TimeNanos - E.Arg : 0;
-  default:
-    return E.TimeNanos;
-  }
-}
-
 } // namespace
 
 std::string SloSnapshot::toJson() const {
@@ -145,7 +131,7 @@ std::string obs::worstSessionsTraceJson(
   // artifact stays proportional to the tail, not to the run length.
   std::vector<LockEvent> Kept;
   for (const LockEvent &E : Events) {
-    uint64_t Start = eventStartNanos(E);
+    uint64_t Start = startNanosOf(E);
     uint64_t End = E.TimeNanos;
     for (const SessionSpanInfo &S : Worst) {
       if (End >= S.ArrivalNanos && Start <= std::max(S.EndNanos,

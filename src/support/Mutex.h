@@ -22,7 +22,7 @@
 ///   };
 ///
 /// UniqueLock supports the unlock-park-relock pattern the blocking slow
-/// paths use (FatLock::acquireSlow, ParkingLot::parkImpl): TSA tracks the
+/// paths use (FatLock::awaitGrant, ParkingLot::parkImpl): TSA tracks the
 /// lock state through manual unlock()/lock() calls on the scoped object.
 ///
 //===----------------------------------------------------------------------===//

@@ -202,6 +202,37 @@ TYPED_TEST(ConformanceTest, TryLockForTimesOutThenAcquires) {
   Contender.join();
 }
 
+TYPED_TEST(ConformanceTest, NonPositiveTryLockForTimeoutNeverBlocks) {
+  // The timeout contract (core/LockProtocol.h): a non-positive timeout
+  // makes one attempt and never blocks — no protocol may read a negative
+  // value as "wait forever".  The holder keeps the monitor for ~200 ms,
+  // so an attempt that blocked returns only after Released flips.
+  Object *Obj = this->newObject();
+  std::atomic<bool> Held{false};
+  std::atomic<bool> Released{false};
+  std::thread Holder([&] {
+    ScopedThreadAttachment Attachment(this->Registry, "holder");
+    this->protocol().lock(Obj, Attachment.context());
+    Held.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    Released.store(true, std::memory_order_release);
+    this->protocol().unlock(Obj, Attachment.context());
+  });
+  while (!Held.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  for (int64_t TimeoutNanos : {int64_t{-1}, int64_t{0}}) {
+    TimedLockStatus Status =
+        this->protocol().tryLockFor(Obj, this->Main, TimeoutNanos);
+    EXPECT_FALSE(Released.load(std::memory_order_acquire))
+        << "tryLockFor(" << TimeoutNanos << ") blocked until the release";
+    EXPECT_EQ(Status, TimedLockStatus::TimedOut)
+        << "tryLockFor(" << TimeoutNanos << ")";
+    if (Status == TimedLockStatus::Acquired)
+      this->protocol().unlock(Obj, this->Main);
+  }
+  Holder.join();
+}
+
 TYPED_TEST(ConformanceTest, NonThinProtocolsNeverReportDeadlock) {
   // The degradeToTimedOut contract (core/LockProtocol.h): a protocol
   // without a waits-for graph has no basis to claim Deadlock, so a

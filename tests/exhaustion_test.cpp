@@ -427,6 +427,53 @@ TEST_F(ExhaustionTest, TryLockForConfirmsTwoThreadCycle) {
   Locks.unlock(B, Main);
 }
 
+TEST_F(ExhaustionTest, TryLockForConfirmsTwoThreadCycleThroughInflatedMonitors) {
+  // The fat twin of TryLockForConfirmsTwoThreadCycle, under the default
+  // ContentionOptions (AbortOnDeadlock on): both monitors are inflated
+  // before the cycle forms, so main's bounded acquire waits in the fat
+  // branch and must end in the typed Deadlock at its deadline — never
+  // in the aborting watchdog.
+  Object *A = newObject();
+  Object *B = newObject();
+  Locks.lock(A, Main);
+  Locks.inflate(A, Main);
+
+  std::atomic<uint16_t> T2Index{0};
+  std::thread T2([&] {
+    ScopedThreadAttachment Attachment(Registry, "t2");
+    Locks.lock(B, Attachment.context());
+    Locks.inflate(B, Attachment.context());
+    T2Index.store(Attachment.context().index());
+    Locks.lock(A, Attachment.context()); // Blocks until main unlocks A.
+    Locks.unlock(A, Attachment.context());
+    Locks.unlock(B, Attachment.context());
+  });
+  while (T2Index.load() == 0 ||
+         Registry.blockedOn(T2Index.load()) != A)
+    std::this_thread::yield();
+  EXPECT_TRUE(Locks.isInflated(A));
+  EXPECT_TRUE(Locks.isInflated(B));
+
+  DeadlockReport Report;
+  EXPECT_EQ(Locks.tryLockFor(B, Main, 50'000'000, &Report),
+            TimedLockStatus::Deadlock);
+  EXPECT_EQ(Report.Cycle.size(), 2u);
+  bool SawA = false, SawB = false;
+  for (const DeadlockEdge &Edge : Report.Cycle) {
+    SawA = SawA || Edge.WaitsFor == A;
+    SawB = SawB || Edge.WaitsFor == B;
+  }
+  EXPECT_TRUE(SawA);
+  EXPECT_TRUE(SawB);
+  EXPECT_GE(Stats.deadlocksDetected(), 1u);
+
+  Locks.unlock(A, Main);
+  T2.join();
+  EXPECT_EQ(Locks.tryLockFor(B, Main, 1'000'000'000),
+            TimedLockStatus::Acquired);
+  Locks.unlock(B, Main);
+}
+
 TEST(DeadlockWatchdogDeathTest, BlockedLockAbortsWithCycleReport) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The default policy: a confirmed cycle in plain lock() is fatal and

@@ -188,6 +188,28 @@ TEST_F(FatLockTest, TimedWaitTimesOut) {
   Lock.unlock(Main);
 }
 
+TEST_F(FatLockTest, ExpiredWaitStillHandsMonitorToQueuedEntrant) {
+  // A wait whose deadline has passed before it could park must still
+  // wake the entrant it handed the monitor to; otherwise the waiter
+  // queues behind a head nobody woke and both threads sleep forever.
+  Lock.lock(Main);
+  std::atomic<bool> EntrantAcquired{false};
+  std::thread Entrant([&] {
+    ScopedThreadAttachment Attachment(Registry);
+    Lock.lock(Attachment.context());
+    EntrantAcquired.store(true);
+    Lock.unlock(Attachment.context());
+  });
+  while (Lock.entryQueueLength() == 0)
+    std::this_thread::yield();
+  EXPECT_EQ(Lock.wait(Main, /*TimeoutNanos=*/0),
+            FatLock::WaitResult::TimedOut);
+  EXPECT_TRUE(EntrantAcquired.load()); // FIFO: the entrant went first.
+  EXPECT_TRUE(Lock.heldBy(Main));
+  Lock.unlock(Main);
+  Entrant.join();
+}
+
 TEST_F(FatLockTest, NotifyWithoutWaitersReturnsFalse) {
   Lock.lock(Main);
   EXPECT_FALSE(Lock.notify(Main));
@@ -287,4 +309,194 @@ TEST_F(FatLockTest, StatsCountContention) {
   FatLockStats Stats = Lock.stats();
   EXPECT_EQ(Stats.Acquisitions, 2u);
   EXPECT_EQ(Stats.ContendedAcquisitions, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Bounded, retiring and merging entry (the deflation and emergency paths)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Holds \p Lock from a second thread until release() is called.
+class Holder {
+public:
+  Holder(ThreadRegistry &Registry, FatLock &Lock)
+      : Thread([&Registry, &Lock, this] {
+          ScopedThreadAttachment Attachment(Registry, "holder");
+          Lock.lock(Attachment.context());
+          Held.store(true);
+          while (!Released.load())
+            std::this_thread::yield();
+          Lock.unlock(Attachment.context());
+        }) {
+    while (!Held.load())
+      std::this_thread::yield();
+  }
+  ~Holder() { release(); }
+
+  void release() {
+    Released.store(true);
+    if (Thread.joinable())
+      Thread.join();
+  }
+
+private:
+  std::atomic<bool> Held{false};
+  std::atomic<bool> Released{false};
+  std::thread Thread;
+};
+
+} // namespace
+
+TEST_F(FatLockTest, LockIfLiveForNonPositiveTimeoutMakesOneAttempt) {
+  // A free (or already owned) monitor is taken at once.
+  EXPECT_EQ(Lock.lockIfLiveFor(Main, 0), FatLock::TimedResult::Acquired);
+  EXPECT_EQ(Lock.lockIfLiveFor(Main, -1), FatLock::TimedResult::Acquired);
+  EXPECT_EQ(Lock.holdCount(), 2u);
+  Lock.unlock(Main);
+  Lock.unlock(Main);
+
+  // A held one is refused at once (a non-positive timeout never means
+  // "wait forever"), and the attempt leaves nothing in the entry queue.
+  Holder Other(Registry, Lock);
+  for (int64_t Timeout : {int64_t{0}, int64_t{-1}}) {
+    EXPECT_EQ(Lock.lockIfLiveFor(Main, Timeout),
+              FatLock::TimedResult::TimedOut)
+        << Timeout;
+    EXPECT_EQ(Lock.entryQueueLength(), 0u);
+  }
+  Other.release();
+  EXPECT_EQ(Lock.stats().Timeouts, 2u);
+  EXPECT_FALSE(Lock.heldBy(Main));
+}
+
+TEST_F(FatLockTest, LockIfLiveForGivesUpAtItsDeadlineAndDequeues) {
+  Holder Other(Registry, Lock);
+  constexpr int64_t TimeoutNanos = 20'000'000;
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_EQ(Lock.lockIfLiveFor(Main, TimeoutNanos),
+            FatLock::TimedResult::TimedOut);
+  EXPECT_GE(std::chrono::steady_clock::now() - Start,
+            std::chrono::nanoseconds(TimeoutNanos));
+  EXPECT_EQ(Lock.entryQueueLength(), 0u);
+  EXPECT_FALSE(Lock.heldBy(Main));
+  Other.release();
+  // Nothing was stranded: the next entrant finds the monitor free.
+  EXPECT_TRUE(Lock.tryLock(Main));
+  Lock.unlock(Main);
+  FatLockStats Stats = Lock.stats();
+  EXPECT_EQ(Stats.Timeouts, 1u);
+  EXPECT_EQ(Stats.Acquisitions, 2u); // The holder's and the tryLock.
+}
+
+TEST_F(FatLockTest, LockIfLiveForAcquiresOnHandoffBeforeItsDeadline) {
+  Holder Other(Registry, Lock);
+  std::thread Releaser([&] {
+    while (Lock.entryQueueLength() == 0)
+      std::this_thread::yield();
+    Other.release();
+  });
+  EXPECT_EQ(Lock.lockIfLiveFor(Main, /*TimeoutNanos=*/60'000'000'000),
+            FatLock::TimedResult::Acquired);
+  Releaser.join();
+  EXPECT_TRUE(Lock.heldBy(Main));
+  EXPECT_EQ(Lock.holdCount(), 1u);
+  Lock.unlock(Main);
+  FatLockStats Stats = Lock.stats();
+  EXPECT_EQ(Stats.ContendedAcquisitions, 1u);
+  EXPECT_EQ(Stats.Timeouts, 0u);
+}
+
+TEST_F(FatLockTest, ReleaseRetiresOnlyTheLastHoldOfAQuiescentMonitor) {
+  Lock.lock(Main);
+  Lock.lock(Main);
+  std::thread Other([this] {
+    ScopedThreadAttachment Attachment(Registry, "other");
+    EXPECT_EQ(Lock.release(Attachment.context(), /*MayRetire=*/true),
+              FatLock::ReleaseResult::NotOwner);
+  });
+  Other.join();
+  EXPECT_EQ(Lock.release(Main, /*MayRetire=*/true),
+            FatLock::ReleaseResult::Released); // One hold remains.
+  EXPECT_FALSE(Lock.isRetired());
+  EXPECT_EQ(Lock.release(Main, /*MayRetire=*/true),
+            FatLock::ReleaseResult::RetiredNow);
+  EXPECT_TRUE(Lock.isRetired());
+  EXPECT_EQ(Lock.ownerIndex(), 0);
+  // A retired monitor turns every later entrant back to the lock word.
+  EXPECT_EQ(Lock.lockIfLiveFor(Main, 0), FatLock::TimedResult::Retired);
+  EXPECT_EQ(Lock.tryLockStatus(Main), FatLock::TryResult::Retired);
+  EXPECT_FALSE(Lock.retireIfQuiescent());
+}
+
+TEST_F(FatLockTest, PinnedMonitorIsNeverRetired) {
+  Lock.pin();
+  EXPECT_TRUE(Lock.isPinned());
+  Lock.lock(Main);
+  EXPECT_EQ(Lock.release(Main, /*MayRetire=*/true),
+            FatLock::ReleaseResult::Released);
+  EXPECT_FALSE(Lock.retireIfQuiescent());
+  EXPECT_FALSE(Lock.isRetired());
+  EXPECT_EQ(Lock.lockIfLiveFor(Main, 0), FatLock::TimedResult::Acquired);
+  Lock.unlock(Main);
+}
+
+TEST_F(FatLockTest, RetireIfQuiescentRefusesOwnersAndWaiters) {
+  Lock.lock(Main);
+  EXPECT_FALSE(Lock.retireIfQuiescent()); // Owned.
+  Lock.unlock(Main);
+
+  // A waiter has released the monitor and left the entry queue empty,
+  // yet it will come back for the monitor: still not quiescent.
+  std::atomic<bool> Notified{false};
+  std::thread Waiter([&] {
+    ScopedThreadAttachment Attachment(Registry, "waiter");
+    Lock.lock(Attachment.context());
+    Notified.store(Lock.wait(Attachment.context()) ==
+                   FatLock::WaitResult::Notified);
+    Lock.unlock(Attachment.context());
+  });
+  while (Lock.waitSetSize() == 0)
+    std::this_thread::yield();
+  EXPECT_FALSE(Lock.retireIfQuiescent());
+  Lock.lock(Main);
+  EXPECT_TRUE(Lock.notify(Main));
+  Lock.unlock(Main);
+  Waiter.join();
+  EXPECT_TRUE(Notified.load());
+
+  EXPECT_TRUE(Lock.retireIfQuiescent());
+  EXPECT_TRUE(Lock.isRetired());
+  EXPECT_EQ(Lock.lockIfLiveFor(Main, 1'000'000),
+            FatLock::TimedResult::Retired);
+}
+
+TEST_F(FatLockTest, LockMergingCountCreditsOrMergesHolds) {
+  // Unowned: credits exactly Count holds.
+  Lock.lockMergingCount(Main, 4);
+  EXPECT_EQ(Lock.holdCount(), 4u);
+  // Already owned by the caller: merges into the existing holds.
+  Lock.lockMergingCount(Main, 2);
+  EXPECT_EQ(Lock.holdCount(), 6u);
+  for (int I = 0; I < 6; ++I) {
+    EXPECT_TRUE(Lock.heldBy(Main)) << I;
+    Lock.unlock(Main);
+  }
+  EXPECT_FALSE(Lock.heldBy(Main));
+
+  // Owned by another thread: queues FIFO like lock(), then credits Count.
+  Holder Other(Registry, Lock);
+  std::thread Releaser([&] {
+    while (Lock.entryQueueLength() == 0)
+      std::this_thread::yield();
+    Other.release();
+  });
+  Lock.lockMergingCount(Main, 3);
+  Releaser.join();
+  EXPECT_TRUE(Lock.heldBy(Main));
+  EXPECT_EQ(Lock.holdCount(), 3u);
+  for (int I = 0; I < 3; ++I)
+    Lock.unlock(Main);
+  EXPECT_FALSE(Lock.heldBy(Main));
+  EXPECT_EQ(Lock.stats().ContendedAcquisitions, 1u);
 }

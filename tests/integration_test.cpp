@@ -1,6 +1,6 @@
 //===- tests/integration_test.cpp - Whole-stack integration ---------------===//
 //
-// End-to-end scenarios crossing every layer: expression compiler ->
+// End-to-end scenarios crossing every layer: assembled bytecode ->
 // verifier -> interpreter -> synchronized library classes -> lock-trace
 // recording -> characterization -> cross-protocol replay -> statistics.
 //
@@ -9,8 +9,8 @@
 #include "baselines/HotLocks.h"
 #include "baselines/MonitorCache.h"
 #include "core/ThinLock.h"
+#include "vm/Assembler.h"
 #include "vm/Disassembler.h"
-#include "vm/ExprCompiler.h"
 #include "vm/NativeLibrary.h"
 #include "vm/Verifier.h"
 #include "vm/VM.h"
@@ -26,7 +26,7 @@ using namespace thinlocks::vm;
 using namespace thinlocks::workload;
 
 TEST(Integration, CompiledExpressionsDriveSynchronizedLibraryWork) {
-  // Compile f(i) = i * i - i, fill a synchronized Vector with f(0..N),
+  // Assemble f(i) = i * i - i, fill a synchronized Vector with f(0..N),
   // then verify sums via synchronized elementAt — all interpreted, all
   // through the thin-lock protocol, fully traced.
   LockStats Stats;
@@ -35,14 +35,15 @@ TEST(Integration, CompiledExpressionsDriveSynchronizedLibraryWork) {
   VM Vm(Cfg);
   NativeLibrary Lib(Vm);
   Klass &K = Vm.defineClass("it/App", {});
-  ExprCompiler Compiler(Vm, K);
 
   LockTrace Trace;
   TracingBackend Tracer(Vm.sync(), Trace);
   Vm.overrideSync(&Tracer);
 
-  ExprCompiler::Result F = Compiler.compile("i * i - i", {"i"});
-  ASSERT_TRUE(F.ok());
+  Assembler Asm;
+  Asm.iload(0).iload(0).imul().iload(0).isub().iret();
+  Method &F = Vm.defineMethod(K, "f", MethodTraits{}, /*NumArgs=*/1,
+                              /*NumLocals=*/1, Asm.finish());
   ASSERT_FALSE(Verifier(Vm).verifyAll());
 
   ScopedThreadAttachment Main(Vm.threads(), "main");
@@ -51,8 +52,8 @@ TEST(Integration, CompiledExpressionsDriveSynchronizedLibraryWork) {
   constexpr int N = 50;
   long long Expected = 0;
   for (int I = 0; I < N; ++I) {
-    RunResult FR = Vm.call(
-        *F.M, std::vector<Value>{Value::makeInt(I)}, Main.context());
+    RunResult FR = Vm.call(F, std::vector<Value>{Value::makeInt(I)},
+                           Main.context());
     ASSERT_TRUE(FR.ok());
     Expected += FR.Result.asInt();
     RunResult Add =

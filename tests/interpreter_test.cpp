@@ -2,9 +2,16 @@
 
 #include "vm/Assembler.h"
 #include "vm/Interpreter.h"
+#include "vm/Verifier.h"
 #include "vm/VM.h"
+#include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <vector>
 
 using namespace thinlocks;
 using namespace thinlocks::vm;
@@ -31,6 +38,29 @@ protected:
   }
 };
 
+/// Appends the binary int instruction \p Op to \p Asm.
+void emitArith(Assembler &Asm, Opcode Op) {
+  switch (Op) {
+  case Opcode::Iadd:
+    Asm.iadd();
+    return;
+  case Opcode::Isub:
+    Asm.isub();
+    return;
+  case Opcode::Imul:
+    Asm.imul();
+    return;
+  case Opcode::Idiv:
+    Asm.idiv();
+    return;
+  case Opcode::Irem:
+    Asm.irem();
+    return;
+  default:
+    ADD_FAILURE() << "not a binary int op: " << opcodeName(Op);
+  }
+}
+
 } // namespace
 
 TEST_F(InterpreterTest, ArithmeticAndReturn) {
@@ -52,29 +82,18 @@ TEST_F(InterpreterTest, AllArithmeticOps) {
       {Opcode::Iadd, 3, 4, 7},    {Opcode::Isub, 10, 4, 6},
       {Opcode::Imul, 6, 7, 42},   {Opcode::Idiv, 42, 5, 8},
       {Opcode::Irem, 42, 5, 2},
+      // Java int semantics: two's-complement wrap-around, division
+      // truncating toward zero, and the one overflowing quotient.
+      {Opcode::Iadd, INT32_MAX, 1, INT32_MIN},
+      {Opcode::Isub, INT32_MIN, 1, INT32_MAX},
+      {Opcode::Imul, 65536, 65536, 0},
+      {Opcode::Idiv, -7, 2, -3},  {Opcode::Irem, -7, 2, -1},
+      {Opcode::Idiv, INT32_MIN, -1, INT32_MIN},
+      {Opcode::Irem, INT32_MIN, -1, 0},
   };
   for (const Case &C : Cases) {
     Assembler Asm;
-    Asm.iconst(C.A).iconst(C.B);
-    switch (C.Op) {
-    case Opcode::Iadd:
-      Asm.iadd();
-      break;
-    case Opcode::Isub:
-      Asm.isub();
-      break;
-    case Opcode::Imul:
-      Asm.imul();
-      break;
-    case Opcode::Idiv:
-      Asm.idiv();
-      break;
-    case Opcode::Irem:
-      Asm.irem();
-      break;
-    default:
-      FAIL();
-    }
+    emitArith(Asm.iconst(C.A).iconst(C.B), C.Op);
     Method &M = Vm.defineMethod(*K, "arith", MethodTraits{}, 0, 0,
                                 Asm.iret().finish());
     RunResult R = run(M, {});
@@ -84,11 +103,62 @@ TEST_F(InterpreterTest, AllArithmeticOps) {
 }
 
 TEST_F(InterpreterTest, DivisionByZeroTraps) {
+  for (Opcode Op : {Opcode::Idiv, Opcode::Irem}) {
+    Assembler Asm;
+    emitArith(Asm.iconst(1).iconst(0), Op);
+    Method &M = Vm.defineMethod(*K, "div0", MethodTraits{}, 0, 0,
+                                Asm.iret().finish());
+    RunResult R = run(M, {});
+    EXPECT_EQ(R.TrapKind, Trap::DivideByZero) << opcodeName(Op);
+  }
+}
+
+TEST_F(InterpreterTest, NegationWrapsLikeJava) {
+  struct Case {
+    int32_t Operand, Expected;
+  };
+  const Case Cases[] = {
+      {5, -5}, {-5, 5}, {0, 0}, {INT32_MAX, -INT32_MAX},
+      {INT32_MIN, INT32_MIN}, // -(2^31) wraps back to itself.
+  };
+  for (const Case &C : Cases) {
+    Assembler Asm;
+    Method &M = Vm.defineMethod(*K, "neg", MethodTraits{}, 0, 0,
+                                Asm.iconst(C.Operand).ineg().iret().finish());
+    RunResult R = run(M, {});
+    ASSERT_TRUE(R.ok());
+    EXPECT_EQ(R.Result.asInt(), C.Expected) << C.Operand;
+  }
+  // Two negations cancel.
   Assembler Asm;
-  Method &M = Vm.defineMethod(*K, "div0", MethodTraits{}, 0, 0,
-                              Asm.iconst(1).iconst(0).idiv().iret().finish());
-  RunResult R = run(M, {});
-  EXPECT_EQ(R.TrapKind, Trap::DivideByZero);
+  Method &M = Vm.defineMethod(*K, "negneg", MethodTraits{}, 0, 0,
+                              Asm.iconst(5).ineg().ineg().iret().finish());
+  EXPECT_EQ(run(M, {}).Result.asInt(), 5);
+}
+
+TEST_F(InterpreterTest, ArgumentsBindToLocalsInOrder) {
+  // f(x, y, z) = x - 3 * y + z % x: argument I arrives in local I, so
+  // any permutation of the arguments changes this non-commutative result.
+  Assembler Asm;
+  Asm.iload(0).iconst(3).iload(1).imul().isub();
+  Asm.iload(2).iload(0).irem().iadd().iret();
+  Method &M = Vm.defineMethod(*K, "f", MethodTraits{}, 3, 3, Asm.finish());
+  struct Case {
+    int32_t X, Y, Z, Expected;
+  };
+  const Case Cases[] = {
+      {2, 4, 7, -9},  // 2 - 12 + 1
+      {4, 2, 7, 1},   // 4 - 6 + 3
+      {7, 2, 4, 5},   // 7 - 6 + 4
+      {INT32_MAX, -1, 0, INT32_MIN + 2}, // x + 3 wraps.
+  };
+  for (const Case &C : Cases) {
+    RunResult R = run(M, {Value::makeInt(C.X), Value::makeInt(C.Y),
+                          Value::makeInt(C.Z)});
+    ASSERT_TRUE(R.ok());
+    EXPECT_EQ(R.Result.asInt(), C.Expected)
+        << "f(" << C.X << ", " << C.Y << ", " << C.Z << ")";
+  }
 }
 
 TEST_F(InterpreterTest, LoopComputesSum) {
@@ -341,3 +411,106 @@ TEST_F(InterpreterTest, InstructionCountingWorks) {
   // with the iteration count (>= ~6 instructions per iteration).
   EXPECT_GT(Interp.instructionsExecuted(), 30u);
 }
+
+//===----------------------------------------------------------------------===//
+// Property test: random arithmetic trees agree with a host evaluator.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+int32_t wrap(int64_t V) {
+  return static_cast<int32_t>(static_cast<uint32_t>(static_cast<uint64_t>(V)));
+}
+
+/// Java int semantics for the binary op \p Op; \p B must be non-zero
+/// for Idiv and Irem.
+int32_t hostArith(Opcode Op, int32_t A, int32_t B) {
+  switch (Op) {
+  case Opcode::Iadd:
+    return wrap(static_cast<int64_t>(A) + B);
+  case Opcode::Isub:
+    return wrap(static_cast<int64_t>(A) - B);
+  case Opcode::Imul:
+    return wrap(static_cast<int64_t>(A) * B);
+  case Opcode::Idiv:
+    return (A == INT32_MIN && B == -1) ? INT32_MIN : A / B;
+  case Opcode::Irem:
+    return (A == INT32_MIN && B == -1) ? 0 : A % B;
+  default:
+    ADD_FAILURE() << "not a binary int op: " << opcodeName(Op);
+    return 0;
+  }
+}
+
+/// Appends a random expression tree over the method's int arguments to
+/// \p Asm as postfix bytecode and \returns its value, evaluated on the
+/// host.  Divisors are guarded by value, so the code never traps.
+int32_t emitRandomExpr(Assembler &Asm, SplitMix64 &Rng,
+                       const std::vector<int32_t> &Args, int Depth) {
+  uint64_t Choice = Rng.nextBounded(Depth <= 0 ? 2 : 8);
+  if (Choice == 0) {
+    size_t Index = Rng.nextBounded(Args.size());
+    Asm.iload(static_cast<int32_t>(Index));
+    return Args[Index];
+  }
+  if (Choice == 1) {
+    static constexpr int32_t Edges[] = {INT32_MIN, -1, 0, 1, INT32_MAX};
+    int32_t V = Rng.nextBounded(8) == 0
+                    ? Edges[Rng.nextBounded(std::size(Edges))]
+                    : static_cast<int32_t>(Rng.nextBounded(200)) - 100;
+    Asm.iconst(V);
+    return V;
+  }
+  if (Choice == 2) {
+    int32_t V = emitRandomExpr(Asm, Rng, Args, Depth - 1);
+    Asm.ineg();
+    return wrap(-static_cast<int64_t>(V));
+  }
+  static constexpr Opcode Ops[] = {Opcode::Iadd, Opcode::Isub, Opcode::Imul,
+                                   Opcode::Idiv, Opcode::Irem};
+  int32_t Lhs = emitRandomExpr(Asm, Rng, Args, Depth - 1);
+  int32_t Rhs = emitRandomExpr(Asm, Rng, Args, Depth - 1);
+  Opcode Op = Ops[Rng.nextBounded(std::size(Ops))];
+  if (Rhs == 0 && (Op == Opcode::Idiv || Op == Opcode::Irem))
+    Op = Opcode::Isub;
+  emitArith(Asm, Op);
+  return hostArith(Op, Lhs, Rhs);
+}
+
+class ArithmeticFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+} // namespace
+
+TEST_P(ArithmeticFuzz, RandomExpressionTreesMatchHostEvaluator) {
+  VM Vm;
+  Klass &K = Vm.defineClass("Fuzz", {});
+  ScopedThreadAttachment Main(Vm.threads(), "fuzz");
+  Verifier V(Vm);
+
+  SplitMix64 Rng(GetParam());
+  for (int Round = 0; Round < 60; ++Round) {
+    std::vector<int32_t> Args = {
+        static_cast<int32_t>(Rng.nextBounded(2001)) - 1000,
+        static_cast<int32_t>(Rng.nextBounded(2001)) - 1000,
+        static_cast<int32_t>(Rng.nextBounded(7)) + 1,
+    };
+    Assembler Asm;
+    int32_t Expected = emitRandomExpr(Asm, Rng, Args, /*Depth=*/4);
+    Method &M = Vm.defineMethod(K, "expr" + std::to_string(Round),
+                                MethodTraits{}, /*NumArgs=*/3,
+                                /*NumLocals=*/3, Asm.iret().finish());
+    ASSERT_FALSE(V.verify(M)) << "round " << Round;
+
+    std::vector<Value> CallArgs;
+    for (int32_t A : Args)
+      CallArgs.push_back(Value::makeInt(A));
+    RunResult Run = Vm.call(M, CallArgs, Main.context());
+    ASSERT_TRUE(Run.ok()) << "round " << Round << ": "
+                          << trapName(Run.TrapKind);
+    EXPECT_EQ(Run.Result.asInt(), Expected) << "round " << Round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ArithmeticFuzz,
+                         ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u,
+                                           77u, 88u));

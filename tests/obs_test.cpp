@@ -83,6 +83,36 @@ TEST(LockEventTest, KindAndCauseNamesAreStable) {
                "overflow");
 }
 
+TEST(LockEventTest, DurationKindsStartArgNanosBeforeTheirStamp) {
+  const obs::EventKind Durations[] = {
+      obs::EventKind::ContendedAcquire, obs::EventKind::Park,
+      obs::EventKind::Wake, obs::EventKind::Wait};
+  for (obs::EventKind Kind : Durations) {
+    EXPECT_TRUE(obs::isDurationKind(Kind)) << obs::eventKindName(Kind);
+    obs::LockEvent E;
+    E.Kind = Kind;
+    E.TimeNanos = 1000;
+    E.Arg = 300;
+    EXPECT_EQ(obs::startNanosOf(E), 700u) << obs::eventKindName(Kind);
+    E.Arg = 5000; // Longer than the clock has run: clamps at 0.
+    EXPECT_EQ(obs::startNanosOf(E), 0u) << obs::eventKindName(Kind);
+  }
+  // Every other kind is an instant; its Arg is not a duration.
+  const obs::EventKind Instants[] = {
+      obs::EventKind::None,      obs::EventKind::Inflate,
+      obs::EventKind::Deflate,   obs::EventKind::Notify,
+      obs::EventKind::NotifyAll, obs::EventKind::Deadlock,
+      obs::EventKind::PolicyDecision};
+  for (obs::EventKind Kind : Instants) {
+    EXPECT_FALSE(obs::isDurationKind(Kind)) << obs::eventKindName(Kind);
+    obs::LockEvent E;
+    E.Kind = Kind;
+    E.TimeNanos = 1000;
+    E.Arg = 300;
+    EXPECT_EQ(obs::startNanosOf(E), 1000u) << obs::eventKindName(Kind);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // EventRing
 //===----------------------------------------------------------------------===//
