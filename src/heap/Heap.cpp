@@ -17,21 +17,34 @@ using namespace thinlocks;
 /// read them while the owner allocates.  Aligned to a cache line so two
 /// owners' bump state never shares one.
 struct alignas(64) Heap::Buffer {
-  Buffer(size_t Capacity, uint64_t Owner, uint64_t Seed)
-      : Storage(std::make_unique_for_overwrite<char[]>(Capacity)),
-        Capacity(Capacity), Owner(Owner), Hashes(Seed) {}
+  /// The first object starts on an \p Align boundary, so the storage
+  /// has room for up to \p Align - 1 bytes of padding before it.
+  Buffer(size_t Bytes, size_t Align, uint64_t Owner, uint64_t Seed)
+      : Storage(std::make_unique_for_overwrite<char[]>(Bytes + Align - 1)),
+        Begin(paddingTo(Storage.get(), Align)), Capacity(Begin + Bytes),
+        Owner(Owner), End(Begin), Hashes(Seed) {}
 
   /// Not zero-filled: pages no object reaches are never touched.
   const std::unique_ptr<char[]> Storage;
+  /// Offset of the first object: 0, except after the padding that puts
+  /// an array's first object on a cache line.  Walks and byte counts
+  /// start here, so they never read the padding.
+  const size_t Begin;
+  /// Offset objects may fill up to.
   const size_t Capacity;
   /// Token of the only thread that allocates here.
   const uint64_t Owner;
-  /// Bytes of fully constructed objects.  The owner's release store
-  /// publishes each object; a walker's acquire load bounds its walk.
-  std::atomic<size_t> End{0};
+  /// Offset past the last fully constructed object.  The owner's release
+  /// store publishes each object; a walker's acquire load bounds its walk.
+  std::atomic<size_t> End;
   std::atomic<uint64_t> Count{0};
   /// This buffer's identity-hash stream (owner only).
   SplitMix64 Hashes;
+
+private:
+  static size_t paddingTo(const char *At, size_t Align) {
+    return (Align - reinterpret_cast<uintptr_t>(At) % Align) % Align;
+  }
 };
 
 /// Constant-initialized, so the allocation fast path reads it with no
@@ -46,6 +59,9 @@ struct Heap::Cursor {
 thread_local Heap::Cursor Heap::ThisThread;
 
 namespace {
+
+/// Where allocateArray puts an array's first object.
+constexpr size_t CacheLineBytes = 64;
 
 // Ids start at 1: a zeroed cursor must match no heap.
 std::atomic<uint64_t> NextHeapId{1};
@@ -86,29 +102,60 @@ Object *Heap::allocate(const ClassInfo &Class) {
   return Obj;
 }
 
+Object *Heap::allocateArray(const ClassInfo &Class, size_t Count) {
+  assert(Count > 0 && "an array needs at least one object");
+  size_t Size = objectSize(Class.SlotCount);
+  Buffer *B = nullptr;
+  {
+    // Full once published, so the thread's next allocate() opens a
+    // buffer that walks after this one.
+    LockGuard Guard(Mu);
+    B = openBuffer(newestOfThisThread(), Size * Count, CacheLineBytes);
+  }
+
+  char *First = B->Storage.get() + B->Begin;
+  for (size_t I = 0; I < Count; ++I) {
+    Object *Obj = new (First + I * Size) Object(
+        Class.Index, Class.SlotCount, static_cast<uint32_t>(B->Hashes.next()));
+    std::memset(Obj->slots(), 0, sizeof(uint64_t) * Class.SlotCount);
+  }
+
+  B->Count.store(Count, std::memory_order_relaxed);
+  B->End.store(B->Capacity, std::memory_order_release);
+  return reinterpret_cast<Object *>(First);
+}
+
 Heap::Buffer *Heap::refill(size_t Size) {
+  LockGuard Guard(Mu);
+  Buffer *B = newestOfThisThread();
+  // The old buffer's tail stays unused: a thread never goes back to an
+  // older buffer, so a walk sees its objects in allocation order.
+  if (!B || B->Capacity - B->End.load(std::memory_order_relaxed) < Size)
+    return openBuffer(B, std::max(Size, BlockBytes), /*Align=*/1);
+  ThisThread.HeapId = Id;
+  ThisThread.Buf = B;
+  return B;
+}
+
+Heap::Buffer *Heap::newestOfThisThread() {
   Cursor &C = ThisThread;
   if (C.Thread == 0)
     C.Thread = NextThreadToken.fetch_add(1, std::memory_order_relaxed);
+  for (Buffer *B : Newest)
+    if (B->Owner == C.Thread)
+      return B;
+  return nullptr;
+}
 
-  LockGuard Guard(Mu);
-  auto Mine = std::find_if(Newest.begin(), Newest.end(), [&](Buffer *Other) {
-    return Other->Owner == C.Thread;
-  });
-  Buffer *B = Mine == Newest.end() ? nullptr : *Mine;
-  if (!B || B->Capacity - B->End.load(std::memory_order_relaxed) < Size) {
-    // The old buffer's tail stays unused: a thread never goes back to an
-    // older buffer, so a walk sees its objects in allocation order.
-    auto Fresh =
-        std::make_unique<Buffer>(std::max(Size, BlockBytes), C.Thread,
-                                 Seeds.next());
-    B = Fresh.get();
-    Buffers.push_back(std::move(Fresh));
-    if (Mine == Newest.end())
-      Newest.push_back(B);
-    else
-      *Mine = B;
-  }
+Heap::Buffer *Heap::openBuffer(Buffer *Old, size_t Bytes, size_t Align) {
+  Cursor &C = ThisThread;
+  Buffers.push_back(
+      std::make_unique<Buffer>(Bytes, Align, C.Thread, Seeds.next()));
+  Buffer *B = Buffers.back().get();
+  if (Old)
+    *std::find(Newest.begin(), Newest.end(), Old) = B;
+  else
+    Newest.push_back(B);
   C.HeapId = Id;
   C.Buf = B;
   return B;
@@ -125,7 +172,7 @@ void Heap::forEachObject(
   }
   for (const Buffer *B : Snapshot) {
     size_t End = B->End.load(std::memory_order_acquire);
-    size_t Offset = 0;
+    size_t Offset = B->Begin;
     while (Offset < End) {
       const Object *Obj =
           reinterpret_cast<const Object *>(B->Storage.get() + Offset);
@@ -149,6 +196,6 @@ uint64_t Heap::bytesAllocated() const {
   LockGuard Guard(Mu);
   uint64_t Sum = 0;
   for (const std::unique_ptr<Buffer> &B : Buffers)
-    Sum += B->End.load(std::memory_order_relaxed);
+    Sum += B->End.load(std::memory_order_relaxed) - B->Begin;
   return Sum;
 }

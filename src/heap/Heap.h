@@ -11,6 +11,9 @@
 /// "Per-thread allocation buffers"): the heap mutex is taken only to hand
 /// out a buffer, and an allocation publishes its object with one release
 /// store, so walkers on other threads see only fully constructed objects.
+/// An array of objects gets a buffer of its own, with its first object on
+/// a cache line, and one release store publishes the whole array
+/// (DESIGN.md §8, "Object arrays").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +53,16 @@ public:
   /// unless the calling thread's buffer is missing or full.
   Object *allocate(const ClassInfo &Class);
 
+  /// Allocates \p Count instances of \p Class back to back in a buffer of
+  /// their own, and \returns the first, which starts on a 64-byte cache
+  /// line.  Instance I sits I * (sizeof(Object) + 8 * SlotCount) bytes
+  /// after it.  Headers and zeroed slots are written as by allocate(),
+  /// then one release store publishes the whole array, so a concurrent
+  /// walk sees all of it or none.  The thread's next allocate() opens a
+  /// fresh buffer, so it walks after the array.  \p Count must be
+  /// positive.
+  Object *allocateArray(const ClassInfo &Class, size_t Count);
+
   /// Visits every object whose allocation completed before the walk
   /// reached its buffer.  Buffers are visited in the order they were
   /// handed out, so one thread's objects come oldest first.  Other
@@ -78,6 +91,16 @@ private:
   /// Makes the calling thread's buffer one with room for \p Size bytes.
   /// Out of line so the allocation fast path stays a leaf.
   TL_NOINLINE Buffer *refill(size_t Size);
+
+  /// \returns the calling thread's newest buffer in this heap, or null.
+  Buffer *newestOfThisThread() TL_REQUIRES(Mu);
+
+  /// Appends a buffer owned by the calling thread, with \p Bytes of room
+  /// from its first object, which starts on an \p Align boundary, and
+  /// makes it the thread's newest and current buffer in place of \p Old,
+  /// the newestOfThisThread() it replaces.
+  Buffer *openBuffer(Buffer *Old, size_t Bytes, size_t Align)
+      TL_REQUIRES(Mu);
 
   /// The calling thread's most recently used buffer, in any heap.
   static thread_local Cursor ThisThread;

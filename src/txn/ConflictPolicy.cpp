@@ -130,7 +130,7 @@ bool occLockWriteSet(const TxnTable &Table, const ThreadContext &Thread,
   for (size_t Idx : SortedWrites) {
     bool Locked = false;
     for (uint32_t Spin = 0; Spin < Spins; ++Spin) {
-      if (Table.Sync->tryLock(Table.Objects[Idx], Thread)) {
+      if (Table.Sync->tryLock(Table.object(Idx), Thread)) {
         Locked = true;
         break;
       }
@@ -144,7 +144,7 @@ bool occLockWriteSet(const TxnTable &Table, const ThreadContext &Thread,
     // validator that read this object must see the odd mark and abort,
     // and lock-free seqlock readers retry past it.  We hold the
     // monitor, so no concurrent writer races this word.
-    std::atomic<uint64_t> &Version = Table.Cells[Idx].Version;
+    std::atomic<uint64_t> &Version = Table.cell(Idx).Version;
     Version.store(Version.load(std::memory_order_relaxed) | 1,
                   std::memory_order_release);
   }
@@ -157,10 +157,10 @@ void occAbortWriteSet(const TxnTable &Table, const ThreadContext &Thread,
     size_t Idx = Acquired[I];
     // Restore the pre-window even version before the monitor is
     // released; nothing was published, so readers see the old snapshot.
-    std::atomic<uint64_t> &Version = Table.Cells[Idx].Version;
+    std::atomic<uint64_t> &Version = Table.cell(Idx).Version;
     Version.store(Version.load(std::memory_order_relaxed) & ~uint64_t(1),
                   std::memory_order_release);
-    Table.Sync->unlock(Table.Objects[Idx], Thread);
+    Table.Sync->unlock(Table.object(Idx), Thread);
   }
   Acquired.clear();
 }
@@ -176,7 +176,7 @@ bool occValidateReadSet(const TxnTable &Table, const std::vector<size_t> &Reads,
   std::atomic_thread_fence(std::memory_order_seq_cst);
   for (size_t I = 0; I < Reads.size(); ++I) {
     uint64_t Now =
-        Table.Cells[Reads[I]].Version.load(std::memory_order_acquire);
+        Table.cell(Reads[I]).Version.load(std::memory_order_acquire);
     // Snapshots are always even, so `Now != snapshot` catches both a
     // moved version (conflicting commit) and an odd one (a concurrent
     // transaction's commit lock).
@@ -195,7 +195,7 @@ namespace {
 /// no-op when the OCC commit window already marked it); release
 /// ordering makes the final even version carry the value.
 void applyWrite(const TxnTable &Table, size_t Idx, TxnScratch &Scratch) {
-  TxnCell &Cell = Table.Cells[Idx];
+  TxnCell &Cell = Table.cell(Idx);
   uint64_t Version = Cell.Version.load(std::memory_order_relaxed);
   uint64_t Next = ((Version >> 1) + 1) << 1;
   Cell.Version.store(Version | 1, std::memory_order_release);
@@ -208,7 +208,7 @@ void applyWrite(const TxnTable &Table, size_t Idx, TxnScratch &Scratch) {
 /// must be quiescent (even) and the value must mirror it.  Any torn or
 /// lost update shows up here.
 void checkHeldRead(const TxnTable &Table, size_t Idx, TxnScratch &Scratch) {
-  const TxnCell &Cell = Table.Cells[Idx];
+  const TxnCell &Cell = Table.cell(Idx);
   uint64_t Version = Cell.Version.load(std::memory_order_acquire);
   uint64_t Value = Cell.Value.load(std::memory_order_acquire);
   if ((Version & 1) != 0 || Value != Version)
@@ -234,7 +234,7 @@ TxnStatus releaseTwoPhase(const TxnTable &Table, const ThreadContext &Thread,
     size_t Idx = Scratch.Acquired[I];
     if (Table.OwnerTs)
       Table.OwnerTs[Idx].store(0, std::memory_order_release);
-    Table.Sync->unlock(Table.Objects[Idx], Thread);
+    Table.Sync->unlock(Table.object(Idx), Thread);
   }
   Scratch.Acquired.clear();
   return Status;
@@ -273,7 +273,7 @@ public:
     // acquisition order cannot deadlock.
     for (const std::vector<size_t> *Set : {&Access.Writes, &Access.Reads}) {
       for (size_t Idx : *Set) {
-        if (!Table.Sync->tryLock(Table.Objects[Idx], Thread))
+        if (!Table.Sync->tryLock(Table.object(Idx), Thread))
           return releaseTwoPhase(Table, Thread, Scratch,
                                  TxnStatus::AbortedBusy);
         Scratch.Acquired.push_back(Idx);
@@ -302,7 +302,7 @@ public:
   TxnStatus acquire(const ThreadContext &Thread, uint64_t Ts, size_t Idx) {
     uint32_t Rounds = 0;
     for (;;) {
-      if (Table.Sync->tryLock(Table.Objects[Idx], Thread)) {
+      if (Table.Sync->tryLock(Table.object(Idx), Thread)) {
         Table.OwnerTs[Idx].store(Ts, std::memory_order_release);
         return TxnStatus::Committed; // "acquired" sentinel for callers.
       }
@@ -315,7 +315,7 @@ public:
       // detector turns any resulting cycle into a precise
       // TimedLockStatus::Deadlock, and elsewhere the rung budget below
       // bounds the damage to AbortedBusy.
-      switch (Table.Sync->tryLockFor(Table.Objects[Idx], Thread,
+      switch (Table.Sync->tryLockFor(Table.object(Idx), Thread,
                                      Tuning.WaitNanos)) {
       case TimedLockStatus::Acquired:
         Table.OwnerTs[Idx].store(Ts, std::memory_order_release);
@@ -363,14 +363,12 @@ public:
     Scratch.ReadVersions.clear();
 
     // Start the misses on every line the attempt touches at once instead
-    // of one per access: each read's cell, and each write's cell and lock
-    // word, which the commit window writes.
+    // of one per access.  An object's lock word and record share its one
+    // line: reads only read it, and the commit window writes each write's.
     for (size_t Idx : Access.Reads)
-      TL_PREFETCH(&Table.Cells[Idx], /*ForWrite=*/0);
-    for (size_t Idx : Access.Writes) {
-      TL_PREFETCH(&Table.Cells[Idx], /*ForWrite=*/1);
-      TL_PREFETCH(&Table.Objects[Idx]->lockWord(), /*ForWrite=*/1);
-    }
+      TL_PREFETCH(Table.object(Idx), /*ForWrite=*/0);
+    for (size_t Idx : Access.Writes)
+      TL_PREFETCH(Table.object(Idx), /*ForWrite=*/1);
 
     // Read phase: lock-free seqlock reads.  A stable snapshot is an
     // even version observed unchanged around the value load; the
@@ -378,7 +376,7 @@ public:
     // conclusive (a newer writer's odd mark is visible by then).
     for (size_t Idx : Access.Reads) {
       bool Stable = false;
-      const TxnCell &Cell = Table.Cells[Idx];
+      const TxnCell &Cell = Table.cell(Idx);
       for (uint32_t Attempt = 0; Attempt < Tuning.MaxReadRetries; ++Attempt) {
         uint64_t Before = Cell.Version.load(std::memory_order_acquire);
         if ((Before & 1) != 0)
@@ -421,7 +419,7 @@ public:
     for (size_t Idx : Scratch.SortedWrites)
       applyWrite(Table, Idx, Scratch);
     for (size_t I = Scratch.Acquired.size(); I-- > 0;)
-      Table.Sync->unlock(Table.Objects[Scratch.Acquired[I]], Thread);
+      Table.Sync->unlock(Table.object(Scratch.Acquired[I]), Thread);
     Scratch.Acquired.clear();
     return TxnStatus::Committed;
   }

@@ -39,7 +39,8 @@
 ///    validate against still-unchanged versions, and both publish — a
 ///    write-skew cycle committed as "serializable".
 ///
-/// Every object's Value mirrors its Version (the two share a TxnCell)
+/// Every object's Value mirrors its Version (the two share a TxnCell,
+/// which lives in the object's own slots, on the line of its lock word)
 /// at publish time, committed under the same monitor/version protocol
 /// — so `Value == Version` (and Version even) is a serializability
 /// spot-check every strategy can assert on its read path.
@@ -50,12 +51,14 @@
 #define THINLOCKS_TXN_CONFLICTPOLICY_H
 
 #include "core/SyncBackend.h"
+#include "heap/Object.h"
 #include "load/Zipf.h"
 #include "support/SplitMix64.h"
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 namespace thinlocks {
@@ -90,25 +93,38 @@ const char *txnStatusName(TxnStatus Status);
 inline bool isAbort(TxnStatus Status) { return Status != TxnStatus::Committed; }
 
 /// One object's transactional record, Silo-style: the version sits next
-/// to the value it guards, so a seqlock read, a commit mark and a
-/// publish each touch one cache line.  16 bytes, 16-aligned, so no cell
-/// straddles a line.  Version follows the seqlock-style protocol
-/// described in the file header; Value mirrors it at publish time.
+/// to the value it guards, in the two slots of the object whose monitor
+/// guards both.  16 bytes, 16-aligned.  Version follows the
+/// seqlock-style protocol described in the file header; Value mirrors it
+/// at publish time.
 struct alignas(16) TxnCell {
   std::atomic<uint64_t> Version{0};
   std::atomic<uint64_t> Value{0};
 };
 
 /// The shared substrate every transaction runs over.  Owned by the
-/// engine; policies hold a const view.  OwnerTs is the wait-die side
-/// channel (holder's timestamp, 0 = unstamped/free); it exists only
-/// for WaitDie tables and is nullptr otherwise.
+/// engine; policies hold a const view.  The universe is Size objects back
+/// to back from First (Heap::allocateArray), each a header followed by
+/// its TxnCell, so one 64-byte line holds an object's lock word and its
+/// record.  OwnerTs is the wait-die side channel (holder's timestamp, 0 =
+/// unstamped/free); it exists only for WaitDie tables and is nullptr
+/// otherwise.
 struct TxnTable {
+  /// Bytes from one universe object to the next.
+  static constexpr size_t Stride = sizeof(Object) + sizeof(TxnCell);
+
   SyncBackend *Sync = nullptr;
-  Object *const *Objects = nullptr;
-  TxnCell *Cells = nullptr;
+  Object *First = nullptr;
   std::atomic<uint64_t> *OwnerTs = nullptr;
   size_t Size = 0;
+
+  Object *object(size_t Idx) const {
+    return reinterpret_cast<Object *>(reinterpret_cast<char *>(First) +
+                                      Idx * Stride);
+  }
+  TxnCell &cell(size_t Idx) const {
+    return *std::launder(reinterpret_cast<TxnCell *>(object(Idx)->slots()));
+  }
 };
 
 /// Policy knobs; defaults suit both tests and the bench grid.

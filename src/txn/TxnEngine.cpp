@@ -6,10 +6,18 @@
 #include "support/Fatal.h"
 #include "support/Timer.h"
 
+#include <new>
 #include <thread>
 
 namespace thinlocks {
 namespace txn {
+
+namespace {
+
+/// The TxnObj slots that hold an object's record.
+constexpr uint32_t RecordSlots = sizeof(TxnCell) / sizeof(uint64_t);
+
+} // namespace
 
 void TxnStats::record(TxnStatus Status, uint64_t Nanos) {
   ++Started;
@@ -57,21 +65,17 @@ TxnEngine::TxnEngine(SyncBackend &Sync, Heap &TheHeap,
                  Params.ZipfTheta) {
   const size_t Universe = Popularity.universe();
   const ClassInfo &Class =
-      TheHeap.classes().registerClass("TxnObj", /*SlotCount=*/1);
-  Objects.reserve(Universe);
+      TheHeap.classes().registerClass("TxnObj", RecordSlots);
+  Table.Sync = &Sync;
+  Table.First = TheHeap.allocateArray(Class, Universe);
+  Table.Size = Universe;
+  // Every record starts at version 0 with value 0, satisfying Value ==
+  // Version from the first read; so does every stamp ("unstamped").
   for (size_t I = 0; I < Universe; ++I)
-    Objects.push_back(TheHeap.allocate(Class));
-  // Value-initialized: every version/value/stamp starts at 0 ("version
-  // 0, unstamped"), satisfying Value == Version from the first read.
-  Cells = std::make_unique<TxnCell[]>(Universe);
+    new (Table.object(I)->slots()) TxnCell;
   if (Kind == ConflictPolicyKind::WaitDie)
     OwnerStamps = std::make_unique<std::atomic<uint64_t>[]>(Universe);
-
-  Table.Sync = &Sync;
-  Table.Objects = Objects.data();
-  Table.Cells = Cells.get();
   Table.OwnerTs = OwnerStamps.get();
-  Table.Size = Universe;
   Policy = makeConflictPolicy(Kind, Table, Params.Tuning);
 }
 
@@ -96,7 +100,7 @@ TxnStats TxnEngine::runWorker(const ThreadContext &Thread, unsigned WorkerId) {
     if (Params.AuditEveryTxn) {
       for (const std::vector<size_t> *Set : {&Access.Writes, &Access.Reads})
         for (size_t Idx : *Set)
-          if (Table.Sync->holdsLock(Table.Objects[Idx], Thread))
+          if (Table.Sync->holdsLock(Table.object(Idx), Thread))
             ++Stats.LeakedLocks;
     }
   }
@@ -132,7 +136,7 @@ TxnStats TxnEngine::run() {
 uint64_t TxnEngine::versionSum() const {
   uint64_t Sum = 0;
   for (size_t I = 0; I < Table.Size; ++I)
-    Sum += Cells[I].Version.load(std::memory_order_acquire) >> 1;
+    Sum += Table.cell(I).Version.load(std::memory_order_acquire) >> 1;
   return Sum;
 }
 

@@ -10,13 +10,15 @@
 /// conflicts onto a few monitors (inflation/morphing territory) while
 /// the long tail keeps millions of objects on the thin fast path.
 ///
-/// The engine owns the per-object side arrays (one TxnCell of version
-/// and mirrored value per object, plus wait-die stamps for WaitDie
-/// engines only) and the accounting; the protocol and heap
-/// substrate are either borrowed (TxnEngine, so tests can inject a
-/// ThinLock handle and audit its MonitorTable) or owned per run
-/// (runTxnScenario, the bench entry point, which builds the protocol by
-/// registry name exactly like the soak harness).
+/// The engine allocates the universe as one cache-aligned array of
+/// two-slot objects, each holding its own TxnCell of version and
+/// mirrored value, so an access touches one line for both the lock word
+/// and the record.  It also owns the wait-die stamps (WaitDie engines
+/// only) and the accounting.  The protocol and heap substrate are either
+/// borrowed (TxnEngine, so tests can inject a ThinLock handle and audit
+/// its MonitorTable) or owned per run (runTxnScenario, the bench entry
+/// point, which builds the protocol by registry name exactly like the
+/// soak harness).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,8 +115,6 @@ public:
 
 private:
   TxnParams Params;
-  std::vector<Object *> Objects;
-  std::unique_ptr<TxnCell[]> Cells;
   /// Allocated for WaitDie engines only; the other policies never stamp.
   std::unique_ptr<std::atomic<uint64_t>[]> OwnerStamps;
   TxnTable Table;

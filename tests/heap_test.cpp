@@ -268,3 +268,146 @@ TEST(Heap, HeapRebuiltAtSameAddressSeesOnlyItsOwnObjects) {
     EXPECT_EQ(walk(TheHeap), Allocated);
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Object arrays: one buffer each, first object on a cache line
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+size_t footprint(const ClassInfo &Class) {
+  return sizeof(Object) + sizeof(uint64_t) * Class.SlotCount;
+}
+
+std::vector<const Object *> arrayObjects(const Object *First,
+                                         const ClassInfo &Class,
+                                         size_t Count) {
+  std::vector<const Object *> Objects;
+  for (size_t I = 0; I < Count; ++I)
+    Objects.push_back(reinterpret_cast<const Object *>(
+        reinterpret_cast<const char *>(First) + I * footprint(Class)));
+  return Objects;
+}
+
+} // namespace
+
+TEST(Heap, ArrayObjectsSitAtFixedStrideFromLineAlignedFirst) {
+  Heap TheHeap(/*BlockBytes=*/4096);
+  for (uint32_t Slots : {0u, 1u, 2u, 3u, 9u}) {
+    const ClassInfo &Class = TheHeap.classes().registerClass("A", Slots);
+    for (size_t Count : {size_t(1), size_t(7), size_t(1000)}) {
+      Object *First = TheHeap.allocateArray(Class, Count);
+      ASSERT_NE(First, nullptr);
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(First) % 64, 0u)
+          << Slots << " slots, " << Count << " objects";
+      for (const Object *Obj : arrayObjects(First, Class, Count))
+        ASSERT_EQ(Obj->classIndex(), Class.Index)
+            << Slots << " slots, " << Count << " objects";
+    }
+  }
+}
+
+TEST(Heap, ArrayHeadersAreInitializedAndSlotsStartZeroed) {
+  Heap TheHeap;
+  const ClassInfo &Class = TheHeap.classes().registerClass("Rec", 3);
+  constexpr size_t Count = 2000;
+  Object *First = TheHeap.allocateArray(Class, Count);
+  std::set<uint32_t> Hashes;
+  for (const Object *Obj : arrayObjects(First, Class, Count)) {
+    ASSERT_EQ(Obj->classIndex(), Class.Index);
+    ASSERT_EQ(Obj->lockWord().load() & 0xFFFFFF00u, 0u);
+    ASSERT_EQ(Obj->lockWord().load() & 0xFFu, Obj->identityHash() & 0xFFu);
+    for (uint32_t I = 0; I < Class.SlotCount; ++I)
+      ASSERT_EQ(Obj->slot(I), 0u);
+    Hashes.insert(Obj->identityHash());
+  }
+  EXPECT_GT(Hashes.size(), Count - 5);
+  // Slots are the object's own: writing one touches no neighbour.
+  First->setSlot(2, 7);
+  EXPECT_EQ(arrayObjects(First, Class, 2)[1]->slot(0), 0u);
+}
+
+TEST(Heap, ForEachObjectVisitsArrayOnceInOrderFromItsFirstObject) {
+  Heap TheHeap(/*BlockBytes=*/4096);
+  const ClassInfo &Small = TheHeap.classes().registerClass("Small", 1);
+  const ClassInfo &Rec = TheHeap.classes().registerClass("Rec", 2);
+  std::vector<const Object *> Expected;
+  for (int I = 0; I < 10; ++I)
+    Expected.push_back(TheHeap.allocate(Small));
+  // Arrays of several sizes, so their buffers start at different
+  // offsets from a line and some carry padding before the first object.
+  // A walk that started at the buffer's start would read that padding
+  // as a header.
+  for (size_t Count : {size_t(3), size_t(64), size_t(5000), size_t(1)}) {
+    Object *First = TheHeap.allocateArray(Rec, Count);
+    for (const Object *Obj : arrayObjects(First, Rec, Count))
+      Expected.push_back(Obj);
+  }
+  EXPECT_EQ(walk(TheHeap), Expected);
+}
+
+TEST(Heap, ArrayCountsExactlyItsObjectsAndBytes) {
+  Heap TheHeap;
+  const ClassInfo &Rec = TheHeap.classes().registerClass("Rec", 3);
+  TheHeap.allocateArray(Rec, 1000);
+  EXPECT_EQ(TheHeap.objectsAllocated(), 1000u);
+  EXPECT_EQ(TheHeap.bytesAllocated(), 1000u * footprint(Rec));
+  // More arrays, so that some carry padding before their first object,
+  // and an ordinary object after them.
+  for (size_t Count : {size_t(1), size_t(7), size_t(64), size_t(5000)})
+    TheHeap.allocateArray(Rec, Count);
+  TheHeap.allocate(Rec);
+  EXPECT_EQ(TheHeap.objectsAllocated(), 6073u);
+  EXPECT_EQ(TheHeap.bytesAllocated(), 6073u * footprint(Rec));
+}
+
+TEST(Heap, AllocateAfterArrayComesAfterItInWalkOrder) {
+  Heap TheHeap;
+  const ClassInfo &Small = TheHeap.classes().registerClass("Small", 1);
+  const ClassInfo &Rec = TheHeap.classes().registerClass("Rec", 2);
+  // The thread's buffer still has room after Before, yet After must not
+  // land there: it would walk ahead of the array.
+  const Object *Before = TheHeap.allocate(Small);
+  Object *First = TheHeap.allocateArray(Rec, 5);
+  const Object *After = TheHeap.allocate(Small);
+
+  std::vector<const Object *> Expected = {Before};
+  for (const Object *Obj : arrayObjects(First, Rec, 5))
+    Expected.push_back(Obj);
+  Expected.push_back(After);
+  EXPECT_EQ(walk(TheHeap), Expected);
+}
+
+TEST(Heap, WalkDuringArrayAllocationSeesNoneOrAllOfIt) {
+  Heap TheHeap;
+  const ClassInfo &Rec = TheHeap.classes().registerClass("Rec", 1);
+  uint32_t NumClasses = TheHeap.classes().size();
+  constexpr size_t Count = 20000;
+  constexpr int Arrays = 20;
+
+  std::atomic<bool> Done{false};
+  uint64_t Walks = 0, Torn = 0, Bad = 0;
+  std::thread Walker([&] {
+    do {
+      size_t Seen = 0;
+      TheHeap.forEachObject([&](const Object &Obj) {
+        bool Constructed =
+            Obj.classIndex() < NumClasses &&
+            (Obj.lockWord().load(std::memory_order_relaxed) & 0xFFu) ==
+                (Obj.identityHash() & 0xFFu);
+        Bad += Constructed ? 0 : 1;
+        Seen += Obj.classIndex() == Rec.Index ? 1 : 0;
+      });
+      Torn += Seen % Count == 0 ? 0 : 1;
+      ++Walks;
+    } while (!Done.load(std::memory_order_acquire));
+  });
+  for (int I = 0; I < Arrays; ++I)
+    TheHeap.allocateArray(Rec, Count);
+  Done.store(true, std::memory_order_release);
+  Walker.join();
+
+  EXPECT_EQ(Torn, 0u) << "over " << Walks << " walks";
+  EXPECT_EQ(Bad, 0u) << "over " << Walks << " walks";
+  EXPECT_EQ(walk(TheHeap).size(), Count * Arrays);
+}

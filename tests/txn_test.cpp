@@ -32,6 +32,10 @@ namespace {
 // and a publish each touch a single cache line.
 static_assert(sizeof(TxnCell) == 16, "TxnCell is one 16-byte record");
 static_assert(alignof(TxnCell) == 16, "a cell never straddles a line");
+// The record lives in its object's slots: from a line-aligned first
+// object, two objects fill each line and none straddles one.
+static_assert(sizeof(Object) + sizeof(TxnCell) == 32,
+              "header plus record is 32 bytes");
 
 //===----------------------------------------------------------------------===//
 // Pure pieces: names, the wait-die rule, the access draw.
@@ -307,12 +311,39 @@ TEST_F(TxnEngineTest, TxnOnlyWaitDieAllocatesOwnerStamps) {
     EXPECT_EQ(Table.OwnerTs[I].load(), 0u) << "stamp " << I;
 }
 
+TEST_F(TxnEngineTest, RecordSharesItsObjectsCacheLine) {
+  // An access touches one line: each object's lock word and both words
+  // of its record sit in the same 64-byte line.
+  TxnParams Params;
+  Params.HeapObjects = 4096;
+  TxnEngine Engine(sync(), TheHeap, Registry, ConflictPolicyKind::Validated,
+                   Params);
+  const TxnTable &Table = Engine.table();
+  ASSERT_EQ(Table.Size, 4096u);
+  auto LineOf = [](const void *Byte) {
+    return reinterpret_cast<uintptr_t>(Byte) / 64;
+  };
+  for (size_t I = 0; I < Table.Size; ++I) {
+    const Object *Obj = Table.object(I);
+    const TxnCell &Cell = Table.cell(I);
+    ASSERT_LT(Obj->classIndex(), TheHeap.classes().size()) << "object " << I;
+    ASSERT_EQ(TheHeap.classOf(*Obj).Name, "TxnObj") << "object " << I;
+    uintptr_t Line = LineOf(&Obj->lockWord());
+    ASSERT_EQ(LineOf(&Cell.Version), Line) << "object " << I;
+    ASSERT_EQ(LineOf(reinterpret_cast<const char *>(&Cell.Value + 1) - 1),
+              Line)
+        << "object " << I;
+    ASSERT_EQ(Cell.Version.load(), 0u) << "object " << I;
+    ASSERT_EQ(Cell.Value.load(), 0u) << "object " << I;
+  }
+}
+
 TEST_F(TxnEngineTest, TxnNoWaitAbortsBusyAndReleasesEverything) {
   TxnParams Params;
   Params.HeapObjects = 8;
   TxnEngine Engine(sync(), TheHeap, Registry, ConflictPolicyKind::NoWait,
                    Params);
-  Object *Contested = Engine.table().Objects[0];
+  Object *Contested = Engine.table().object(0);
   sync().lock(Contested, main());
 
   std::thread Worker([&] {
@@ -326,7 +357,7 @@ TEST_F(TxnEngineTest, TxnNoWaitAbortsBusyAndReleasesEverything) {
               TxnStatus::AbortedBusy);
     // The abort released index 1 (and acquired nothing else).
     for (size_t Idx : {size_t(1), size_t(2)})
-      EXPECT_FALSE(sync().holdsLock(Engine.table().Objects[Idx], Me));
+      EXPECT_FALSE(sync().holdsLock(Engine.table().object(Idx), Me));
     EXPECT_EQ(Scratch.WritesApplied, 0u);
   });
   Worker.join();
@@ -341,7 +372,7 @@ TEST_F(TxnEngineTest, TxnWaitDieYoungerDiesImmediately) {
   TxnEngine Engine(sync(), TheHeap, Registry, ConflictPolicyKind::WaitDie,
                    Params);
   const TxnTable &Table = Engine.table();
-  sync().lock(Table.Objects[0], main());
+  sync().lock(Table.object(0), main());
   Table.OwnerTs[0].store(5, std::memory_order_release); // Older holder.
 
   std::thread Worker([&] {
@@ -355,11 +386,11 @@ TEST_F(TxnEngineTest, TxnWaitDieYoungerDiesImmediately) {
               TxnStatus::AbortedDie);
     // Dying is immediate: no wait rung was taken.
     EXPECT_LT(Watch.elapsedNanos(), 40'000'000u);
-    EXPECT_FALSE(sync().holdsLock(Table.Objects[0], Me));
+    EXPECT_FALSE(sync().holdsLock(Table.object(0), Me));
   });
   Worker.join();
   Table.OwnerTs[0].store(0, std::memory_order_release);
-  sync().unlock(Table.Objects[0], main());
+  sync().unlock(Table.object(0), main());
 }
 
 TEST_F(TxnEngineTest, TxnWaitDieOlderWaitsAndEventuallyCommits) {
@@ -370,7 +401,7 @@ TEST_F(TxnEngineTest, TxnWaitDieOlderWaitsAndEventuallyCommits) {
   TxnEngine Engine(sync(), TheHeap, Registry, ConflictPolicyKind::WaitDie,
                    Params);
   const TxnTable &Table = Engine.table();
-  sync().lock(Table.Objects[0], main());
+  sync().lock(Table.object(0), main());
   Table.OwnerTs[0].store(100, std::memory_order_release); // Younger holder.
 
   std::atomic<bool> WorkerDone{false};
@@ -385,14 +416,14 @@ TEST_F(TxnEngineTest, TxnWaitDieOlderWaitsAndEventuallyCommits) {
     EXPECT_EQ(Engine.policy().execute(Me, /*Ts=*/1, Access, Scratch),
               TxnStatus::Committed);
     EXPECT_EQ(Scratch.WritesApplied, 1u);
-    EXPECT_FALSE(sync().holdsLock(Table.Objects[0], Me));
+    EXPECT_FALSE(sync().holdsLock(Table.object(0), Me));
     WorkerDone.store(true, std::memory_order_release);
   });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(WorkerDone.load(std::memory_order_acquire));
   Table.OwnerTs[0].store(0, std::memory_order_release);
-  sync().unlock(Table.Objects[0], main());
+  sync().unlock(Table.object(0), main());
   Worker.join();
   EXPECT_EQ(Engine.versionSum(), 1u);
 }
@@ -411,8 +442,8 @@ TEST_F(TxnEngineTest, TxnWaitDieDeadlockVerdictIsPreciseAbort) {
   TxnEngine Engine(sync(), TheHeap, Registry, ConflictPolicyKind::WaitDie,
                    Params);
   const TxnTable &Table = Engine.table();
-  Object *A = Table.Objects[0];
-  Object *B = Table.Objects[1];
+  Object *A = Table.object(0);
+  Object *B = Table.object(1);
 
   sync().lock(A, main()); // Main's side of the cycle; no txn stamp.
 
@@ -468,8 +499,8 @@ TEST_F(TxnEngineTest, TxnOccCommitLockMarksVersionsAndAbortRestoresThem) {
   ASSERT_TRUE(occLockWriteSet(Table, main(), Writes, Acquired, /*Spins=*/4));
   ASSERT_EQ(Acquired.size(), 2u);
   for (size_t Idx : Writes) {
-    EXPECT_TRUE(sync().holdsLock(Table.Objects[Idx], main()));
-    EXPECT_EQ(Table.Cells[Idx].Version.load() & 1, 1u)
+    EXPECT_TRUE(sync().holdsLock(Table.object(Idx), main()));
+    EXPECT_EQ(Table.cell(Idx).Version.load() & 1, 1u)
         << "commit lock not observable in the version word";
   }
 
@@ -483,8 +514,8 @@ TEST_F(TxnEngineTest, TxnOccCommitLockMarksVersionsAndAbortRestoresThem) {
   occAbortWriteSet(Table, main(), Acquired);
   EXPECT_TRUE(Acquired.empty());
   for (size_t Idx : Writes) {
-    EXPECT_FALSE(sync().holdsLock(Table.Objects[Idx], main()));
-    EXPECT_EQ(Table.Cells[Idx].Version.load(), 0u)
+    EXPECT_FALSE(sync().holdsLock(Table.object(Idx), main()));
+    EXPECT_EQ(Table.cell(Idx).Version.load(), 0u)
         << "abort must restore the pre-window version";
   }
   // With the window gone the old snapshot validates again, and no
@@ -536,12 +567,12 @@ TEST_F(TxnEngineTest, TxnOccCrossingCommitWindowsCannotBothCommit) {
       return;
     }
     // Validated: publish (what applyWrite does) and release.
-    TxnCell &Cell = Table.Cells[WriteIdx];
+    TxnCell &Cell = Table.cell(WriteIdx);
     uint64_t Next =
         ((Cell.Version.load(std::memory_order_relaxed) >> 1) + 1) << 1;
     Cell.Value.store(Next, std::memory_order_release);
     Cell.Version.store(Next, std::memory_order_release);
-    sync().unlock(Table.Objects[WriteIdx], Me);
+    sync().unlock(Table.object(WriteIdx), Me);
     DidCommit = true;
   };
 
@@ -555,8 +586,8 @@ TEST_F(TxnEngineTest, TxnOccCrossingCommitWindowsCannotBothCommit) {
       << "write skew: both crossing commit windows committed";
   // Whatever the outcome, the windows closed cleanly: versions even
   // and the version sum accounts exactly for the committed writes.
-  EXPECT_EQ(Table.Cells[X].Version.load() & 1, 0u);
-  EXPECT_EQ(Table.Cells[Y].Version.load() & 1, 0u);
+  EXPECT_EQ(Table.cell(X).Version.load() & 1, 0u);
+  EXPECT_EQ(Table.cell(Y).Version.load() & 1, 0u);
   EXPECT_EQ(Engine.versionSum(), Commits);
 }
 
