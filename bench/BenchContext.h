@@ -8,10 +8,9 @@
 /// Why not the library's own `library_build_type` field: that string is
 /// compiled into libbenchmark itself, so a distro-packaged shared
 /// library reports the *library's* build type (typically "debug") no
-/// matter how the benchmark binaries were compiled.  The committed
-/// trajectory gate (bench/run_benches.sh) therefore keys on this custom
-/// field instead — it reflects the flags of the code actually being
-/// measured.
+/// matter how the benchmark binaries were compiled.  The bench gate
+/// (tools/bench_gate.py) therefore keys on this custom field instead —
+/// it reflects the flags of the code actually being measured.
 ///
 /// Include this header in every BENCHMARK_MAIN() translation unit.  The
 /// registrar runs from a static initializer, which is safe:
@@ -24,17 +23,16 @@
 #ifndef THINLOCKS_BENCH_BENCHCONTEXT_H
 #define THINLOCKS_BENCH_BENCHCONTEXT_H
 
+#include "BenchArtifact.h"
+
 #include <benchmark/benchmark.h>
 
 namespace {
 
 struct ThinlocksBenchContextRegistrar {
   ThinlocksBenchContextRegistrar() {
-#ifdef NDEBUG
-    benchmark::AddCustomContext("thinlocks_build_type", "release");
-#else
-    benchmark::AddCustomContext("thinlocks_build_type", "debug");
-#endif
+    benchmark::AddCustomContext("thinlocks_build_type",
+                                thinlocks::bench::BuildType);
   }
 };
 

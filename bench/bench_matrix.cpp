@@ -31,6 +31,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchArtifact.h"
+
 #include "core/ProtocolRegistry.h"
 #include "heap/Heap.h"
 #include "load/Zipf.h"
@@ -44,12 +46,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 using namespace thinlocks;
+using namespace thinlocks::bench;
 using namespace thinlocks::workload;
 
 namespace {
@@ -82,15 +84,6 @@ struct Row {
                           static_cast<double>(Ops);
   }
 };
-
-int Failures = 0;
-
-void check(bool Ok, const char *What) {
-  if (Ok)
-    return;
-  std::fprintf(stderr, "FAIL: %s\n", What);
-  ++Failures;
-}
 
 /// Zipf convoy: \p Threads registry-attached threads each performing
 /// \p OpsPerThread lock/work/unlock operations on a Zipf(0.8)-skewed set
@@ -202,48 +195,6 @@ void runBattery(P &Protocol, const std::string &Name, const Sizes &S,
   }
 }
 
-std::string renderJson(const std::vector<Row> &Rows,
-                       const std::vector<std::string> &Protocols,
-                       const std::vector<std::string> &Workloads) {
-  std::string Json = "{\n  \"schema\": \"thinlocks-bench-matrix-v1\",\n";
-#ifdef NDEBUG
-  Json += "  \"build_type\": \"release\",\n";
-#else
-  Json += "  \"build_type\": \"debug\",\n";
-#endif
-  auto appendList = [&Json](const char *Key,
-                            const std::vector<std::string> &Values) {
-    Json += "  \"";
-    Json += Key;
-    Json += "\": [";
-    for (size_t I = 0; I < Values.size(); ++I) {
-      if (I != 0)
-        Json += ", ";
-      Json += "\"" + Values[I] + "\"";
-    }
-    Json += "],\n";
-  };
-  appendList("protocols", Protocols);
-  appendList("workloads", Workloads);
-  Json += "  \"rows\": [\n";
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const Row &R = Rows[I];
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf),
-                  "    {\"protocol\": \"%s\", \"protocol_impl\": \"%s\", "
-                  "\"workload\": \"%s\", \"ops\": %llu, \"elapsed_ns\": "
-                  "%llu, \"ns_per_op\": %.2f}%s\n",
-                  R.Protocol.c_str(), R.ProtocolImpl.c_str(),
-                  R.Workload.c_str(),
-                  static_cast<unsigned long long>(R.Ops),
-                  static_cast<unsigned long long>(R.ElapsedNanos),
-                  R.nsPerOp(), I + 1 == Rows.size() ? "" : ",");
-    Json += Buf;
-  }
-  Json += "  ]\n}\n";
-  return Json;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -297,19 +248,21 @@ int main(int Argc, char **Argv) {
     check(R.Ops > 0, "row measured zero operations");
   }
 
-  std::string Json = renderJson(Rows, Protocols, Workloads);
-  std::ofstream OutFile(Opts.Out, std::ios::binary | std::ios::trunc);
-  if (!OutFile || !(OutFile << Json) || !OutFile.flush()) {
-    std::fprintf(stderr, "error: cannot write %s\n", Opts.Out);
+  JsonWriter Doc = beginArtifact("thinlocks-bench-matrix-v1");
+  Doc.key("protocols").array(Protocols);
+  Doc.key("workloads").array(Workloads);
+  Doc.key("rows").beginArray(JsonWriter::Layout::Lines);
+  for (const Row &R : Rows)
+    Doc.beginObject()
+        .field("protocol", R.Protocol)
+        .field("protocol_impl", R.ProtocolImpl)
+        .field("workload", R.Workload)
+        .field("ops", R.Ops)
+        .field("elapsed_ns", R.ElapsedNanos)
+        .field("ns_per_op", R.nsPerOp(), 2)
+        .end();
+  Doc.end();
+  if (!writeArtifact(Opts.Out, Doc))
     return 1;
-  }
-  std::printf("wrote %s (%zu bytes, %zu rows)\n", Opts.Out, Json.size(),
-              Rows.size());
-
-  if (Failures != 0) {
-    std::fprintf(stderr, "bench_matrix: %d self-check(s) failed\n", Failures);
-    return 1;
-  }
-  std::printf("bench_matrix: all self-checks passed\n");
-  return 0;
+  return exitStatus("bench_matrix");
 }

@@ -39,6 +39,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchArtifact.h"
+
 #include "core/ProtocolRegistry.h"
 #include "load/SoakHarness.h"
 #include "obs/ChromeTrace.h"
@@ -47,10 +49,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 using namespace thinlocks;
+using namespace thinlocks::bench;
 using namespace thinlocks::load;
 
 namespace {
@@ -116,15 +118,6 @@ bool parseOptions(int Argc, char **Argv, Options &Opts) {
     }
   }
   return true;
-}
-
-int Failures = 0;
-
-void check(bool Ok, const char *What) {
-  if (Ok)
-    return;
-  std::fprintf(stderr, "FAIL: %s\n", What);
-  ++Failures;
 }
 
 } // namespace
@@ -289,67 +282,44 @@ int main(int Argc, char **Argv) {
   }
 
   // --- Artifacts ---------------------------------------------------------
-  std::string Json = "{\n  \"config\": {\"protocol\": \"" + Protocol +
-                     "\", \"rate_per_s\": " +
-                     std::to_string(Config.ArrivalsPerSecond) +
-                     ", \"duration_s\": " +
-                     std::to_string(Config.DurationSeconds) +
-                     ", \"workers\": " + std::to_string(Config.Workers) +
-                     ", \"seed\": " + std::to_string(Config.Seed) +
-                     ", \"chaos\": " +
-                     (Opts.Chaos ? std::string("true") : std::string("false")) +
-                     ", \"heavy_fraction\": " +
-                     std::to_string(Config.HeavyFraction) +
-                     ", \"hot_objects\": " +
-                     std::to_string(Config.HotObjects) +
-                     ", \"zipf_theta\": " +
-                     std::to_string(Config.ZipfTheta) +
-                     ", \"adaptive\": " +
-                     (Opts.Adaptive ? std::string("true")
-                                    : std::string("false")) +
-                     "},\n  \"slo\": ";
-  Json += Slo.toJson();
+  JsonWriter Doc = beginArtifact("thinlocks-bench-soak-v1");
+  Doc.key("config")
+      .beginObject()
+      .field("protocol", Protocol)
+      .field("rate_per_s", Config.ArrivalsPerSecond, 6)
+      .field("duration_s", Config.DurationSeconds, 6)
+      .field("workers", Config.Workers)
+      .field("seed", Config.Seed)
+      .field("chaos", Opts.Chaos)
+      .field("heavy_fraction", Config.HeavyFraction, 6)
+      .field("hot_objects", Config.HotObjects)
+      .field("zipf_theta", Config.ZipfTheta, 6)
+      .field("adaptive", Opts.Adaptive)
+      .end();
+  Slo.writeJson(Doc.key("slo"));
   if (Opts.Adaptive) {
     const policy::PolicyCounters &P = Result.Policy;
-    Json += ",\n  \"policy\": {\"ticks\": " + std::to_string(P.Ticks) +
-            ", \"promotions\": " + std::to_string(P.Promotions) +
-            ", \"demotions\": " + std::to_string(P.Demotions) +
-            ", \"expiries\": " + std::to_string(P.Expiries) +
-            ", \"deep_spin\": " + std::to_string(P.DeepSpinDecisions) +
-            ", \"park_early\": " + std::to_string(P.ParkEarlyDecisions) +
-            ", \"keep_fat\": " + std::to_string(P.KeepFatDecisions) +
-            ", \"class_promotions\": " + std::to_string(P.ClassPromotions) +
-            ", \"speculative_deflations\": " +
-            std::to_string(P.SpeculativeDeflations) +
-            ", \"publish_failures\": " + std::to_string(P.PublishFailures) +
-            ", \"monitor_retirements\": " +
-            std::to_string(Result.MonitorRetirements) + "}";
+    Doc.key("policy")
+        .beginObject()
+        .field("ticks", P.Ticks)
+        .field("promotions", P.Promotions)
+        .field("demotions", P.Demotions)
+        .field("expiries", P.Expiries)
+        .field("deep_spin", P.DeepSpinDecisions)
+        .field("park_early", P.ParkEarlyDecisions)
+        .field("keep_fat", P.KeepFatDecisions)
+        .field("class_promotions", P.ClassPromotions)
+        .field("speculative_deflations", P.SpeculativeDeflations)
+        .field("publish_failures", P.PublishFailures)
+        .field("monitor_retirements", Result.MonitorRetirements)
+        .end();
   }
   if (!Result.ProtocolStatsJson.empty())
-    Json += ",\n  \"protocol_stats\": " + Result.ProtocolStatsJson;
-  Json += "}\n";
-  std::ofstream OutFile(Opts.Out, std::ios::binary | std::ios::trunc);
-  if (!OutFile || !(OutFile << Json) || !OutFile.flush()) {
-    std::fprintf(stderr, "error: cannot write %s\n", Opts.Out);
+    Doc.key("protocol_stats").raw(Result.ProtocolStatsJson);
+  if (!writeArtifact(Opts.Out, Doc))
     return 1;
-  }
-  std::printf("wrote %s (%zu bytes)\n", Opts.Out, Json.size());
-  if (Opts.TraceOut != nullptr && !Result.WorstTraceJson.empty()) {
-    std::ofstream TraceFile(Opts.TraceOut,
-                            std::ios::binary | std::ios::trunc);
-    if (!TraceFile || !(TraceFile << Result.WorstTraceJson) ||
-        !TraceFile.flush()) {
-      std::fprintf(stderr, "error: cannot write %s\n", Opts.TraceOut);
-      return 1;
-    }
-    std::printf("wrote %s (%zu bytes, %zu spans)\n", Opts.TraceOut,
-                Result.WorstTraceJson.size(), Result.WorstSessions.size());
-  }
-
-  if (Failures != 0) {
-    std::fprintf(stderr, "bench_soak: %d self-check(s) failed\n", Failures);
+  if (Opts.TraceOut != nullptr && !Result.WorstTraceJson.empty() &&
+      !writeFile(Opts.TraceOut, Result.WorstTraceJson))
     return 1;
-  }
-  std::printf("bench_soak: all self-checks passed\n");
-  return 0;
+  return exitStatus("bench_soak");
 }

@@ -27,16 +27,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchArtifact.h"
+
 #include "core/ProtocolRegistry.h"
 #include "txn/TxnEngine.h"
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 using namespace thinlocks;
+using namespace thinlocks::bench;
 using namespace thinlocks::txn;
 
 namespace {
@@ -65,77 +67,6 @@ struct Cell {
   double CommitsPerSec = 0;
   bool IntegrityOk = false;
 };
-
-int Failures = 0;
-
-void check(bool Ok, const char *What) {
-  if (Ok)
-    return;
-  std::fprintf(stderr, "FAIL: %s\n", What);
-  ++Failures;
-}
-
-std::string renderJson(const std::vector<Cell> &Cells,
-                       const std::vector<std::string> &Protocols,
-                       const std::vector<std::string> &Policies) {
-  std::string Json = "{\n  \"schema\": \"thinlocks-bench-txn-v1\",\n";
-#ifdef NDEBUG
-  Json += "  \"build_type\": \"release\",\n";
-#else
-  Json += "  \"build_type\": \"debug\",\n";
-#endif
-  auto appendList = [&Json](const char *Key,
-                            const std::vector<std::string> &Values) {
-    Json += "  \"";
-    Json += Key;
-    Json += "\": [";
-    for (size_t I = 0; I < Values.size(); ++I) {
-      if (I != 0)
-        Json += ", ";
-      Json += "\"" + Values[I] + "\"";
-    }
-    Json += "],\n";
-  };
-  appendList("protocols", Protocols);
-  appendList("policies", Policies);
-  Json += "  \"rows\": [\n";
-  for (size_t I = 0; I < Cells.size(); ++I) {
-    const Cell &C = Cells[I];
-    char Buf[1024];
-    int Len = std::snprintf(
-        Buf, sizeof(Buf),
-        "    {\"protocol\": \"%s\", \"protocol_impl\": \"%s\", "
-        "\"policy\": \"%s\", \"started\": %llu, \"committed\": %llu, "
-        "\"aborted\": %llu, "
-        "\"aborts\": {\"busy\": %llu, \"die\": %llu, \"deadlock\": %llu, "
-        "\"validation\": %llu}, "
-        "\"commits_per_sec\": %.1f, \"abort_p99_ns\": %llu, "
-        "\"commit_p99_ns\": %llu, \"consistency_violations\": %llu, "
-        "\"attach_failures\": %llu, \"elapsed_ns\": %llu}%s\n",
-        C.Protocol.c_str(), C.ProtocolImpl.c_str(), C.Policy.c_str(),
-        static_cast<unsigned long long>(C.Stats.Started),
-        static_cast<unsigned long long>(C.Stats.Committed),
-        static_cast<unsigned long long>(C.Stats.aborted()),
-        static_cast<unsigned long long>(C.Stats.AbortedBusy),
-        static_cast<unsigned long long>(C.Stats.AbortedDie),
-        static_cast<unsigned long long>(C.Stats.AbortedDeadlock),
-        static_cast<unsigned long long>(C.Stats.AbortedValidation),
-        C.CommitsPerSec,
-        static_cast<unsigned long long>(C.Stats.AbortLatency.quantile(0.99)),
-        static_cast<unsigned long long>(C.Stats.CommitLatency.quantile(0.99)),
-        static_cast<unsigned long long>(C.Stats.ConsistencyViolations),
-        static_cast<unsigned long long>(C.Stats.AttachFailures),
-        static_cast<unsigned long long>(C.ElapsedNanos),
-        I + 1 == Cells.size() ? "" : ",");
-    // A truncated row is malformed JSON that would otherwise only fail
-    // later at the schema gate; fail here, loudly.
-    check(Len > 0 && static_cast<size_t>(Len) < sizeof(Buf),
-          "json row truncated (raise the row buffer size)");
-    Json += Buf;
-  }
-  Json += "  ]\n}\n";
-  return Json;
-}
 
 } // namespace
 
@@ -219,19 +150,35 @@ int main(int Argc, char **Argv) {
           "a worker failed to attach (throughput under-reported)");
   }
 
-  std::string Json = renderJson(Cells, Protocols, Policies);
-  std::ofstream OutFile(Opts.Out, std::ios::binary | std::ios::trunc);
-  if (!OutFile || !(OutFile << Json) || !OutFile.flush()) {
-    std::fprintf(stderr, "error: cannot write %s\n", Opts.Out);
-    return 1;
+  JsonWriter Doc = beginArtifact("thinlocks-bench-txn-v1");
+  Doc.key("protocols").array(Protocols);
+  Doc.key("policies").array(Policies);
+  Doc.key("rows").beginArray(JsonWriter::Layout::Lines);
+  for (const Cell &C : Cells) {
+    Doc.beginObject()
+        .field("protocol", C.Protocol)
+        .field("protocol_impl", C.ProtocolImpl)
+        .field("policy", C.Policy)
+        .field("started", C.Stats.Started)
+        .field("committed", C.Stats.Committed)
+        .field("aborted", C.Stats.aborted());
+    Doc.key("aborts")
+        .beginObject()
+        .field("busy", C.Stats.AbortedBusy)
+        .field("die", C.Stats.AbortedDie)
+        .field("deadlock", C.Stats.AbortedDeadlock)
+        .field("validation", C.Stats.AbortedValidation)
+        .end();
+    Doc.field("commits_per_sec", C.CommitsPerSec, 1)
+        .field("abort_p99_ns", C.Stats.AbortLatency.quantile(0.99))
+        .field("commit_p99_ns", C.Stats.CommitLatency.quantile(0.99))
+        .field("consistency_violations", C.Stats.ConsistencyViolations)
+        .field("attach_failures", C.Stats.AttachFailures)
+        .field("elapsed_ns", C.ElapsedNanos)
+        .end();
   }
-  std::printf("wrote %s (%zu bytes, %zu cells)\n", Opts.Out, Json.size(),
-              Cells.size());
-
-  if (Failures != 0) {
-    std::fprintf(stderr, "bench_txn: %d self-check(s) failed\n", Failures);
+  Doc.end();
+  if (!writeArtifact(Opts.Out, Doc))
     return 1;
-  }
-  std::printf("bench_txn: all self-checks passed\n");
-  return 0;
+  return exitStatus("bench_txn");
 }

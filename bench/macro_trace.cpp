@@ -18,6 +18,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchArtifact.h"
+
 #include "core/ThinLock.h"
 #include "heap/Heap.h"
 #include "obs/ChromeTrace.h"
@@ -31,7 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 
@@ -159,12 +160,5 @@ int main(int Argc, char **Argv) {
                  Error.c_str());
     return 1;
   }
-  std::ofstream OutFile(Opts.Out, std::ios::binary | std::ios::trunc);
-  if (!OutFile || !(OutFile << Json) || !OutFile.flush()) {
-    std::fprintf(stderr, "error: cannot write %s\n", Opts.Out);
-    return 1;
-  }
-  std::printf("wrote %s (%zu bytes, %zu events)\n", Opts.Out, Json.size(),
-              Collector.events().size());
-  return 0;
+  return bench::writeFile(Opts.Out, Json) ? 0 : 1;
 }

@@ -2,8 +2,9 @@
 
 #include "baselines/HotLocks.h"
 
+#include "support/JsonWriter.h"
+
 #include <cassert>
-#include <cstdio>
 
 using namespace thinlocks;
 
@@ -307,15 +308,13 @@ HotLocksStats HotLocks::stats() const {
 
 std::string HotLocks::statsJson() const {
   HotLocksStats S = stats();
-  char Buffer[256];
-  std::snprintf(Buffer, sizeof(Buffer),
-                "{\"hot_path_ops\": %llu, \"cache_path_ops\": %llu, "
-                "\"promotions\": %llu, \"sweeps\": %llu, "
-                "\"sweep_scanned\": %llu}",
-                (unsigned long long)S.HotPathOps,
-                (unsigned long long)S.CachePathOps,
-                (unsigned long long)S.Promotions,
-                (unsigned long long)S.Sweeps,
-                (unsigned long long)S.SweepScannedEntries);
-  return Buffer;
+  return JsonWriter()
+      .beginObject()
+      .field("hot_path_ops", S.HotPathOps)
+      .field("cache_path_ops", S.CachePathOps)
+      .field("promotions", S.Promotions)
+      .field("sweeps", S.Sweeps)
+      .field("sweep_scanned", S.SweepScannedEntries)
+      .end()
+      .take();
 }

@@ -2,8 +2,9 @@
 
 #include "baselines/MonitorCache.h"
 
+#include "support/JsonWriter.h"
+
 #include <cassert>
-#include <cstdio>
 
 using namespace thinlocks;
 
@@ -197,14 +198,14 @@ size_t MonitorCache::mappedMonitorCount() const {
 
 std::string MonitorCache::statsJson() const {
   MonitorCacheStats S = stats();
-  char Buffer[256];
-  std::snprintf(Buffer, sizeof(Buffer),
-                "{\"lookups\": %llu, \"hits\": %llu, \"misses\": %llu, "
-                "\"sweeps\": %llu, \"sweep_scanned\": %llu, "
-                "\"pool_growths\": %llu}",
-                (unsigned long long)S.Lookups, (unsigned long long)S.Hits,
-                (unsigned long long)S.Misses, (unsigned long long)S.Sweeps,
-                (unsigned long long)S.SweepScannedEntries,
-                (unsigned long long)S.PoolGrowths);
-  return Buffer;
+  return JsonWriter()
+      .beginObject()
+      .field("lookups", S.Lookups)
+      .field("hits", S.Hits)
+      .field("misses", S.Misses)
+      .field("sweeps", S.Sweeps)
+      .field("sweep_scanned", S.SweepScannedEntries)
+      .field("pool_growths", S.PoolGrowths)
+      .end()
+      .take();
 }

@@ -37,10 +37,7 @@ LockStats::Snapshot LockStats::rawSnapshot() const {
   S.EmergencyInflations = EmergencyInflations.value();
   S.TimedOutAcquisitions = TimedOutAcquisitions.value();
   S.DeadlocksDetected = DeadlocksDetected.value();
-  for (unsigned Bucket = 0; Bucket < NumWakeBuckets; ++Bucket) {
-    S.WakeBuckets[Bucket] = WakeBuckets[Bucket].value();
-    S.Wakes += S.WakeBuckets[Bucket];
-  }
+  S.Wakes = Wakes.value();
   S.WakeNanosTotal = WakeNanosTotal.value();
   S.WakeNanosMax = WakeNanosMax.load(std::memory_order_relaxed);
   return S;
@@ -69,9 +66,6 @@ LockStats::Snapshot LockStats::snapshot() const {
   for (unsigned Bucket = 0; Bucket < NumDepthBuckets; ++Bucket)
     S.DepthBuckets[Bucket] =
         minus(S.DepthBuckets[Bucket], Baseline.DepthBuckets[Bucket]);
-  for (unsigned Bucket = 0; Bucket < NumWakeBuckets; ++Bucket)
-    S.WakeBuckets[Bucket] =
-        minus(S.WakeBuckets[Bucket], Baseline.WakeBuckets[Bucket]);
   S.Wakes = minus(S.Wakes, Baseline.Wakes);
   S.WakeNanosTotal = minus(S.WakeNanosTotal, Baseline.WakeNanosTotal);
   // WakeNanosMax is a high-water mark, not a sum; it was re-zeroed at

@@ -19,7 +19,6 @@
 #ifndef THINLOCKS_CORE_LOCKSTATS_H
 #define THINLOCKS_CORE_LOCKSTATS_H
 
-#include "support/MathExtras.h"
 #include "support/Mutex.h"
 #include "support/StatsCounter.h"
 
@@ -36,20 +35,6 @@ public:
   /// Figure 3 buckets: index 0 = first lock (object was unlocked),
   /// 1 = second (nested once), 2 = third, 3 = fourth or deeper.
   static constexpr unsigned NumDepthBuckets = 4;
-
-  /// Time-to-wake histogram buckets (power-of-two microseconds): bucket
-  /// 0 is < 1µs, bucket B (1..8) is [2^(B-1), 2^B) µs, and the last
-  /// bucket collects everything ≥ 256µs.
-  static constexpr unsigned NumWakeBuckets = 10;
-
-  /// \returns the histogram bucket for a wake latency of \p Nanos.
-  static constexpr unsigned wakeBucketOf(uint64_t Nanos) {
-    uint64_t Micros = Nanos / 1000;
-    if (Micros == 0)
-      return 0;
-    unsigned Bucket = log2Floor(Micros) + 1;
-    return Bucket >= NumWakeBuckets ? NumWakeBuckets - 1 : Bucket;
-  }
 
   /// A coherent point-in-time copy of every counter.  Each field is read
   /// once from the live (striped) counters, so derived views — summary
@@ -69,8 +54,7 @@ public:
     uint64_t TimedOutAcquisitions = 0;
     uint64_t DeadlocksDetected = 0;
     std::array<uint64_t, NumDepthBuckets> DepthBuckets{};
-    /// Wake-handoff latency distribution (see NumWakeBuckets).
-    std::array<uint64_t, NumWakeBuckets> WakeBuckets{};
+    /// Wake handoffs: their count, summed latency and worst latency.
     uint64_t Wakes = 0;
     uint64_t WakeNanosTotal = 0;
     uint64_t WakeNanosMax = 0;
@@ -122,7 +106,7 @@ public:
   /// Records one wake handoff that took \p Nanos from unpark to resume
   /// (measured by the woken thread's Parker; fed in by FatLock).
   void recordWakeLatency(uint64_t Nanos) {
-    WakeBuckets[wakeBucketOf(Nanos)].increment();
+    Wakes.increment();
     WakeNanosTotal.increment(Nanos);
     uint64_t Max = WakeNanosMax.load(std::memory_order_relaxed);
     while (Nanos > Max &&
@@ -161,10 +145,6 @@ public:
 
   /// \returns how many wake handoffs have been recorded.
   uint64_t wakeCount() const { return snapshot().Wakes; }
-  /// \returns the wake count in histogram bucket \p Bucket (0..9).
-  uint64_t wakeBucket(unsigned Bucket) const {
-    return snapshot().WakeBuckets[Bucket];
-  }
 
   /// \returns the acquisition count in Figure 3 bucket \p Bucket (0..3).
   uint64_t depthBucket(unsigned Bucket) const {
@@ -206,7 +186,7 @@ private:
   StatsCounter TimedOutAcquisitions;
   StatsCounter DeadlocksDetected;
   std::array<StatsCounter, NumDepthBuckets> DepthBuckets;
-  std::array<StatsCounter, NumWakeBuckets> WakeBuckets;
+  StatsCounter Wakes;
   StatsCounter WakeNanosTotal;
   std::atomic<uint64_t> WakeNanosMax{0};
   /// The raw-counter values at the last reset(); subtracted from every

@@ -170,7 +170,7 @@ public:
   uint32_t notifyAll(const ThreadContext &Thread) TL_EXCLUDES(Mu);
 
   /// Routes wake-handoff latency samples (unpark-to-resume nanoseconds,
-  /// measured by the Parkers) into \p Stats' time-to-wake histogram.
+  /// measured by the Parkers) into \p Stats' wake count, mean and max.
   /// Set by ThinLockImpl at inflation; null (the default) disables
   /// recording.  The sink must outlive the monitor's last use.
   void setStatsSink(LockStats *Stats) {

@@ -3,6 +3,7 @@
 #include "obs/ChromeTrace.h"
 
 #include "heap/ClassInfo.h"
+#include "support/JsonWriter.h"
 
 #include <algorithm>
 #include <cctype>
@@ -14,37 +15,6 @@ using namespace thinlocks;
 using namespace thinlocks::obs;
 
 namespace {
-
-/// Escapes \p In for a JSON string literal.
-std::string jsonEscape(const std::string &In) {
-  std::string Out;
-  Out.reserve(In.size() + 2);
-  for (char C : In) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 /// Microseconds with sub-microsecond precision, as trace_event wants.
 std::string microsOf(uint64_t Nanos) {
@@ -104,7 +74,7 @@ std::string obs::toChromeTraceJson(const std::vector<LockEvent> &Events,
     Out += "\",\"class\":";
     if (Classes) {
       Out += "\"";
-      Out += jsonEscape(Classes->classAt(E.ClassIndex).Name);
+      jsonEscape(Classes->classAt(E.ClassIndex).Name, Out);
       Out += "\"";
     } else {
       Out += std::to_string(E.ClassIndex);
@@ -126,7 +96,7 @@ std::string obs::toChromeTraceJson(const std::vector<LockEvent> &Events,
     First = false;
     uint64_t End = std::max(S.EndNanos, S.StartNanos);
     Out += "{\"name\":\"";
-    Out += jsonEscape(S.Name);
+    jsonEscape(S.Name, Out);
     Out += "\",\"cat\":\"session\",\"ph\":\"X\",\"ts\":";
     Out += microsOf(S.StartNanos - Base);
     Out += ",\"dur\":";
@@ -140,9 +110,9 @@ std::string obs::toChromeTraceJson(const std::vector<LockEvent> &Events,
         Out += ",";
       FirstArg = false;
       Out += "\"";
-      Out += jsonEscape(Arg.first);
+      jsonEscape(Arg.first, Out);
       Out += "\":\"";
-      Out += jsonEscape(Arg.second);
+      jsonEscape(Arg.second, Out);
       Out += "\"";
     }
     Out += "}}";

@@ -3,9 +3,9 @@
 #include "obs/SloSnapshot.h"
 
 #include "obs/ChromeTrace.h"
+#include "support/JsonWriter.h"
 
 #include <algorithm>
-#include <cstdio>
 
 using namespace thinlocks;
 using namespace thinlocks::obs;
@@ -23,83 +23,49 @@ SloQuantiles SloQuantiles::of(const LatencyHistogram &Hist) {
 
 namespace {
 
-void appendKv(std::string &Out, const char *Key, uint64_t Value,
-              bool Comma = true) {
-  char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "    \"%s\": %llu%s\n", Key,
-                static_cast<unsigned long long>(Value), Comma ? "," : "");
-  Out += Buf;
-}
-
-void appendKv(std::string &Out, const char *Key, double Value,
-              bool Comma = true) {
-  char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "    \"%s\": %.4f%s\n", Key, Value,
-                Comma ? "," : "");
-  Out += Buf;
-}
-
-/// String values come from the protocol registry (identifier-shaped), so
-/// no escaping is needed.
-void appendKv(std::string &Out, const char *Key, const std::string &Value,
-              bool Comma = true) {
-  Out += "    \"";
-  Out += Key;
-  Out += "\": \"";
-  Out += Value;
-  Out += Comma ? "\",\n" : "\"\n";
-}
-
-void appendQuantiles(std::string &Out, const char *Key,
-                     const SloQuantiles &Q) {
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "    \"%s\": {\"count\": %llu, \"p50_ns\": %llu, "
-                "\"p99_ns\": %llu, \"p999_ns\": %llu, \"max_ns\": %llu, "
-                "\"mean_ns\": %llu},\n",
-                Key, static_cast<unsigned long long>(Q.Count),
-                static_cast<unsigned long long>(Q.P50),
-                static_cast<unsigned long long>(Q.P99),
-                static_cast<unsigned long long>(Q.P999),
-                static_cast<unsigned long long>(Q.Max),
-                static_cast<unsigned long long>(Q.Mean));
-  Out += Buf;
+void writeQuantiles(JsonWriter &W, const char *Key, const SloQuantiles &Q) {
+  W.key(Key)
+      .beginObject()
+      .field("count", Q.Count)
+      .field("p50_ns", Q.P50)
+      .field("p99_ns", Q.P99)
+      .field("p999_ns", Q.P999)
+      .field("max_ns", Q.Max)
+      .field("mean_ns", Q.Mean)
+      .end();
 }
 
 } // namespace
 
+void SloSnapshot::writeJson(JsonWriter &W) const {
+  W.beginObject(JsonWriter::Layout::Lines)
+      .field("protocol", Protocol)
+      .field("duration_s", DurationSeconds, 4);
+  writeQuantiles(W, "acquire", Acquire);
+  writeQuantiles(W, "session", Session);
+  writeQuantiles(W, "wake", Wake);
+  W.field("sessions_offered", SessionsOffered)
+      .field("sessions_completed", SessionsCompleted)
+      .field("sessions_shed", SessionsShed)
+      .field("sessions_deferred", SessionsDeferred)
+      .field("sessions_degraded", SessionsDegraded)
+      .field("requests_completed", RequestsCompleted)
+      .field("sessions_per_s", SessionsPerSecond, 4)
+      .field("requests_per_s", RequestsPerSecond, 4)
+      .field("shed_rate", ShedRate, 4)
+      .field("monitor_exhaustion_events", MonitorExhaustionEvents)
+      .field("registry_exhaustion_events", RegistryExhaustionEvents)
+      .field("emergency_inflations", EmergencyInflations);
+  W.key("ticks_at_level").array(TicksAtLevel);
+  W.field("level_transitions", LevelTransitions)
+      .field("final_level", FinalLevel)
+      .end();
+}
+
 std::string SloSnapshot::toJson() const {
-  std::string Out = "{\n";
-  appendKv(Out, "protocol", Protocol);
-  appendKv(Out, "duration_s", DurationSeconds);
-  appendQuantiles(Out, "acquire", Acquire);
-  appendQuantiles(Out, "session", Session);
-  appendQuantiles(Out, "wake", Wake);
-  appendKv(Out, "sessions_offered", SessionsOffered);
-  appendKv(Out, "sessions_completed", SessionsCompleted);
-  appendKv(Out, "sessions_shed", SessionsShed);
-  appendKv(Out, "sessions_deferred", SessionsDeferred);
-  appendKv(Out, "sessions_degraded", SessionsDegraded);
-  appendKv(Out, "requests_completed", RequestsCompleted);
-  appendKv(Out, "sessions_per_s", SessionsPerSecond);
-  appendKv(Out, "requests_per_s", RequestsPerSecond);
-  appendKv(Out, "shed_rate", ShedRate);
-  appendKv(Out, "monitor_exhaustion_events", MonitorExhaustionEvents);
-  appendKv(Out, "registry_exhaustion_events", RegistryExhaustionEvents);
-  appendKv(Out, "emergency_inflations", EmergencyInflations);
-  char Buf[160];
-  std::snprintf(Buf, sizeof(Buf),
-                "    \"ticks_at_level\": [%llu, %llu, %llu, %llu],\n",
-                static_cast<unsigned long long>(TicksAtLevel[0]),
-                static_cast<unsigned long long>(TicksAtLevel[1]),
-                static_cast<unsigned long long>(TicksAtLevel[2]),
-                static_cast<unsigned long long>(TicksAtLevel[3]));
-  Out += Buf;
-  appendKv(Out, "level_transitions", LevelTransitions);
-  appendKv(Out, "final_level", static_cast<uint64_t>(FinalLevel),
-           /*Comma=*/false);
-  Out += "}\n";
-  return Out;
+  JsonWriter W;
+  writeJson(W);
+  return W.take();
 }
 
 std::string obs::worstSessionsTraceJson(

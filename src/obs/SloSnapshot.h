@@ -9,12 +9,11 @@
 /// events, throughput, and the admission-control ledger (shed/deferred/
 /// degraded counts, typed-error totals, degradation-level residency).
 ///
-/// Everything renders to a single JSON object (toJson) so
-/// bench/run_benches.sh can stage it as BENCH_soak.json next to the
-/// google-benchmark trajectories, and to a Chrome trace of the *worst*
-/// sessions (worstSessionsTraceJson): the slowest tail as "session"
-/// spans overlaid on the lock events recorded inside their windows —
-/// "why was p999 slow" becomes one chrome://tracing load.
+/// Everything renders to a single JSON object (writeJson), which
+/// bench_soak nests into BENCH_soak.json, and to a Chrome trace of the
+/// *worst* sessions (worstSessionsTraceJson): the slowest tail as
+/// "session" spans overlaid on the lock events recorded inside their
+/// windows — "why was p999 slow" becomes one chrome://tracing load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +31,7 @@
 namespace thinlocks {
 
 class ClassRegistry;
+class JsonWriter;
 
 namespace obs {
 
@@ -105,7 +105,9 @@ struct SloSnapshot {
   /// The level when the run ended (0 == Normal; recovery proof).
   unsigned FinalLevel = 0;
 
-  /// Renders the snapshot as one pretty-printed JSON object.
+  /// Writes the snapshot as one JSON object, a key per line.
+  void writeJson(JsonWriter &W) const;
+  /// The same object as a standalone document.
   std::string toJson() const;
 };
 

@@ -38,7 +38,7 @@
 /// Wake-latency instrumentation: unpark() stamps a monotonic timestamp
 /// before depositing the token; a park() that actually blocked computes
 /// the unpark-to-wake delta on return.  The lock layers feed these deltas
-/// into LockStats' time-to-wake histogram.
+/// into LockStats' wake count, mean and maximum.
 ///
 //===----------------------------------------------------------------------===//
 

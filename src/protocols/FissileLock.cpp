@@ -3,11 +3,11 @@
 #include "protocols/FissileLock.h"
 
 #include "park/ParkingLot.h"
+#include "support/JsonWriter.h"
 #include "support/SpinWait.h"
 
 #include <cassert>
 #include <chrono>
-#include <cstdio>
 
 using namespace thinlocks;
 
@@ -403,18 +403,16 @@ FissileLockStats FissileLock::stats() const {
 
 std::string FissileLock::statsJson() const {
   FissileLockStats S = stats();
-  char Buffer[256];
-  std::snprintf(Buffer, sizeof(Buffer),
-                "{\"fast_acquires\": %llu, \"queued_acquires\": %llu, "
-                "\"head_parks\": %llu, \"handoffs\": %llu, "
-                "\"morphs\": %llu, \"cells\": %llu}",
-                (unsigned long long)S.FastAcquires,
-                (unsigned long long)S.QueuedAcquires,
-                (unsigned long long)S.HeadParks,
-                (unsigned long long)S.Handoffs,
-                (unsigned long long)S.Morphs,
-                (unsigned long long)S.CellsCreated);
-  return Buffer;
+  return JsonWriter()
+      .beginObject()
+      .field("fast_acquires", S.FastAcquires)
+      .field("queued_acquires", S.QueuedAcquires)
+      .field("head_parks", S.HeadParks)
+      .field("handoffs", S.Handoffs)
+      .field("morphs", S.Morphs)
+      .field("cells", S.CellsCreated)
+      .end()
+      .take();
 }
 
 uint64_t FissileLock::cellCount() const { return CellsCreated.value(); }

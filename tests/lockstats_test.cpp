@@ -67,6 +67,31 @@ TEST(LockStatsTest, ResetStartsANewEpoch) {
   EXPECT_EQ(Stats.snapshot().WakeNanosMax, 3000u);
 }
 
+TEST(LockStatsTest, WakeCountMeanAndMaxFollowRecordedLatencies) {
+  LockStats Stats;
+  EXPECT_EQ(Stats.wakeCount(), 0u);
+  EXPECT_EQ(Stats.snapshot().avgWakeNanos(), 0u);
+
+  for (uint64_t Nanos : {500u, 1500u, 40000u, 2000u})
+    Stats.recordWakeLatency(Nanos);
+  LockStats::Snapshot S = Stats.snapshot();
+  EXPECT_EQ(Stats.wakeCount(), 4u);
+  EXPECT_EQ(S.Wakes, 4u);
+  EXPECT_EQ(S.WakeNanosTotal, 44000u);
+  EXPECT_EQ(S.avgWakeNanos(), 11000u);
+  EXPECT_EQ(S.WakeNanosMax, 40000u);
+  // A wake is not an acquisition: no other counter moves.
+  EXPECT_EQ(S.Acquisitions, 0u);
+  EXPECT_EQ(S.Releases, 0u);
+
+  // A smaller later latency raises the count but leaves the maximum.
+  Stats.recordWakeLatency(1000);
+  S = Stats.snapshot();
+  EXPECT_EQ(S.Wakes, 5u);
+  EXPECT_EQ(S.avgWakeNanos(), 9000u);
+  EXPECT_EQ(S.WakeNanosMax, 40000u);
+}
+
 TEST(LockStatsTest, RepeatedResetsStack) {
   LockStats Stats;
   for (int Epoch = 0; Epoch < 4; ++Epoch) {

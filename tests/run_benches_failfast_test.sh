@@ -269,6 +269,38 @@ else
   fail "scenario H: a BENCH_*.json was clobbered by an off-schema txn grid"
 fi
 
+#--- Scenario I: BENCH_SOAK=1 with a debug-build soak -> refused ---------#
+# The soak artifact goes through the same gate as every other one: a
+# stub bench_soak writing a well-formed document stamped
+# "build_type": "debug" must be refused with the sentinels intact.
+OUT_I="$SANDBOX/out-i"
+seed_sentinels "$OUT_I"
+cat >"$BUILD/bench/bench_soak" <<'STUB'
+#!/usr/bin/env bash
+Out=""
+Prev=""
+for Arg in "$@"; do
+  [ "$Prev" = "--out" ] && Out="$Arg"
+  Prev="$Arg"
+done
+printf '%s\n' '{"schema": "thinlocks-bench-soak-v1", "build_type": "debug", "config": {"protocol": "ThinLock", "chaos": false, "adaptive": false}, "slo": {"protocol": "ThinLock", "acquire": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "session": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "wake": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "sessions_offered": 3, "sessions_completed": 3, "sessions_shed": 0, "final_level": 0}}' > "$Out"
+STUB
+chmod +x "$BUILD/bench/bench_soak"
+BENCH_OUT_DIR="$OUT_I" BENCH_SOAK=1 bash "$RUN_BENCHES" "$BUILD" \
+  >/dev/null 2>&1
+Status=$?
+rm -f "$BUILD/bench/bench_soak"
+if [ "$Status" -eq 0 ]; then
+  fail "scenario I: debug-build soak document did not fail the script"
+else
+  pass "scenario I: debug-build soak document refused (status $Status)"
+fi
+if sentinels_untouched "$OUT_I" && [ ! -e "$OUT_I/BENCH_soak.json" ]; then
+  pass "scenario I: nothing published after refusal"
+else
+  fail "scenario I: a BENCH_*.json was published by a debug-build soak"
+fi
+
 if [ "$Failures" -ne 0 ]; then
   echo "$Failures scenario check(s) failed" >&2
   exit 1

@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - Support utility tests ---------------------===//
 
 #include "support/Histogram.h"
+#include "support/JsonWriter.h"
 #include "support/MathExtras.h"
 #include "support/SpinWait.h"
 #include "support/SplitMix64.h"
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <thread>
@@ -503,4 +506,124 @@ TEST(TableFormatter, SeparatorRows) {
   // Header separator plus the explicit one.
   size_t First = Out.find("-");
   EXPECT_NE(First, std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// JsonWriter
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string escaped(std::string_view In) {
+  std::string Out;
+  jsonEscape(In, Out);
+  return Out;
+}
+
+} // namespace
+
+TEST(JsonWriterTest, EscapesLikeTheTraceEmitterAlwaysHas) {
+  // The bytes the Chrome-trace emitter's own escape produced before it
+  // shared this one.
+  EXPECT_EQ(escaped("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(escaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(escaped("line\nnext"), "line\\nnext");
+  EXPECT_EQ(escaped("col\tcol"), "col\\tcol");
+  EXPECT_EQ(escaped(std::string_view("\0\x01\x1f", 3)),
+            "\\u0000\\u0001\\u001f");
+  EXPECT_EQ(escaped("\r\b\f"), "\\u000d\\u0008\\u000c");
+  // DEL and UTF-8 bytes pass through.
+  EXPECT_EQ(escaped("\x7f caf\xc3\xa9"), "\x7f caf\xc3\xa9");
+  EXPECT_EQ(JsonWriter().value("a\"b\n").take(), "\"a\\\"b\\n\"");
+  EXPECT_EQ(JsonWriter().beginObject().field("k\t", 1).end().take(),
+            "{\"k\\t\": 1}");
+}
+
+TEST(JsonWriterTest, InlineContainersSeparateWithCommas) {
+  std::array<uint64_t, 3> Ticks{3, 0, 1};
+  std::string Json = JsonWriter()
+                         .beginObject()
+                         .field("name", "row")
+                         .field("ok", true)
+                         .field("off", false)
+                         .field("n", -7)
+                         .key("ticks")
+                         .array(Ticks)
+                         .key("nested")
+                         .beginObject()
+                         .field("a", 1u)
+                         .key("empty")
+                         .beginArray()
+                         .end()
+                         .end()
+                         .key("none")
+                         .beginObject()
+                         .end()
+                         .end()
+                         .take();
+  EXPECT_EQ(Json, "{\"name\": \"row\", \"ok\": true, \"off\": false, "
+                  "\"n\": -7, \"ticks\": [3, 0, 1], "
+                  "\"nested\": {\"a\": 1, \"empty\": []}, \"none\": {}}");
+}
+
+TEST(JsonWriterTest, LinesLayoutPutsOneElementPerLine) {
+  JsonWriter W;
+  W.beginObject(JsonWriter::Layout::Lines).field("schema", "s");
+  W.key("rows").beginArray(JsonWriter::Layout::Lines);
+  for (int I = 0; I < 2; ++I)
+    W.beginObject().field("i", I).field("sq", I * I).end();
+  W.end();
+  W.key("empty").beginArray(JsonWriter::Layout::Lines).end();
+  // Inside an inline container a Lines request stays inline.
+  W.key("inline").beginObject();
+  W.key("lines").beginArray(JsonWriter::Layout::Lines).value(1).end();
+  W.end().end();
+  EXPECT_EQ(W.take(), "{\n"
+                      "  \"schema\": \"s\",\n"
+                      "  \"rows\": [\n"
+                      "    {\"i\": 0, \"sq\": 0},\n"
+                      "    {\"i\": 1, \"sq\": 1}\n"
+                      "  ],\n"
+                      "  \"empty\": [],\n"
+                      "  \"inline\": {\"lines\": [1]}\n"
+                      "}");
+}
+
+TEST(JsonWriterTest, IntegersPrintExactlyToTheirLimits) {
+  JsonWriter W;
+  W.beginArray()
+      .value(UINT64_MAX)
+      .value(INT64_MIN)
+      .value(uint32_t{0})
+      .value(static_cast<unsigned short>(65535))
+      .end();
+  EXPECT_EQ(W.take(),
+            "[18446744073709551615, -9223372036854775808, 0, 65535]");
+}
+
+TEST(JsonWriterTest, DoublesPrintWithTheirNamedDecimals) {
+  JsonWriter W;
+  W.beginArray()
+      .value(16.9449, 2)
+      .value(3136021.66, 1)
+      .value(0.0, 4)
+      .value(-2.5, 0)
+      .value(300.0, 6)
+      .value(1e300 * 1e300, 2)
+      .value(std::nan(""), 2)
+      .end();
+  EXPECT_EQ(W.take(),
+            "[16.94, 3136021.7, 0.0000, -2, 300.000000, null, null]");
+}
+
+TEST(JsonWriterTest, RawSplicesARenderedValue) {
+  std::string Stats = JsonWriter().beginObject().field("hits", 2).end().take();
+  EXPECT_EQ(JsonWriter()
+                .beginObject()
+                .field("before", 1)
+                .key("stats")
+                .raw(Stats)
+                .end()
+                .take(),
+            "{\"before\": 1, \"stats\": {\"hits\": 2}}");
 }
