@@ -13,19 +13,23 @@
 /// Implementation: the normalized CDF (item i has weight 1/(i+1)^theta)
 /// is precomputed once; a draw is one PRNG double U and the first rank
 /// whose CDF value is >= U.  A cut-point table (Chen & Asau's indexed
-/// search) narrows that search to one bucket of the CDF, and returns the
-/// same rank as a search over the whole CDF for every U, so a given
-/// (N, theta, seed) triple yields the same sequence either way — the
-/// reproducible-schedule contract of the soak harness, the txn engine
-/// and the benchmarks.
+/// search) narrows that search to one bucket of the CDF.  Within it,
+/// rank() counts without a branch how many of one line of eight CDF
+/// values are below U, and searches on only for the few draws whose
+/// rank lies past that line.  It returns the same rank as a search over
+/// the whole CDF for every U, so a given (N, theta, seed) triple yields
+/// the same sequence either way — the reproducible-schedule contract of
+/// the soak harness, the txn engine and the benchmarks.  The CDF carries
+/// seven trailing 1.0 entries so that a window starting at its last
+/// ranks stays inside the allocation.
 ///
 /// At N = 1 M the two tables are 9 MB, so a draw's cut-point load and
-/// its CDF-bucket load are usually cache misses, one waiting on the
+/// its CDF-window load are usually cache misses, one waiting on the
 /// other.  sampleBatch() resolves several draws together: it starts
-/// every draw's cut-point load, then every draw's bucket load, and only
-/// then searches, so the misses of different draws overlap.  It returns
-/// the ranks, and leaves the PRNG in the state, that the same number of
-/// sample() calls would.
+/// every draw's cut-point load, then both lines of every draw's window,
+/// and only then counts, so the misses of different draws overlap.  It
+/// returns the ranks, and leaves the PRNG in the state, that the same
+/// number of sample() calls would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,7 +59,7 @@ public:
   ZipfSampler(size_t N, double Theta) {
     assert(N >= 1 && "empty universe");
     assert(N - 1 <= UINT32_MAX && "cut points store ranks as uint32_t");
-    Cdf.reserve(N);
+    Cdf.reserve(N + WindowPad); // Padding too: growing would copy the CDF.
     double Sum = 0;
     for (size_t I = 0; I < N; ++I) {
       Sum += 1.0 / std::pow(static_cast<double>(I + 1), Theta);
@@ -79,9 +83,12 @@ public:
         ++Rank;
       Cut[J] = static_cast<uint32_t>(Rank);
     }
+    // Above every U, so a window that runs past rank N - 1 counts none
+    // of them.
+    Cdf.insert(Cdf.end(), WindowPad, 1.0);
   }
 
-  size_t universe() const { return Cdf.size(); }
+  size_t universe() const { return Cdf.size() - WindowPad; }
 
   /// \returns the next rank drawn from \p Rng.
   size_t sample(SplitMix64 &Rng) const { return rank(Rng.nextDouble()); }
@@ -90,8 +97,8 @@ public:
   /// ranks, in order, and the state \p Rng is left in are exactly those
   /// of \p Count sample() calls.  Only the memory access order differs:
   /// within each block of BatchBlock draws, every cut-point load is
-  /// issued before any CDF-bucket load, and every bucket load before
-  /// any search.
+  /// issued before any CDF-window load, and every window load before
+  /// any count.
   void sampleBatch(SplitMix64 &Rng, size_t *Ranks, size_t Count) const {
     double U[BatchBlock]; // Unzeroed: zeroing compiles to a slow rep stosq.
     for (size_t Base = 0; Base < Count; Base += BatchBlock) {
@@ -100,8 +107,12 @@ public:
         U[I] = Rng.nextDouble();
         TL_PREFETCH(&Cut[bucketOf(U[I])], /*ForWrite=*/0);
       }
-      for (size_t I = 0; I < Block; ++I)
-        TL_PREFETCH(&Cdf[Cut[bucketOf(U[I])]], /*ForWrite=*/0);
+      for (size_t I = 0; I < Block; ++I) {
+        // A window is one line's worth of doubles, usually across two.
+        const double *Window = &Cdf[Cut[bucketOf(U[I])]];
+        TL_PREFETCH(Window, /*ForWrite=*/0);
+        TL_PREFETCH(Window + WindowSize - 1, /*ForWrite=*/0);
+      }
       for (size_t I = 0; I < Block; ++I)
         Ranks[Base + I] = rank(U[I]);
     }
@@ -110,22 +121,40 @@ public:
   /// \returns the first rank whose CDF value is >= \p U.
   ///
   /// J = floor(U*M) puts U in [J/M, (J+1)/M), so that rank lies in
-  /// [Cut[J], Cut[J+1]]; the search returns Cut[J+1] when every CDF value
-  /// before it is < U.
+  /// [Cut[J], Cut[J+1]]: every value before Cut[J] is < J/M <= U, and
+  /// every value from Cut[J+1] on is >= (J+1)/M > U.  The CDF values
+  /// below U form a prefix, so counting them among the WindowSize
+  /// values from Cut[J] gives the rank whenever the count stops short
+  /// of WindowSize; the padding is 1.0 > U and is never counted.  Only
+  /// a full count (4-7% of draws) searches on, from Cut[J] + WindowSize
+  /// to Cut[J+1], which it returns when every value before it is < U.
   size_t rank(double U) const {
     assert(U >= 0 && U < 1 && "rank() takes U in [0, 1)");
     const size_t J = bucketOf(U);
-    const auto First = Cdf.begin() + Cut[J];
-    const auto Last = Cdf.begin() + Cut[J + 1];
-    return static_cast<size_t>(std::lower_bound(First, Last, U) -
-                               Cdf.begin());
+    const size_t First = Cut[J];
+    const double *Window = Cdf.data() + First;
+    size_t Below = 0;
+    for (size_t I = 0; I < WindowSize; ++I)
+      Below += Window[I] < U; // No branch: a compare and an add each.
+    if (TL_LIKELY(Below < WindowSize))
+      return First + Below;
+    const double *Last = Cdf.data() + Cut[J + 1];
+    return static_cast<size_t>(
+        std::lower_bound(Window + WindowSize, Last, U) - Cdf.data());
   }
 
 private:
   /// Draws whose loads sampleBatch() overlaps: enough to keep a core's
   /// outstanding-miss slots busy, few enough that the prefetched lines
-  /// are still in L1 when the searches run.
+  /// are still in L1 when rank() runs.
   static constexpr size_t BatchBlock = 16;
+
+  /// CDF values rank() counts before it searches: one 64-byte line of
+  /// doubles.  Windows of 4 and 16 were slower.
+  static constexpr size_t WindowSize = 8;
+
+  /// Trailing 1.0 entries that keep a window from Cdf[N - 1] in bounds.
+  static constexpr size_t WindowPad = WindowSize - 1;
 
   /// \returns J = floor(U*M), the bucket [J/M, (J+1)/M) that holds \p U.
   size_t bucketOf(double U) const { return static_cast<size_t>(U * Scale); }

@@ -6,7 +6,7 @@
 #      exactly as the release build does (-O2, no instrumentation) and
 #      assert the guard passes against the committed budget.
 #      Recompiling here — instead of reusing the current preset's
-#      objects — keeps the test meaningful under the tsan/ubsan presets,
+#      objects — keeps the test meaningful under the sanitizer presets,
 #      whose instrumented codegen is not what the guard polices.
 #   2. Negative: recompile ThinLock.cpp with
 #      -DTHINLOCKS_FASTPATH_GUARD_PROBE, which injects an opaque

@@ -5,7 +5,8 @@
 // unlock, tryLock, checked-unlock on random objects, ownership queries,
 // notify, zero-timeout wait) must leave every protocol in exactly the
 // state the model predicts, seed after seed.  Instantiated over multiple
-// seeds (parameterized) and all four protocols.
+// seeds (parameterized) and every protocol family: the thin lock and its
+// two variants, the three baselines, and the fissile lock.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 #include "baselines/MonitorCache.h"
 #include "core/ThinLock.h"
 #include "heap/Heap.h"
+#include "protocols/FissileLock.h"
 #include "support/SplitMix64.h"
 #include "threads/ThreadRegistry.h"
 
@@ -182,6 +184,13 @@ TEST_P(ModelCheck, EagerMonitorMatchesReferenceModel) {
   runSingleThreadedModelCheck(P, TheHeap, Registry, GetParam());
 }
 
+TEST_P(ModelCheck, FissileMatchesReferenceModel) {
+  Heap TheHeap;
+  ThreadRegistry Registry;
+  FissileLock P;
+  runSingleThreadedModelCheck(P, TheHeap, Registry, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelCheck,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u, 55u, 89u));
@@ -286,5 +295,19 @@ TEST_P(ModelCheck, ConcurrentHotLocksMatchesPerThreadModels) {
   Heap TheHeap;
   ThreadRegistry Registry;
   HotLocks P(4, 3, 16);
+  runConcurrentModelCheck(P, TheHeap, Registry, GetParam());
+}
+
+TEST_P(ModelCheck, ConcurrentFissileMatchesPerThreadModels) {
+  Heap TheHeap;
+  ThreadRegistry Registry;
+  FissileLock P;
+  runConcurrentModelCheck(P, TheHeap, Registry, GetParam());
+}
+
+TEST_P(ModelCheck, ConcurrentEagerMonitorMatchesPerThreadModels) {
+  Heap TheHeap;
+  ThreadRegistry Registry;
+  EagerMonitor P;
   runConcurrentModelCheck(P, TheHeap, Registry, GetParam());
 }
