@@ -15,7 +15,8 @@
 //
 // Expected shape: ThinLock allocates ZERO monitors (24 header bits it
 // already had); EagerMonitor allocates N monitors; MonitorCache stays
-// within its pool but pays sweeps; HotLocks allocates 32 + pool.
+// within its pool but pays sweeps; HotLocks allocates 32 hot monitors
+// plus its cache's pool.
 //
 //===----------------------------------------------------------------------===//
 
@@ -133,7 +134,7 @@ int main() {
       auto Objects = makeObjects(TheHeap, N);
       HotLocks Hot(32, 4, 128);
       uint64_t Nanos = churn(Hot, Objects, Me.context());
-      uint64_t Monitors = 32 + 128;
+      uint64_t Monitors = 32 + 128 + Hot.stats().Cache.PoolGrowths;
       Table.addRow(
           {"IBM112 (32 hot)", perPair(Nanos, N), std::to_string(Monitors),
            TableFormatter::formatWithCommas(Monitors * sizeof(FatLock)),

@@ -20,62 +20,51 @@
 #ifndef THINLOCKS_BASELINES_EAGERMONITOR_H
 #define THINLOCKS_BASELINES_EAGERMONITOR_H
 
+#include "baselines/MonitorOps.h"
+#include "baselines/ObjectTable.h"
 #include "core/LockProtocol.h"
 #include "fatlock/FatLock.h"
 #include "heap/Object.h"
-#include "threads/ThreadContext.h"
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
 namespace thinlocks {
 
 /// Monitor-per-object baseline with a sharded object->monitor side table.
-class EagerMonitor {
+class EagerMonitor : public MonitorOps<EagerMonitor> {
 public:
-  static constexpr size_t NumShards = 16;
-
-  EagerMonitor();
+  EagerMonitor() = default;
 
   EagerMonitor(const EagerMonitor &) = delete;
   EagerMonitor &operator=(const EagerMonitor &) = delete;
 
   static const char *protocolName() { return "EagerMonitor"; }
 
-  void lock(Object *Obj, const ThreadContext &Thread);
-  void unlock(Object *Obj, const ThreadContext &Thread);
-  bool unlockChecked(Object *Obj, const ThreadContext &Thread);
-  bool tryLock(Object *Obj, const ThreadContext &Thread);
-  TimedLockStatus tryLockFor(Object *Obj, const ThreadContext &Thread,
-                             int64_t TimeoutNanos);
-  bool holdsLock(Object *Obj, const ThreadContext &Thread) const;
-  uint32_t lockDepth(Object *Obj, const ThreadContext &Thread) const;
-  WaitStatus wait(Object *Obj, const ThreadContext &Thread,
-                  int64_t TimeoutNanos = -1);
-  NotifyStatus notify(Object *Obj, const ThreadContext &Thread);
-  NotifyStatus notifyAll(Object *Obj, const ThreadContext &Thread);
-
   /// \returns how many monitors exist (== objects ever synchronized).
-  uint64_t monitorCount() const;
+  uint64_t monitorCount() const { return Monitors.size(); }
 
   /// \returns a lower bound on the side-table bytes consumed, for the
   /// space comparison in bench_space.
-  uint64_t approximateMonitorBytes() const;
+  uint64_t approximateMonitorBytes() const {
+    // FatLock itself plus one hash-map node (pointer pair + bucket link).
+    return monitorCount() *
+           (sizeof(FatLock) + sizeof(void *) * 2 + sizeof(const Object *));
+  }
 
 private:
-  struct Shard {
-    mutable std::mutex Mutex;
-    std::unordered_map<const Object *, std::unique_ptr<FatLock>> Map;
+  friend class MonitorOps<EagerMonitor>;
+
+  /// Eager monitors are permanent, so a resolved one needs no pin.
+  struct Ref {
+    FatLock *Lock;
   };
+  Ref resolveMonitor(Object *Obj, Lookup How) {
+    return {How == Lookup::Acquire ? &Monitors.findOrCreate(Obj)
+                                   : Monitors.find(Obj)};
+  }
+  void releaseMonitor(const Ref &) {}
 
-  Shard &shardFor(const Object *Obj) const;
-  /// Finds (creating if asked) the object's monitor.
-  FatLock *resolve(const Object *Obj, bool CreateIfMissing);
-
-  mutable std::vector<Shard> Shards;
+  ObjectTable<FatLock> Monitors;
 };
 
 static_assert(SyncProtocol<EagerMonitor>,

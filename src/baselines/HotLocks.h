@@ -20,37 +20,43 @@
 /// working sets fall back to the thrash-prone cache — the IBM112 cliff at
 /// n > 32 in Figure 4 and its macro-benchmark slowdowns in Figure 5.
 ///
+/// The cold path *is* the JDK111 cache (baselines/MonitorCache.h), with
+/// the hot table as its front: under the cache mutex IBM112 re-reads the
+/// hot word and runs the promotion test, nothing else.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef THINLOCKS_BASELINES_HOTLOCKS_H
 #define THINLOCKS_BASELINES_HOTLOCKS_H
 
+#include "baselines/MonitorCache.h"
+#include "baselines/MonitorOps.h"
 #include "core/LockProtocol.h"
 #include "fatlock/FatLock.h"
 #include "heap/Object.h"
 #include "support/StatsCounter.h"
-#include "threads/ThreadContext.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace thinlocks {
 
 /// Event counters for the hot-lock baseline.
 struct HotLocksStats {
+  /// Operations that resolved a hot monitor, and those that resolved a
+  /// cache monitor.
   uint64_t HotPathOps = 0;
   uint64_t CachePathOps = 0;
   uint64_t Promotions = 0;
-  uint64_t Sweeps = 0;
-  uint64_t SweepScannedEntries = 0;
+  /// The cold path's counters, kept by the cache it runs on.
+  MonitorCacheStats Cache;
 };
 
 /// Monitor cache + bounded hot-lock table baseline.
-class HotLocks {
+class HotLocks : public MonitorOps<HotLocks> {
 public:
   /// \param NumHotLocks hot-lock table size (the paper's system used 32).
   /// \param PromotionThreshold uses of one mapping after which the object
@@ -59,25 +65,11 @@ public:
   /// \param PoolSize fallback monitor-cache pool size.
   explicit HotLocks(size_t NumHotLocks = 32, uint64_t PromotionThreshold = 4,
                     size_t PoolSize = 128);
-  ~HotLocks();
 
   HotLocks(const HotLocks &) = delete;
   HotLocks &operator=(const HotLocks &) = delete;
 
   static const char *protocolName() { return "IBM112"; }
-
-  void lock(Object *Obj, const ThreadContext &Thread);
-  void unlock(Object *Obj, const ThreadContext &Thread);
-  bool unlockChecked(Object *Obj, const ThreadContext &Thread);
-  bool tryLock(Object *Obj, const ThreadContext &Thread);
-  TimedLockStatus tryLockFor(Object *Obj, const ThreadContext &Thread,
-                             int64_t TimeoutNanos);
-  bool holdsLock(Object *Obj, const ThreadContext &Thread) const;
-  uint32_t lockDepth(Object *Obj, const ThreadContext &Thread) const;
-  WaitStatus wait(Object *Obj, const ThreadContext &Thread,
-                  int64_t TimeoutNanos = -1);
-  NotifyStatus notify(Object *Obj, const ThreadContext &Thread);
-  NotifyStatus notifyAll(Object *Obj, const ThreadContext &Thread);
 
   /// \returns true if \p Obj has been promoted to a hot lock.
   bool isHot(const Object *Obj) const;
@@ -91,11 +83,13 @@ public:
 
   HotLocksStats stats() const;
 
-  /// \returns the hot/cache path counters rendered as a JSON object
-  /// literal (the SyncBackend statsJson capability).
+  /// \returns the hot/cache path and cache counters rendered as a JSON
+  /// object literal (the SyncBackend statsJson capability).
   std::string statsJson() const;
 
 private:
+  friend class MonitorOps<HotLocks>;
+
   /// Bit 31 of the header word: set = the word holds a hot-lock id.
   static constexpr uint32_t HotFlagBit = 1u << 31;
   static constexpr uint32_t HotIdShift = 8;
@@ -107,12 +101,8 @@ private:
     uint32_t DisplacedHeader = 0;
   };
 
-  struct CacheEntry {
-    FatLock Lock;
-    const Object *Key = nullptr;
-    uint32_t Pins = 0;
-    uint64_t UseCount = 0;
-  };
+  /// The hot table as the cache's front (defined in HotLocks.cpp).
+  struct Front;
 
   static bool isHotWord(uint32_t Word) { return (Word & HotFlagBit) != 0; }
   static uint32_t hotIdOf(uint32_t Word) {
@@ -123,25 +113,21 @@ private:
            (OriginalWord & HeaderByteMask);
   }
 
-  /// Resolves \p Obj to either a hot slot (no cache lock needed) or a
-  /// pinned cache entry; exactly one of the outputs is non-null.  May
-  /// promote the object as a side effect when \p AllowPromotion.
-  void resolve(Object *Obj, bool CreateIfMissing, bool AllowPromotion,
-               HotSlot *&Hot, CacheEntry *&Entry);
-  void unpin(CacheEntry *Entry);
-  size_t sweepLocked();
-  static bool isIdle(const CacheEntry &Entry);
+  /// Resolves \p Obj to its hot slot (no cache lock needed) or, through
+  /// the cache, to a pinned cache entry.  An Acquire may promote.
+  MonitorCache::Ref resolveMonitor(Object *Obj, Lookup How);
+  void releaseMonitor(const MonitorCache::Ref &M) {
+    if (M.Pinned)
+      Cache.releaseMonitor(M);
+  }
 
-  mutable std::mutex CacheMutex;
   std::vector<std::unique_ptr<HotSlot>> HotTable;
-  size_t NextHotSlot = 0;
+  /// Hot slots handed out so far (== promotions).  Only a promotion
+  /// writes it, under the cache mutex.
+  std::atomic<size_t> NextHotSlot{0};
   uint64_t PromotionThreshold;
-  std::unordered_map<const Object *, CacheEntry *> Map;
-  std::vector<std::unique_ptr<CacheEntry>> Pool;
-  std::vector<CacheEntry *> FreeList;
-  // Guarded by CacheMutex.
-  HotLocksStats Counters;
-  // Bumped outside the mutex on the hot path; hence atomic.
+  MonitorCache Cache;
+  // Bumped outside the cache mutex on the hot path; hence atomic.
   StatsCounter HotPathOps;
   StatsCounter CachePathOps;
 };

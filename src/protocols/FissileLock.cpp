@@ -19,10 +19,6 @@ std::chrono::steady_clock::time_point deadlineAfter(int64_t Nanos) {
 
 } // namespace
 
-FissileLock::FissileLock() : Shards(NumShards) {}
-
-FissileLock::~FissileLock() = default;
-
 //===----------------------------------------------------------------------===//
 // Guarded fast-path cores
 //===----------------------------------------------------------------------===//
@@ -41,32 +37,6 @@ void FissileLock::fastReleaseOutOfLine(FissileCell &Cell) {
   // section (and the owner-only Depth/MorphedCount writes) to the next
   // acquirer's CAS.
   Cell.Word.store(0, std::memory_order_release);
-}
-
-//===----------------------------------------------------------------------===//
-// Side table
-//===----------------------------------------------------------------------===//
-
-FissileLock::Shard &FissileLock::shardFor(const Object *Obj) const {
-  // Mix the address; objects are 16-byte aligned, so drop the low bits.
-  uintptr_t Address = reinterpret_cast<uintptr_t>(Obj);
-  return Shards[(Address >> 4) * 0x9e3779b97f4a7c15ull >> 60];
-}
-
-FissileLock::FissileCell *FissileLock::resolve(const Object *Obj,
-                                               bool CreateIfMissing) const {
-  Shard &S = shardFor(Obj);
-  LockGuard Guard(S.Mu);
-  auto It = S.Map.find(Obj);
-  if (It != S.Map.end())
-    return It->second.get();
-  if (!CreateIfMissing)
-    return nullptr;
-  auto Cell = std::make_unique<FissileCell>();
-  FissileCell *Raw = Cell.get();
-  S.Map.emplace(Obj, std::move(Cell));
-  const_cast<FissileLock *>(this)->CellsCreated.increment();
-  return Raw;
 }
 
 //===----------------------------------------------------------------------===//
@@ -176,7 +146,7 @@ void FissileLock::releaseCell(FissileCell &Cell) {
 
 void FissileLock::lock(Object *Obj, const ThreadContext &Thread) {
   assert(Thread.isValid() && "locking with an unattached thread");
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/true);
+  FissileCell *Cell = &Cells.findOrCreate(Obj);
   const uint32_t Tid = Thread.index();
   if (fastAcquireOutOfLine(*Cell, Tid)) {
     Cell->Depth = 1;
@@ -196,7 +166,7 @@ void FissileLock::unlock(Object *Obj, const ThreadContext &Thread) {
 }
 
 bool FissileLock::unlockChecked(Object *Obj, const ThreadContext &Thread) {
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/false);
+  FissileCell *Cell = Cells.find(Obj);
   if (!Cell || Cell->Word.load(std::memory_order_relaxed) != Thread.index())
     return false;
   if (--Cell->Depth > 0)
@@ -207,7 +177,7 @@ bool FissileLock::unlockChecked(Object *Obj, const ThreadContext &Thread) {
 
 bool FissileLock::tryLock(Object *Obj, const ThreadContext &Thread) {
   assert(Thread.isValid() && "locking with an unattached thread");
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/true);
+  FissileCell *Cell = &Cells.findOrCreate(Obj);
   const uint32_t Tid = Thread.index();
   if (fastAcquireOutOfLine(*Cell, Tid)) {
     Cell->Depth = 1;
@@ -233,7 +203,7 @@ TimedLockStatus FissileLock::tryLockFor(Object *Obj,
   // would complicate every handoff); instead spin/park on the TS word
   // directly, bounded by the deadline.  Fissile has no waits-for graph,
   // so the outcome degrades to TimedOut, never Deadlock.
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/true);
+  FissileCell *Cell = &Cells.findOrCreate(Obj);
   const uint32_t Tid = Thread.index();
   const auto Deadline = deadlineAfter(TimeoutNanos);
   SpinWait Spin(DefaultSpinPolicy);
@@ -263,14 +233,14 @@ TimedLockStatus FissileLock::tryLockFor(Object *Obj,
 }
 
 bool FissileLock::holdsLock(Object *Obj, const ThreadContext &Thread) const {
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/false);
+  FissileCell *Cell = Cells.find(Obj);
   return Cell &&
          Cell->Word.load(std::memory_order_acquire) == Thread.index();
 }
 
 uint32_t FissileLock::lockDepth(Object *Obj,
                                 const ThreadContext &Thread) const {
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/false);
+  FissileCell *Cell = Cells.find(Obj);
   // Depth is owner-only state: reading it is safe exactly when the
   // calling thread is the owner (then nobody else writes it).
   if (!Cell || Cell->Word.load(std::memory_order_acquire) != Thread.index())
@@ -284,7 +254,7 @@ uint32_t FissileLock::lockDepth(Object *Obj,
 
 WaitStatus FissileLock::wait(Object *Obj, const ThreadContext &Thread,
                              int64_t TimeoutNanos) {
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/false);
+  FissileCell *Cell = Cells.find(Obj);
   if (!Cell || Cell->Word.load(std::memory_order_relaxed) != Thread.index())
     return WaitStatus::NotOwner;
 
@@ -367,7 +337,7 @@ void FissileLock::morphOneLocked(FissileCell &Cell) {
 }
 
 NotifyStatus FissileLock::notify(Object *Obj, const ThreadContext &Thread) {
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/false);
+  FissileCell *Cell = Cells.find(Obj);
   if (!Cell || Cell->Word.load(std::memory_order_relaxed) != Thread.index())
     return NotifyStatus::NotOwner;
   LockGuard Guard(Cell->WaitMu);
@@ -377,7 +347,7 @@ NotifyStatus FissileLock::notify(Object *Obj, const ThreadContext &Thread) {
 }
 
 NotifyStatus FissileLock::notifyAll(Object *Obj, const ThreadContext &Thread) {
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/false);
+  FissileCell *Cell = Cells.find(Obj);
   if (!Cell || Cell->Word.load(std::memory_order_relaxed) != Thread.index())
     return NotifyStatus::NotOwner;
   LockGuard Guard(Cell->WaitMu);
@@ -397,7 +367,6 @@ FissileLockStats FissileLock::stats() const {
   S.HeadParks = HeadParks.value();
   S.Handoffs = Handoffs.value();
   S.Morphs = Morphs.value();
-  S.CellsCreated = CellsCreated.value();
   return S;
 }
 
@@ -410,15 +379,13 @@ std::string FissileLock::statsJson() const {
       .field("head_parks", S.HeadParks)
       .field("handoffs", S.Handoffs)
       .field("morphs", S.Morphs)
-      .field("cells", S.CellsCreated)
+      .field("cells", cellCount())
       .end()
       .take();
 }
 
-uint64_t FissileLock::cellCount() const { return CellsCreated.value(); }
-
 size_t FissileLock::waitSetSize(const Object *Obj) const {
-  FissileCell *Cell = resolve(Obj, /*CreateIfMissing=*/false);
+  FissileCell *Cell = Cells.find(Obj);
   if (!Cell)
     return 0;
   LockGuard Guard(Cell->WaitMu);

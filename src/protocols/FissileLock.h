@@ -32,7 +32,8 @@
 ///    the notifier still holds).
 ///
 /// Like the paper's baselines the per-object state (TS word, queue tail,
-/// wait set) lives in a sharded side table keyed by object address — the
+/// wait set) lives in a sharded side table keyed by object address
+/// (baselines/ObjectTable.h, shared with EagerMonitor) — the
 /// object header stays untouched, so Fissile composes with the thin-lock
 /// header layout rather than competing for header bits.
 ///
@@ -41,6 +42,7 @@
 #ifndef THINLOCKS_PROTOCOLS_FISSILELOCK_H
 #define THINLOCKS_PROTOCOLS_FISSILELOCK_H
 
+#include "baselines/ObjectTable.h"
 #include "core/LockProtocol.h"
 #include "heap/Object.h"
 #include "park/Parker.h"
@@ -51,10 +53,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace thinlocks {
 
@@ -65,16 +64,12 @@ struct FissileLockStats {
   uint64_t HeadParks = 0;      ///< Bounded lot-parks by the queue head.
   uint64_t Handoffs = 0;       ///< MCS head grants to a successor.
   uint64_t Morphs = 0;         ///< Waiters moved wait-set -> morphed list.
-  uint64_t CellsCreated = 0;   ///< Side-table cells ever allocated.
 };
 
 /// TS fast path + MCS queue, on the Parker/ParkingLot substrate.
 class FissileLock {
 public:
-  static constexpr size_t NumShards = 16;
-
-  FissileLock();
-  ~FissileLock();
+  FissileLock() = default;
 
   FissileLock(const FissileLock &) = delete;
   FissileLock &operator=(const FissileLock &) = delete;
@@ -101,7 +96,7 @@ public:
   std::string statsJson() const;
 
   /// \returns how many side-table cells exist (== objects ever locked).
-  uint64_t cellCount() const;
+  uint64_t cellCount() const { return Cells.size(); }
 
   /// \returns the current wait-set size of \p Obj's monitor, morphed
   /// waiters included (test/diagnostic aid).
@@ -154,21 +149,12 @@ private:
     WaitNode *MorphedTail TL_GUARDED_BY(WaitMu) = nullptr;
   };
 
-  struct Shard {
-    mutable Mutex Mu;
-    std::unordered_map<const Object *, std::unique_ptr<FissileCell>>
-        Map TL_GUARDED_BY(Mu);
-  };
-
   /// The guarded fast-path cores (tools/lint/fastpath_guard.py budgets
   /// `fastAcquireOutOfLine:Fissile` / `fastReleaseOutOfLine:Fissile`):
   /// straight-line CAS / store on the TS word, no calls.
   TL_NOINLINE static bool fastAcquireOutOfLine(FissileCell &Cell,
                                                uint32_t Tid);
   TL_NOINLINE static void fastReleaseOutOfLine(FissileCell &Cell);
-
-  Shard &shardFor(const Object *Obj) const;
-  FissileCell *resolve(const Object *Obj, bool CreateIfMissing) const;
 
   /// Acquires the cell for \p Thread (no recursion handling); sets
   /// Depth = 1.  The MCS slow path.
@@ -180,13 +166,12 @@ private:
 
   void morphOneLocked(FissileCell &Cell) TL_REQUIRES(Cell.WaitMu);
 
-  mutable std::vector<Shard> Shards;
+  ObjectTable<FissileCell> Cells;
   StatsCounter FastAcquires;
   StatsCounter QueuedAcquires;
   StatsCounter HeadParks;
   StatsCounter Handoffs;
   StatsCounter Morphs;
-  StatsCounter CellsCreated;
 };
 
 static_assert(SyncProtocol<FissileLock>,

@@ -3,7 +3,8 @@
 // Pins down the modelled IBM 1.1.2 hot-lock behaviours: frequency-driven
 // promotion, the displaced header word, the hard cap of 32 hot locks, and
 // the fallback to the thrash-prone cache beyond the cap (the paper's
-// "Achilles heel", §3.3).
+// "Achilles heel", §3.3).  The cold path is JDK111's cache, so it counts
+// lookups, hits, misses and pool growths the way MonitorCacheTest does.
 //
 //===----------------------------------------------------------------------===//
 
@@ -125,7 +126,7 @@ TEST_F(HotLocksTest, OverflowWorkingSetFallsBackToSweepingCache) {
       cycle(Locks, Obj, 1);
   HotLocksStats Stats = Locks.stats();
   EXPECT_EQ(Stats.Promotions, 4u);
-  EXPECT_GT(Stats.Sweeps, 0u); // The >32 working set thrashes the cache.
+  EXPECT_GT(Stats.Cache.Sweeps, 0u); // The >32 working set thrashes the cache.
   EXPECT_GT(Stats.CachePathOps, Stats.HotPathOps);
 }
 
@@ -195,4 +196,44 @@ TEST_F(HotLocksTest, HotnessIsPermanent) {
     Locks.unlock(Other, Main);
   }
   EXPECT_TRUE(Locks.isHot(Obj));
+}
+
+TEST_F(HotLocksTest, ColdPathCountsEveryOperationAsALookup) {
+  // As MonitorCacheTest.EveryOperationCountsALookup, on an object that
+  // stays cold.
+  HotLocks Locks(32, /*PromotionThreshold=*/100, 8);
+  Object *Obj = TheHeap.allocate(*Class);
+  Locks.lock(Obj, Main);
+  Locks.unlock(Obj, Main);
+  Locks.lock(Obj, Main);
+  Locks.notify(Obj, Main);
+  Locks.unlock(Obj, Main);
+  ASSERT_FALSE(Locks.isHot(Obj));
+  EXPECT_EQ(Locks.stats().Cache.Lookups, 5u);
+}
+
+TEST_F(HotLocksTest, PromotedObjectLeavesTheCache) {
+  HotLocks Locks(32, /*PromotionThreshold=*/4, 64);
+  Object *Obj = TheHeap.allocate(*Class);
+  cycle(Locks, Obj, 5);
+  ASSERT_TRUE(Locks.isHot(Obj));
+  MonitorCacheStats Before = Locks.stats().Cache;
+  cycle(Locks, Obj, 100);
+  MonitorCacheStats After = Locks.stats().Cache;
+  EXPECT_EQ(After.Lookups, Before.Lookups);
+  EXPECT_EQ(After.Hits, Before.Hits);
+  EXPECT_EQ(After.Misses, Before.Misses);
+}
+
+TEST_F(HotLocksTest, ColdPoolGrowsWhenAllMonitorsAreHeld) {
+  // As MonitorCacheTest.PoolGrowsWhenAllMonitorsAreHeld.
+  HotLocks Locks(32, /*PromotionThreshold=*/100, /*PoolSize=*/4);
+  std::vector<Object *> Objects;
+  for (int I = 0; I < 6; ++I)
+    Objects.push_back(TheHeap.allocate(*Class));
+  for (Object *Obj : Objects)
+    Locks.lock(Obj, Main); // Hold all 6 simultaneously.
+  EXPECT_EQ(Locks.stats().Cache.PoolGrowths, 2u);
+  for (Object *Obj : Objects)
+    Locks.unlock(Obj, Main);
 }

@@ -6,6 +6,7 @@
 
 #include "baselines/HotLocks.h"
 #include "baselines/MonitorCache.h"
+#include "core/ProtocolRegistry.h"
 #include "core/ThinLock.h"
 #include "vm/NativeLibrary.h"
 
@@ -333,4 +334,64 @@ TEST(MicroKernels, KernelsWorkOnBaselines) {
   Object *Obj2 = TheHeap.allocate(Class);
   EXPECT_EQ(runNativeSync(Hot, Obj2, Main.context(), 500), 500u);
   EXPECT_TRUE(Hot.isHot(Obj2)); // 500 cycles crossed the threshold.
+}
+
+namespace {
+/// Runs 8 warm-up rounds of MultiSync over \p N fresh objects, then one
+/// more, and returns the protocol's stats before and after that round.
+template <typename P>
+auto multiSyncRoundStats(P &Protocol, size_t N) {
+  Heap TheHeap;
+  ThreadRegistry Registry;
+  ScopedThreadAttachment Main(Registry);
+  const ClassInfo &Class = TheHeap.classes().registerClass("K", 0);
+  std::vector<Object *> Objects;
+  for (size_t I = 0; I < N; ++I)
+    Objects.push_back(TheHeap.allocate(Class));
+  runNativeMultiSync(Protocol, Objects, Main.context(), /*Iterations=*/8);
+  auto Before = Protocol.stats();
+  runNativeMultiSync(Protocol, Objects, Main.context(), /*Iterations=*/1);
+  return std::make_pair(Before, Protocol.stats());
+}
+} // namespace
+
+// Figure 4's two cliffs as exact counts at the registry's default sizes,
+// HotLocks(32, 4, 128) and MonitorCache(128), the sizes the benches use.
+// IBM112 promotes the first 32 objects and sends the rest through its
+// cache; at n = 256 every mapping is swept before its use count reaches
+// the threshold, so nothing is promoted and the cache sweeps twice per
+// round, as JDK111's does.
+TEST(MicroKernels, MultiSyncCliffCountsAtRegistryDefaultSizes) {
+  struct HotRow {
+    size_t N;
+    uint64_t Promotions, CacheOps, HotOps, Sweeps;
+  };
+  for (HotRow Row : {HotRow{32, 32, 0, 64, 0}, HotRow{48, 32, 32, 64, 0},
+                     HotRow{128, 32, 192, 64, 0},
+                     HotRow{256, 0, 512, 0, 2}}) {
+    ProtocolMaker<HotLocks> Maker{ProtocolConfig()};
+    auto [Before, After] = multiSyncRoundStats(Maker.Protocol, Row.N);
+    EXPECT_EQ(After.Promotions, Row.Promotions) << "IBM112 n=" << Row.N;
+    EXPECT_EQ(After.CachePathOps - Before.CachePathOps, Row.CacheOps)
+        << "IBM112 n=" << Row.N;
+    EXPECT_EQ(After.HotPathOps - Before.HotPathOps, Row.HotOps)
+        << "IBM112 n=" << Row.N;
+    EXPECT_EQ(After.Cache.Sweeps - Before.Cache.Sweeps, Row.Sweeps)
+        << "IBM112 n=" << Row.N;
+  }
+
+  struct CacheRow {
+    size_t N;
+    uint64_t Hits, Misses, Sweeps;
+  };
+  for (CacheRow Row : {CacheRow{128, 256, 0, 0}, CacheRow{256, 256, 256, 2}}) {
+    ProtocolMaker<MonitorCache> Maker{ProtocolConfig()};
+    auto [Before, After] = multiSyncRoundStats(Maker.Protocol, Row.N);
+    EXPECT_EQ(After.Hits - Before.Hits, Row.Hits) << "JDK111 n=" << Row.N;
+    EXPECT_EQ(After.Misses - Before.Misses, Row.Misses)
+        << "JDK111 n=" << Row.N;
+    EXPECT_EQ(After.Sweeps - Before.Sweeps, Row.Sweeps)
+        << "JDK111 n=" << Row.N;
+    EXPECT_EQ(After.PoolGrowths, 0u) << "JDK111 n=" << Row.N;
+  }
 }
