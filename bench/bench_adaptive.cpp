@@ -274,7 +274,7 @@ void Adaptive_PhaseShift(benchmark::State &State) {
   // Cold phase: no activity.  The engine walks the object to cold
   // expiry, drops the KeepFat decision, and its deflation scan retires
   // the quiescent monitor (tracking state itself is dropped at 2x).
-  const unsigned ColdTicks = F.Engine->config().ColdTicks;
+  const unsigned ColdTicks = policy::AdaptivePolicyEngine::ColdTicks;
   for (unsigned Round = 0; Round < 2 * ColdTicks + 2; ++Round)
     F.tick();
 

@@ -27,9 +27,9 @@
 // admits).  Any violated check exits non-zero, which is what makes it
 // usable from ctest and bench/run_benches.sh (BENCH_SOAK=1).
 //
-// The harness is protocol-generic: --protocol NAME (or the
-// THINLOCKS_PROTOCOL env var) soaks any registered protocol; the name
-// lands in the SLO snapshot, the config block, and every trace span.
+// The harness is protocol-generic: --protocol NAME (default ThinLock)
+// soaks any registered protocol; the name lands in the SLO snapshot, the
+// config block, and every trace span.
 // --adaptive stays thin-lock-only (the engine steers header policies).
 //
 // Usage:
@@ -65,8 +65,7 @@ struct Options {
   bool Chaos = false;
   bool Smoke = false;
   bool Adaptive = false;
-  /// Empty = resolve via $THINLOCKS_PROTOCOL, then the default.
-  const char *Protocol = "";
+  const char *Protocol = DefaultProtocolName;
   const char *Out = "BENCH_soak.json";
   const char *TraceOut = nullptr;
 };
@@ -133,7 +132,7 @@ int main(int Argc, char **Argv) {
     return 77; // ctest SKIP_RETURN_CODE.
   }
 
-  std::string Protocol = resolveProtocolName(Opts.Protocol);
+  std::string Protocol = Opts.Protocol;
   if (!isRegisteredProtocol(Protocol)) {
     std::fprintf(stderr, "error: unknown protocol '%s'; registered:",
                  Protocol.c_str());
@@ -265,7 +264,7 @@ int main(int Argc, char **Argv) {
           "adaptive engine wired but never ticked");
 
   if (Opts.Chaos) {
-    check(Result.ChaosPhasesRun == buildChaosSchedule(Config.ChaosSeed).size(),
+    check(Result.ChaosPhasesRun == buildChaosSchedule(ChaosSeed).size(),
           "not every chaos phase ran (raise --duration-s)");
     check(Result.Admission.Escalations > 0,
           "chaos ran but the ladder never escalated");

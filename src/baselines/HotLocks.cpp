@@ -2,9 +2,12 @@
 
 #include "baselines/HotLocks.h"
 
+#include "support/FailPoint.h"
 #include "support/JsonWriter.h"
 
 #include <cassert>
+#include <chrono>
+#include <thread>
 
 using namespace thinlocks;
 
@@ -62,6 +65,8 @@ MonitorCache::Ref HotLocks::resolveMonitor(Object *Obj, Lookup How) {
   if (isHotWord(Word)) {
     M.Lock = &HotTable[hotIdOf(Word)]->Lock;
   } else {
+    if (TL_FAILPOINT(HotLocksPromoteRace)) // Let a promotion land here.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
     Front HotFront{*this, Obj};
     M = Cache.resolveMonitor(Obj, How, HotFront);
   }

@@ -2,8 +2,6 @@
 
 #include "core/ProtocolRegistry.h"
 
-#include <cstdlib>
-
 using namespace thinlocks;
 
 // Out-of-line destructor anchors the vtable in this translation unit.
@@ -34,12 +32,4 @@ bool thinlocks::isRegisteredProtocol(std::string_view Name) {
     if (Name == Registered)
       return true;
   return false;
-}
-
-std::string thinlocks::resolveProtocolName(std::string_view CliName) {
-  if (!CliName.empty())
-    return std::string(CliName);
-  if (const char *Env = std::getenv(ProtocolEnvVar); Env && *Env)
-    return Env;
-  return DefaultProtocolName;
 }

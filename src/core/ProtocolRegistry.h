@@ -7,8 +7,7 @@
 ///    owns the protocol instance *and* its substrate (the thin-lock
 ///    manager needs a MonitorTable; the side-table protocols are
 ///    self-contained) behind the type-erased SyncBackend.  This is what
-///    the soak harness and bench_soak use, keyed by --protocol or the
-///    THINLOCKS_PROTOCOL environment variable.
+///    the soak harness and bench_soak use, keyed by --protocol.
 ///
 ///  - withProtocol(Name, Config, Callback): compile-time dispatch — the
 ///    callback is instantiated once per registered protocol type and
@@ -52,9 +51,6 @@
   X(FissileLock, "Fissile")
 
 namespace thinlocks {
-
-/// Environment variable consulted when no explicit name is given.
-inline constexpr const char *ProtocolEnvVar = "THINLOCKS_PROTOCOL";
 
 /// The default protocol (the paper's contribution).
 inline constexpr const char *DefaultProtocolName = "ThinLock";
@@ -150,12 +146,6 @@ const std::vector<std::string> &registeredProtocolNames();
 
 /// \returns true if \p Name is a registered protocol name.
 bool isRegisteredProtocol(std::string_view Name);
-
-/// Resolves the protocol to use: an explicit (non-empty) \p CliName
-/// wins, then $THINLOCKS_PROTOCOL, then DefaultProtocolName.  The result
-/// is *not* validated; callers check isRegisteredProtocol and report the
-/// registered list on a miss.
-std::string resolveProtocolName(std::string_view CliName = {});
 
 /// Compile-time dispatch: invokes \p Callback(ConcreteProtocol &,
 /// ProtocolHandle &) with the concrete type for \p Name.  \returns false

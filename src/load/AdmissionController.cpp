@@ -5,6 +5,14 @@
 using namespace thinlocks;
 using namespace thinlocks::load;
 
+/// Occupancy (fraction of capacity) at or above which a tick escalates
+/// even without a typed error — the early-warning rung.
+constexpr double HighWater = 0.85;
+/// Registry occupancy must be back under this before recovery counts a
+/// tick as quiet.  (Monitor occupancy is monotone and deliberately
+/// excluded; see the file comment in AdmissionController.h.)
+constexpr double LowWater = 0.70;
+
 const char *load::degradationLevelName(DegradationLevel Level) {
   switch (Level) {
   case DegradationLevel::Normal:
@@ -64,8 +72,8 @@ DegradationLevel AdmissionController::tick(const PressureSignals &Now) {
     Floor = DegradationLevel::DeferInflation;
   else if (RegistryDelta > 0)
     Floor = DegradationLevel::Shed;
-  else if (Now.RegistryOccupancy >= Limits.HighWater ||
-           Now.MonitorOccupancy >= Limits.HighWater)
+  else if (Now.RegistryOccupancy >= HighWater ||
+           Now.MonitorOccupancy >= HighWater)
     Floor = DegradationLevel::Shed;
 
   if (static_cast<uint8_t>(Floor) > static_cast<uint8_t>(Level)) {
@@ -80,7 +88,7 @@ DegradationLevel AdmissionController::tick(const PressureSignals &Now) {
   // ~1.0 forever, and waiting for it to recede would latch the ladder.
   bool Quiet = MonitorDelta == 0 && RegistryDelta == 0 &&
                EmergencyDelta == 0 &&
-               Now.RegistryOccupancy < Limits.LowWater;
+               Now.RegistryOccupancy < LowWater;
   if (!Quiet) {
     QuietTicks = 0;
     return Level;

@@ -64,15 +64,8 @@ enum class AdmissionDecision : uint8_t {
   Shed,          ///< Reject; the caller counts it against the SLO.
 };
 
-/// Tuning knobs.  Defaults fit the 1-CPU CI soak profile.
+/// Ladder settings.  Defaults fit the 1-CPU CI soak profile.
 struct AdmissionLimits {
-  /// Occupancy (fraction of capacity) at or above which a tick escalates
-  /// even without a typed error — the early-warning rung.
-  double HighWater = 0.85;
-  /// Registry occupancy must be back under this before recovery counts a
-  /// tick as quiet.  (Monitor occupancy is monotone and deliberately
-  /// excluded; see the file comment.)
-  double LowWater = 0.70;
   /// Consecutive quiet ticks required per one-step de-escalation.
   uint32_t RecoveryDwellTicks = 5;
   /// At Shed and above, every ShedOneIn-th arrival is rejected.

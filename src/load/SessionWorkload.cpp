@@ -12,12 +12,29 @@ using namespace thinlocks::load;
 
 namespace {
 
+/// The session shape.
+constexpr uint32_t LightRequests = 24;
+constexpr uint32_t HeavyRequests = 10;
+/// Private objects a heavy session allocates and inflates.
+constexpr uint32_t HeavyPrivateObjects = 3;
+/// Busy-think inside each critical section (the served "request").
+constexpr uint64_t ThinkNanos = 1500;
+/// Heavy sessions' Object.wait timeout (each wait inflates).
+constexpr int64_t WaitTimeoutNanos = 2000;
+/// One request in this many nests recursively on its hot object.
+constexpr uint32_t NestOneIn = 4;
+/// Heavy sessions park on the shared rendezvous object for up to this
+/// long; light sessions notifyAll it (one in NotifyOneIn requests), so
+/// sustained load produces genuine directed wakes — the unpark-to-
+/// resume latency behind the SLO's time-to-wake quantiles.  Waits that
+/// draw no notify in time bound the stall at this timeout.
+constexpr int64_t RendezvousTimeoutNanos = 1'000'000;
+constexpr uint32_t NotifyOneIn = 6;
+
 /// Busy-think standing in for request service time.  Spinning (not
 /// sleeping) keeps sub-10µs think times honest on a 1-CPU host, where a
 /// sleep's wakeup quantum would dwarf the think itself.
 void thinkFor(uint64_t Nanos) {
-  if (Nanos == 0)
-    return;
   uint64_t Deadline = monotonicNanos() + Nanos;
   while (monotonicNanos() < Deadline) {
   }
@@ -27,10 +44,9 @@ void thinkFor(uint64_t Nanos) {
 
 SessionWorkload::SessionWorkload(SyncBackend &Sync, Heap &TheHeap,
                                  ThreadRegistry &Registry, size_t HotObjects,
-                                 double ZipfTheta, SessionParams Params)
+                                 double ZipfTheta)
     : Sync(Sync), TheHeap(TheHeap), Registry(Registry),
-      Popularity(std::max<size_t>(HotObjects, 1), ZipfTheta),
-      Params(Params) {
+      Popularity(std::max<size_t>(HotObjects, 1), ZipfTheta) {
   HotClass = &TheHeap.classes().registerClass("SoakHot", 2);
   PrivateClass = &TheHeap.classes().registerClass("SoakPrivate", 1);
   Hot.reserve(Popularity.universe());
@@ -43,8 +59,7 @@ void SessionWorkload::lightRequest(const ThreadContext &Ctx,
                                    SplitMix64 &Rng, SessionOutcome &Out,
                                    LatencyHistogram &AcquireHist) {
   Object *Obj = Hot[Popularity.sample(Rng)];
-  bool Nest =
-      Params.NestOneIn != 0 && Rng.nextBounded(Params.NestOneIn) == 0;
+  bool Nest = Rng.nextBounded(NestOneIn) == 0;
   StopWatch Watch;
   Sync.lock(Obj, Ctx);
   uint64_t AcquireNanos = Watch.elapsedNanos();
@@ -53,15 +68,14 @@ void SessionWorkload::lightRequest(const ThreadContext &Ctx,
   if (Nest) {
     // Exercise the paper's §2.3.3 inline-nesting path under load.
     Sync.lock(Obj, Ctx);
-    thinkFor(Params.ThinkNanos / 2);
+    thinkFor(ThinkNanos / 2);
     Sync.unlock(Obj, Ctx);
-    thinkFor(Params.ThinkNanos / 2);
+    thinkFor(ThinkNanos / 2);
   } else {
-    thinkFor(Params.ThinkNanos);
+    thinkFor(ThinkNanos);
   }
   Sync.unlock(Obj, Ctx);
-  if (Params.NotifyOneIn != 0 &&
-      Rng.nextBounded(Params.NotifyOneIn) == 0) {
+  if (Rng.nextBounded(NotifyOneIn) == 0) {
     // Release any heavy sessions parked at the rendezvous: the directed
     // unpark behind the time-to-wake quantiles.
     Sync.lock(Rendezvous, Ctx);
@@ -80,7 +94,7 @@ SessionOutcome SessionWorkload::run(const ThreadContext &Worker,
     // Light shape — including heavy sessions admitted degraded: same
     // request volume, zero monitor allocations (the EmergencyOnly
     // contract).
-    uint32_t N = Heavy ? Params.HeavyRequests : Params.LightRequests;
+    uint32_t N = Heavy ? HeavyRequests : LightRequests;
     for (uint32_t I = 0; I < N; ++I)
       lightRequest(Worker, Rng, Out, AcquireHist);
     return Out;
@@ -101,7 +115,7 @@ SessionOutcome SessionWorkload::run(const ThreadContext &Worker,
   // representation, each costing one MonitorTable::allocate().  A
   // wait-timeout inflates per the paper (only fat locks have wait
   // queues); the hint inflations model pre-inflated shared structures.
-  for (uint32_t I = 0; I < Params.HeavyPrivateObjects; ++I) {
+  for (uint32_t I = 0; I < HeavyPrivateObjects; ++I) {
     Object *Priv = TheHeap.allocate(*PrivateClass);
     StopWatch Watch;
     Sync.lock(Priv, Ctx);
@@ -112,7 +126,7 @@ SessionOutcome SessionWorkload::run(const ThreadContext &Worker,
       // Either the deliberate wait-timeout inflation, or the portable
       // fallback for protocols without an inflation notion: a short
       // timed wait exercises the same wait-queue machinery.
-      Sync.wait(Priv, Ctx, Params.WaitTimeoutNanos);
+      Sync.wait(Priv, Ctx, WaitTimeoutNanos);
     }
     ++Out.MonitorsRequested;
     Sync.unlock(Priv, Ctx);
@@ -122,14 +136,12 @@ SessionOutcome SessionWorkload::run(const ThreadContext &Worker,
   // Park at the shared rendezvous until a light session notifies (or the
   // bounded timeout).  A notified wake is a real blocked-park unpark, so
   // this is what populates the Wake histogram under load.
-  if (Params.RendezvousTimeoutNanos > 0) {
-    Sync.lock(Rendezvous, Ctx);
-    Sync.wait(Rendezvous, Ctx, Params.RendezvousTimeoutNanos);
-    Sync.unlock(Rendezvous, Ctx);
-  }
+  Sync.lock(Rendezvous, Ctx);
+  Sync.wait(Rendezvous, Ctx, RendezvousTimeoutNanos);
+  Sync.unlock(Rendezvous, Ctx);
 
   // Then serve its requests against the shared hot set like any tenant.
-  for (uint32_t I = 0; I < Params.HeavyRequests; ++I)
+  for (uint32_t I = 0; I < HeavyRequests; ++I)
     lightRequest(Ctx, Rng, Out, AcquireHist);
 
   if (Ephemeral.isValid())

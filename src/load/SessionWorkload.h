@@ -47,27 +47,6 @@ class ClassInfo;
 
 namespace load {
 
-/// Per-session workload shape.
-struct SessionParams {
-  uint32_t LightRequests = 24;
-  uint32_t HeavyRequests = 10;
-  /// Private objects a heavy session allocates and inflates.
-  uint32_t HeavyPrivateObjects = 3;
-  /// Busy-think inside each critical section (the served "request").
-  uint64_t ThinkNanos = 1500;
-  /// Heavy sessions' Object.wait timeout (each wait inflates).
-  int64_t WaitTimeoutNanos = 2000;
-  /// One request in this many nests recursively on its hot object.
-  uint32_t NestOneIn = 4;
-  /// Heavy sessions park on the shared rendezvous object for up to this
-  /// long; light sessions notifyAll it (one in NotifyOneIn requests), so
-  /// sustained load produces genuine directed wakes — the unpark-to-
-  /// resume latency behind the SLO's time-to-wake quantiles.  Waits that
-  /// draw no notify in time bound the stall at this timeout.
-  int64_t RendezvousTimeoutNanos = 1'000'000;
-  uint32_t NotifyOneIn = 6;
-};
-
 /// What one session did.
 struct SessionOutcome {
   uint32_t Requests = 0;
@@ -90,7 +69,7 @@ class SessionWorkload {
 public:
   SessionWorkload(SyncBackend &Sync, Heap &TheHeap,
                   ThreadRegistry &Registry, size_t HotObjects,
-                  double ZipfTheta, SessionParams Params = SessionParams());
+                  double ZipfTheta);
 
   SessionWorkload(const SessionWorkload &) = delete;
   SessionWorkload &operator=(const SessionWorkload &) = delete;
@@ -115,11 +94,11 @@ private:
   Heap &TheHeap;
   ThreadRegistry &Registry;
   ZipfSampler Popularity;
-  SessionParams Params;
   const ClassInfo *HotClass = nullptr;
   const ClassInfo *PrivateClass = nullptr;
   std::vector<Object *> Hot;
-  /// Shared wait/notify rendezvous (see SessionParams::RendezvousTimeoutNanos).
+  /// Shared wait/notify rendezvous (see RendezvousTimeoutNanos in
+  /// SessionWorkload.cpp).
   Object *Rendezvous = nullptr;
 };
 

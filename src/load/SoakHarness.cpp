@@ -4,6 +4,7 @@
 
 #include "core/ProtocolRegistry.h"
 #include "heap/Heap.h"
+#include "load/SessionWorkload.h"
 #include "obs/LockEventCollector.h"
 #include "support/FailPoint.h"
 #include "support/Fatal.h"
@@ -55,6 +56,13 @@ std::vector<ChaosPhase> load::buildChaosSchedule(uint64_t Seed) {
 
 namespace {
 
+/// Bounded arrival queue; overflow sheds (the backpressure of last
+/// resort when even admission control lags the arrival process).
+constexpr size_t QueueLimit = 512;
+constexpr uint64_t TickNanos = 10'000'000; // 10ms controller cadence.
+/// Worst-tail fraction exported as Chrome "session" spans.
+constexpr double WorstFraction = 0.01;
+
 /// One admitted-or-deferred arrival.
 struct Arrival {
   uint64_t Id = 0;
@@ -101,10 +109,10 @@ public:
         Protocol(makeProtocol(Config, Stats)),
         Monitors(Protocol->monitorTable()), Thin(Protocol->thinLocks()),
         Workload(Protocol->sync(), TheHeap, Registry, Config.HotObjects,
-                 Config.ZipfTheta, Config.Session),
-        Collector(Registry), Controller(Config.Limits) {
+                 Config.ZipfTheta),
+        Collector(Registry) {
     if (Config.Chaos && failpoint::compiledIn())
-      Chaos = buildChaosSchedule(Config.ChaosSeed);
+      Chaos = buildChaosSchedule(ChaosSeed);
     ChaosArmed.assign(Chaos.size(), false);
     ChaosDone.assign(Chaos.size(), false);
     if (Config.AdaptivePolicy) {
@@ -186,7 +194,7 @@ void SoakRun::dispatchLocked(const Arrival &A, AdmissionDecision Decision) {
   switch (Decision) {
   case AdmissionDecision::Admit:
   case AdmissionDecision::AdmitDegraded: {
-    if (Queue.size() >= Config.QueueLimit) {
+    if (Queue.size() >= QueueLimit) {
       // Backpressure of last resort: admission control lagged the
       // arrival process; shed rather than queue without bound.
       ++QueueOverflow;
@@ -322,7 +330,7 @@ void SoakRun::tickerLoop() {
       UniqueLock Guard(TickMu);
       if (!StopTicker)
         TickCv.wait_for(Guard,
-                        std::chrono::nanoseconds(Config.TickNanos));
+                        std::chrono::nanoseconds(TickNanos));
       if (StopTicker)
         break;
     }
@@ -401,7 +409,7 @@ SoakResult SoakRun::run() {
   // walk back to Normal and deferred sessions get their retry, then
   // shed whatever never got in.
   uint64_t GraceTicks =
-      static_cast<uint64_t>(Config.Limits.RecoveryDwellTicks) *
+      static_cast<uint64_t>(AdmissionLimits().RecoveryDwellTicks) *
           NumDegradationLevels +
       25;
   for (uint64_t I = 0; I < GraceTicks; ++I) {
@@ -414,7 +422,7 @@ SoakResult SoakRun::run() {
     if (Settled)
       break;
     std::this_thread::sleep_for(
-        std::chrono::nanoseconds(Config.TickNanos));
+        std::chrono::nanoseconds(TickNanos));
   }
   {
     LockGuard Guard(Mu);
@@ -516,7 +524,7 @@ SoakResult SoakRun::finish(uint64_t RunNanos) {
             });
   size_t WorstCount = static_cast<size_t>(
       std::ceil(static_cast<double>(AllSessions.size()) *
-                Config.WorstFraction));
+                WorstFraction));
   WorstCount = std::min(AllSessions.size(),
                         std::max<size_t>(WorstCount, 1));
   if (!AllSessions.empty()) {

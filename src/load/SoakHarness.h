@@ -36,7 +36,6 @@
 #define THINLOCKS_LOAD_SOAKHARNESS_H
 
 #include "load/AdmissionController.h"
-#include "load/SessionWorkload.h"
 #include "obs/SloSnapshot.h"
 #include "policy/AdaptivePolicyEngine.h"
 
@@ -58,6 +57,9 @@ struct ChaosPhase {
   uint64_t Arg = 0;
 };
 
+/// The seed of the chaos schedule a chaos run arms.
+constexpr uint64_t ChaosSeed = 7;
+
 /// Harness configuration.  Defaults are the 1-CPU CI smoke profile;
 /// real soaks raise DurationSeconds and ArrivalsPerSecond.
 struct SoakConfig {
@@ -77,27 +79,18 @@ struct SoakConfig {
   /// exhaustion is reachable without 8M allocations.
   uint32_t MonitorCapacity = 0;
   uint16_t RegistryCapacity = 0;
-  /// Bounded arrival queue; overflow sheds (the backpressure of last
-  /// resort when even admission control lags the arrival process).
-  size_t QueueLimit = 512;
-  uint64_t TickNanos = 10'000'000; // 10ms controller cadence.
-  AdmissionLimits Limits;
-  SessionParams Session;
   /// Retire monitors at quiescence so long soaks also exercise the
   /// deflation / stale-fat-word machinery.
   bool DeflateWhenQuiescent = true;
   /// Arm the seeded failpoint schedule (requires a failpoints build).
   bool Chaos = false;
-  uint64_t ChaosSeed = 7;
-  /// Worst-tail fraction exported as Chrome "session" spans.
-  double WorstFraction = 0.01;
   /// Close the profiler->policy loop: run an AdaptivePolicyEngine off
   /// the controller's tick cadence and wire its decision store into the
   /// lock slow paths.  Thin-lock only: the engine steers header-word
   /// policies, so enabling it with any other Protocol is a fatal
   /// configuration error (callers pre-validate; see bench_soak).
   bool AdaptivePolicy = false;
-  /// Engine tuning when AdaptivePolicy is on.  The harness owns its
+  /// Engine settings when AdaptivePolicy is on.  The harness owns its
   /// heap and every session object outlives the run, so enabling
   /// Policy.SpeculativeDeflation here is safe.
   policy::PolicyConfig Policy;

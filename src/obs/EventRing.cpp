@@ -76,11 +76,13 @@ void EventRing::record(uint64_t Time, uint64_t Addr, uint64_t Meta,
   if (TL_UNLIKELY(S == nullptr))
     S = allocateSlots();
   uint64_t H = Head.load(std::memory_order_relaxed);
-  Slot &Out = S[H & Mask];
-  Out.Time.store(Time, std::memory_order_relaxed);
-  Out.Addr.store(Addr, std::memory_order_relaxed);
-  Out.Meta.store(Meta, std::memory_order_relaxed);
-  Out.Arg.store(Arg, std::memory_order_relaxed);
-  // The release bump publishes the slot words to an acquiring drain.
+  // Odd: writing.  The slot stores are releases so that a drain that
+  // reads any of them also sees the slot claimed.
   Head.store(H + 1, std::memory_order_release);
+  Slot &Out = S[(H / 2) & Mask];
+  Out.Time.store(Time, std::memory_order_release);
+  Out.Addr.store(Addr, std::memory_order_release);
+  Out.Meta.store(Meta, std::memory_order_release);
+  Out.Arg.store(Arg, std::memory_order_release);
+  Head.store(H + 2, std::memory_order_release);
 }

@@ -11,13 +11,16 @@
 ///
 /// Concurrency contract:
 ///  - record() is owner-thread-only: the attached thread whose index the
-///    ring currently serves.  It is wait-free — four relaxed stores and
-///    one release bump; an overrun silently overwrites the oldest slot.
+///    ring currently serves.  It is wait-free, a seqlock: the head counts
+///    half steps, odd while a slot is being written — a bump to odd, four
+///    slot stores, a bump to even, all release.  An overrun silently
+///    overwrites the oldest slot.
 ///  - drain() may run on any *single* collector thread at a time (the
-///    LockEventCollector serializes itself).  It reads slots between its
-///    private cursor and the released head, then re-checks the head: any
-///    slot the writer may have lapped during the read is discarded and
-///    counted as dropped rather than surfaced torn.
+///    LockEventCollector serializes itself).  It acquires the finished
+///    events' slot words after its private cursor, and after each slot
+///    re-checks the head: once the writer has *begun* the event that
+///    reuses the slot, the copy may be torn, so it is counted as dropped
+///    rather than surfaced.
 ///
 /// Storage is allocated lazily on the first record, so the registry's
 /// preallocated ThreadInfo pool does not pay ~128 KiB per slot while
@@ -69,7 +72,8 @@ public:
     Slot *S = Slots.load(std::memory_order_acquire);
     if (!S)
       return 0;
-    uint64_t H = Head.load(std::memory_order_acquire);
+    // Events [0, H) are finished; an odd head's event is read later.
+    uint64_t H = Head.load(std::memory_order_acquire) / 2;
     uint64_t From = ReadCursor;
     // Already lapped before we started: everything older than one full
     // ring is gone.
@@ -80,14 +84,14 @@ public:
     size_t Delivered = 0;
     for (uint64_t Seq = From; Seq != H; ++Seq) {
       const Slot &In = S[Seq & Mask];
-      uint64_t Time = In.Time.load(std::memory_order_relaxed);
-      uint64_t Addr = In.Addr.load(std::memory_order_relaxed);
-      uint64_t Meta = In.Meta.load(std::memory_order_relaxed);
-      uint64_t Arg = In.Arg.load(std::memory_order_relaxed);
-      // Re-check after the reads: if the writer has lapped this slot in
-      // the meantime the words may be torn — discard, don't surface.
-      uint64_t Fresh = Head.load(std::memory_order_acquire);
-      if (Fresh - Seq > Cap) {
+      uint64_t Time = In.Time.load(std::memory_order_acquire);
+      uint64_t Addr = In.Addr.load(std::memory_order_acquire);
+      uint64_t Meta = In.Meta.load(std::memory_order_acquire);
+      uint64_t Arg = In.Arg.load(std::memory_order_acquire);
+      // A word from the next lap carries that lap's odd head with it, so
+      // the head then shows the lap begun: discard.
+      uint64_t Fresh = Head.load(std::memory_order_relaxed);
+      if (Fresh > 2 * (Seq + Cap)) {
         ++DroppedCount;
         continue;
       }
@@ -104,7 +108,7 @@ public:
 
   /// \returns how many events have ever been recorded (racy snapshot).
   uint64_t recordedEvents() const {
-    return Head.load(std::memory_order_relaxed);
+    return Head.load(std::memory_order_relaxed) / 2;
   }
 
   size_t capacity() const { return Cap; }
@@ -126,7 +130,8 @@ private:
   /// Lazily allocated by the first record(); release-published so a
   /// draining collector acquires fully-constructed slots.
   std::atomic<Slot *> Slots{nullptr};
-  /// Next sequence number to write; release-bumped after the slot words.
+  /// Twice the next sequence number to write, plus one while its slot
+  /// words are being written.
   std::atomic<uint64_t> Head{0};
   /// Collector-private resume point (guarded by the collector's own
   /// serialization, not by this class).

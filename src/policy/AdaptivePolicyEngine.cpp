@@ -17,6 +17,22 @@ using namespace thinlocks::policy;
 
 namespace {
 
+// Thresholds, tuned for the 1-CPU evaluation host at the soak's 10ms tick.
+/// How many profiler rows a tick examines.
+constexpr size_t TopObjects = 128;
+constexpr size_t TopClasses = 16;
+/// Mean blocked-ns per contended acquire at or below which the owner
+/// counts as fast-release (-> Deep spin).
+constexpr uint64_t FastReleaseMeanNanos = 5'000;
+/// Mean blocked-ns per contended acquire at or above which the object
+/// counts as convoy-prone (-> ParkEarly).
+constexpr uint64_t ConvoyMeanNanos = 100'000;
+/// Inflations+deflations delta within one tick at or above which the
+/// object counts as thrashing (-> KeepFat + EagerInflate).
+constexpr uint64_t ReinflateThreshold = 2;
+/// Deflation candidates examined per tick (bounds tick latency).
+constexpr size_t DeflateScanLimit = 32;
+
 /// Cumulative counters can only grow, but a collector reset() between
 /// ticks would make them shrink; clamp so a reset reads as "no activity"
 /// rather than a huge unsigned wraparound.
@@ -45,15 +61,15 @@ LockPolicy AdaptivePolicyEngine::classify(const Deltas &D) const {
   LockPolicy P;
   // Thrash first: one inflate/deflate round trip per tick is already the
   // pathology §2.3 warns about, and it dominates any spin-depth tuning.
-  if (D.Inflations + D.Deflations >= Config.ReinflateThreshold) {
+  if (D.Inflations + D.Deflations >= ReinflateThreshold) {
     P.KeepFat = true;
     P.EagerInflate = true;
   }
   if (D.Contended > 0) {
     uint64_t Mean = D.Blocked / D.Contended;
-    if (Mean <= Config.FastReleaseMeanNanos)
+    if (Mean <= FastReleaseMeanNanos)
       P.Spin = SpinClass::Deep;
-    else if (Mean >= Config.ConvoyMeanNanos)
+    else if (Mean >= ConvoyMeanNanos)
       P.Spin = SpinClass::ParkEarly;
   }
   return P;
@@ -72,8 +88,8 @@ bool AdaptivePolicyEngine::advanceDwell(Tracked &T, LockPolicy Desired,
   // Cold expiry's ColdTicks wait *is* its dwell; stacking DemoteDwell on
   // top would keep decisions alive long after the object died.
   unsigned Need = Cold ? 1
-                  : isDemotion(T.Published, T.Desired) ? Config.DemoteDwellTicks
-                                                       : Config.PromoteDwellTicks;
+                  : isDemotion(T.Published, T.Desired) ? DemoteDwellTicks
+                                                       : PromoteDwellTicks;
   return T.DesiredStreak >= Need;
 }
 
@@ -123,7 +139,7 @@ void AdaptivePolicyEngine::stepKey(Tracked &T, const Deltas &D, uint64_t Key,
     }
   } else {
     ++T.IdleTicks;
-    if (T.IdleTicks >= Config.ColdTicks) {
+    if (T.IdleTicks >= ColdTicks) {
       Cold = true; // Desired stays default: expire the decision.
     } else {
       // Quiet tick inside the idle grace window: hold the current
@@ -174,10 +190,10 @@ void AdaptivePolicyEngine::deflateScan(const ThreadContext *Recorder) {
     return;
   size_t Scanned = 0;
   for (const auto &KV : Objects) {
-    if (Scanned >= Config.DeflateScanLimit)
+    if (Scanned >= DeflateScanLimit)
       break;
     const Tracked &T = KV.second;
-    if (KV.first == 0 || T.IdleTicks < Config.ColdTicks)
+    if (KV.first == 0 || T.IdleTicks < ColdTicks)
       continue;
     ++Scanned;
     ++Counters.DeflationScans;
@@ -214,9 +230,9 @@ void AdaptivePolicyEngine::deflateScan(const ThreadContext *Recorder) {
 
 void AdaptivePolicyEngine::tick(const ThreadContext *Recorder) {
   Collector.drain();
-  std::vector<obs::HotLockEntry> Top = Collector.topLocks(Config.TopObjects);
+  std::vector<obs::HotLockEntry> Top = Collector.topLocks(TopObjects);
   std::vector<obs::HotClassEntry> TopC =
-      Collector.topClasses(Config.TopClasses);
+      Collector.topClasses(TopClasses);
 
   LockGuard G(Mu);
   ++Counters.Ticks;
@@ -254,7 +270,7 @@ void AdaptivePolicyEngine::tick(const ThreadContext *Recorder) {
     // Long-cold and nothing published: forget the object entirely.  (A
     // published decision is never stranded — stepKey expires it at
     // ColdTicks, well before 2x.)
-    if (T.IdleTicks >= 2 * Config.ColdTicks && T.Published.isDefault())
+    if (T.IdleTicks >= 2 * ColdTicks && T.Published.isDefault())
       It = Objects.erase(It);
     else
       ++It;
@@ -264,7 +280,7 @@ void AdaptivePolicyEngine::tick(const ThreadContext *Recorder) {
   // class needs a population (MinClassObjects) before its long tail
   // inherits a decision.
   for (const obs::HotClassEntry &E : TopC) {
-    if (E.Objects < Config.MinClassObjects)
+    if (E.Objects < MinClassObjects)
       continue;
     Tracked &T = Classes[E.ClassIndex];
     T.SeenInTick = Counters.Ticks;
@@ -289,7 +305,7 @@ void AdaptivePolicyEngine::tick(const ThreadContext *Recorder) {
     Tracked &T = It->second;
     if (T.SeenInTick != Counters.Ticks)
       stepKey(T, Deltas(), It->first, /*IsClass=*/true, Recorder);
-    if (T.IdleTicks >= 2 * Config.ColdTicks && T.Published.isDefault())
+    if (T.IdleTicks >= 2 * ColdTicks && T.Published.isDefault())
       It = Classes.erase(It);
     else
       ++It;

@@ -58,42 +58,11 @@ class LockEventCollector;
 
 namespace policy {
 
-/// Classification thresholds and dwell constants.  Defaults are tuned
-/// for the repo's 1-CPU evaluation host at the soak harness's 10ms tick
-/// cadence; the bench drives ticks per contention burst instead, which
-/// the dwell logic is deliberately insensitive to (it counts ticks, not
-/// time).
+/// Engine settings; the thresholds and dwell counts are constants.
 struct PolicyConfig {
-  /// How many profiler rows a tick examines.
-  size_t TopObjects = 128;
-  size_t TopClasses = 16;
-  /// Mean blocked-ns per contended acquire at or below which the owner
-  /// counts as fast-release (-> Deep spin).
-  uint64_t FastReleaseMeanNanos = 5'000;
-  /// Mean blocked-ns per contended acquire at or above which the object
-  /// counts as convoy-prone (-> ParkEarly).
-  uint64_t ConvoyMeanNanos = 100'000;
-  /// Inflations+deflations delta within one tick at or above which the
-  /// object counts as thrashing (-> KeepFat + EagerInflate).
-  uint64_t ReinflateThreshold = 2;
-  /// Consecutive ticks a non-default classification must hold before it
-  /// is published.
-  unsigned PromoteDwellTicks = 3;
-  /// Consecutive ticks a *weaker* classification must hold before an
-  /// active object's published decision is downgraded.
-  unsigned DemoteDwellTicks = 6;
-  /// Idle ticks after which a tracked object is cold: its decision is
-  /// expired and it becomes a deflation candidate.  (Cold expiry uses
-  /// this as its dwell; tracking state is dropped after 2x.)
-  unsigned ColdTicks = 8;
-  /// Only classes with at least this many distinct profiled objects get
-  /// a class-level decision (below it, per-object entries suffice).
-  uint64_t MinClassObjects = 4;
   /// Retire cold objects' quiescent fat locks.  OFF by default: see the
   /// file comment for the object-lifetime contract this asserts.
   bool SpeculativeDeflation = false;
-  /// Deflation candidates examined per tick (bounds tick latency).
-  size_t DeflateScanLimit = 32;
 };
 
 /// The engine's decision ledger (mutually consistent snapshot via
@@ -132,6 +101,21 @@ public:
                        MonitorTable &Monitors,
                        PolicyConfig Config = PolicyConfig());
 
+  /// Dwell counts (ticks, not time, so a bench that ticks per burst and
+  /// the soak's 10ms cadence share them).  Consecutive ticks a non-default classification must hold before it
+  /// is published.
+  static constexpr unsigned PromoteDwellTicks = 3;
+  /// Consecutive ticks a *weaker* classification must hold before an
+  /// active object's published decision is downgraded.
+  static constexpr unsigned DemoteDwellTicks = 6;
+  /// Idle ticks after which a tracked object is cold: its decision is
+  /// expired and it becomes a deflation candidate.  (Cold expiry uses
+  /// this as its dwell; tracking state is dropped after 2x.)
+  static constexpr unsigned ColdTicks = 8;
+  /// Only classes with at least this many distinct profiled objects get
+  /// a class-level decision (below it, per-object entries suffice).
+  static constexpr uint64_t MinClassObjects = 4;
+
   AdaptivePolicyEngine(const AdaptivePolicyEngine &) = delete;
   AdaptivePolicyEngine &operator=(const AdaptivePolicyEngine &) = delete;
 
@@ -148,8 +132,6 @@ public:
   void tick(const ThreadContext *Recorder = nullptr) TL_EXCLUDES(Mu);
 
   PolicyCounters counters() const TL_EXCLUDES(Mu);
-
-  const PolicyConfig &config() const { return Config; }
 
 private:
   /// Per-key dwell state and cumulative baselines as of the last tick.

@@ -31,7 +31,7 @@ constexpr const char *Names[NumIds] = {
     "thinlock.initial-cas",      "spinwait.preempt",
     "thinlock.inflate-race",     "monitortable.exhausted",
     "threadregistry.exhausted",  "park.spurious",
-    "parkinglot.timeout-race",
+    "parkinglot.timeout-race",   "hotlocks.promote-race",
 };
 
 State &stateOf(Id I) { return States[static_cast<unsigned>(I)]; }

@@ -53,6 +53,8 @@ enum class Id : uint8_t {
                             ///< between a timed park returning and the waiter
                             ///< re-acquiring its bucket, so an unparkOne can
                             ///< capture the timed-out waiter first.
+  HotLocksPromoteRace,      ///< "hotlocks.promote-race": widen IBM112's
+                            ///< window before the cache mutex.
   NumIds,
 };
 

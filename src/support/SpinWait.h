@@ -96,10 +96,6 @@ class SpinWait {
   uint64_t Parks = 0;
 
 public:
-  /// Historical aliases kept for tests and callers tuned to defaults.
-  static constexpr unsigned YieldThresholdRound = 4;
-  static constexpr unsigned MaxPausesPerRound = 64;
-
   SpinWait() = default;
   explicit SpinWait(const SpinPolicy &Policy) : Policy(Policy) {}
 

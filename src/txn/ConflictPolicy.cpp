@@ -188,6 +188,11 @@ bool occValidateReadSet(const TxnTable &Table, const std::vector<size_t> &Reads,
 
 namespace {
 
+/// OCC: retries for an unstable (locked or moving) read.
+constexpr uint32_t MaxReadRetries = 64;
+/// OCC: tryLock attempts per write-set lock in the commit window.
+constexpr uint32_t CommitLockSpins = 8;
+
 /// Publishes one committed write to \p Idx.  Caller holds the object's
 /// monitor (2PL) or its OCC commit lock — either way no concurrent
 /// writer exists, so plain loads suffice on our own word.  The odd
@@ -377,7 +382,7 @@ public:
     for (size_t Idx : Access.Reads) {
       bool Stable = false;
       const TxnCell &Cell = Table.cell(Idx);
-      for (uint32_t Attempt = 0; Attempt < Tuning.MaxReadRetries; ++Attempt) {
+      for (uint32_t Attempt = 0; Attempt < MaxReadRetries; ++Attempt) {
         uint64_t Before = Cell.Version.load(std::memory_order_acquire);
         if ((Before & 1) != 0)
           continue;
@@ -402,7 +407,7 @@ public:
     Scratch.SortedWrites.assign(Access.Writes.begin(), Access.Writes.end());
     std::sort(Scratch.SortedWrites.begin(), Scratch.SortedWrites.end());
     if (!occLockWriteSet(Table, Thread, Scratch.SortedWrites,
-                         Scratch.Acquired, Tuning.CommitLockSpins))
+                         Scratch.Acquired, CommitLockSpins))
       return TxnStatus::AbortedBusy;
 
     holdFor(Tuning.HoldNanos);

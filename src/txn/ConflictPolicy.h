@@ -127,7 +127,7 @@ struct TxnTable {
   }
 };
 
-/// Policy knobs; defaults suit both tests and the bench grid.
+/// Policy settings; defaults suit both tests and the bench grid.
 struct PolicyTuning {
   /// One wait-die wait rung: a bounded tryLockFor this long.  Long
   /// enough for the thin-lock detector to confirm a cycle at the
@@ -137,10 +137,6 @@ struct PolicyTuning {
   /// Wait rungs before an older waiter gives up (AbortedBusy): the
   /// progress bound for protocols that can only report TimedOut.
   uint32_t MaxWaitRounds = 64;
-  /// OCC: retries for an unstable (locked or moving) read.
-  uint32_t MaxReadRetries = 64;
-  /// OCC: tryLock attempts per write-set lock in the commit window.
-  uint32_t CommitLockSpins = 8;
   /// Yield-spin this long while every lock is held (the transaction's
   /// "work").  Zero for throughput runs; tests raise it so conflicting
   /// schedules actually interleave even on a single timesliced CPU.

@@ -169,7 +169,12 @@ ReplayResult replayProfile(const BenchmarkProfile &Profile, P &Protocol,
   return Result;
 }
 
-/// Tuning for replayProfileContended().
+/// replayWork() units replayProfileContended()'s hammer threads spend
+/// holding the hot lock — long enough that contenders actually collide
+/// and park.
+constexpr uint32_t WorkPerHold = 64;
+
+/// Settings for replayProfileContended().
 struct ContendedReplayConfig {
   ReplayConfig Replay;
   /// Extra threads hammering the shared hot object.
@@ -178,9 +183,6 @@ struct ContendedReplayConfig {
   /// only arises when the scheduler preempts a holder mid-critical-
   /// section, each thread spans several scheduling quanta.
   uint64_t HammerOpsPerThread = 40000;
-  /// replayWork() units while holding the hot lock — long enough that
-  /// contenders actually collide and park.
-  uint32_t WorkPerHold = 64;
 };
 
 /// What replayProfileContended() did beyond the plain replay.
@@ -230,7 +232,7 @@ replayProfileContended(const BenchmarkProfile &Profile, P &Protocol,
       uint32_t Acc = T + 1;
       for (uint64_t I = 0; I < Cfg.HammerOpsPerThread; ++I) {
         Protocol.lock(Hot, Me);
-        Acc = replayWork(Acc, Cfg.WorkPerHold);
+        Acc = replayWork(Acc, WorkPerHold);
         Protocol.unlock(Hot, Me);
       }
       Ops.fetch_add(Cfg.HammerOpsPerThread, std::memory_order_relaxed);

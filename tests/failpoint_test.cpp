@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "baselines/HotLocks.h"
 #include "core/ThinLock.h"
 #include "heap/Heap.h"
 #include "support/FailPoint.h"
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -357,6 +359,56 @@ TEST_F(FailPointLockTest, InjectedRegistryExhaustionReturnsTypedError) {
   EXPECT_TRUE(Ok.isValid());
   EXPECT_EQ(Error, AttachError::None);
   Fresh.detach(Ok);
+}
+
+TEST_F(FailPointLockTest, HotLocksPromotionRacingColdLookupKeepsOneMonitor) {
+  if (!fp::compiledIn())
+    GTEST_SKIP() << "requires -DTHINLOCKS_FAILPOINTS=ON";
+  // IBM112's first side-table invariant (DESIGN.md §14): the hot word is
+  // re-read under the cache mutex.  A lock parked between the lock-free
+  // hot check and the cache mutex while another thread promotes the
+  // object must take the hot monitor, not a second one from the cache.
+  HotLocks Hot;
+  Object *Obj = newObject();
+  fp::arm(fp::Id::HotLocksPromoteRace, fp::Mode::Times, 1);
+
+  std::atomic<bool> Holding{false};
+  std::atomic<bool> Release{false};
+  std::thread Parked([&] {
+    ScopedThreadAttachment Attachment(Registry, "parked");
+    Hot.lock(Obj, Attachment.context()); // The one evaluation that fires.
+    Holding.store(true, std::memory_order_release);
+    while (!Release.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    // Through the hot word, the release reaches the monitor it holds
+    // only if the lock took the hot one.
+    EXPECT_TRUE(Hot.unlockChecked(Obj, Attachment.context()));
+  });
+  while (fp::hitCount(fp::Id::HotLocksPromoteRace) == 0)
+    std::this_thread::yield();
+
+  // Promote inside the window: each use counts toward the threshold,
+  // and the idle mapping goes hot at the threshold.
+  for (int I = 0; I < 8 && !Hot.isHot(Obj); ++I)
+    if (Hot.tryLock(Obj, Main))
+      Hot.unlock(Obj, Main);
+  bool Promoted = Hot.isHot(Obj);
+  bool WindowStillOpen = !Holding.load(std::memory_order_acquire);
+  while (!Holding.load(std::memory_order_acquire))
+    std::this_thread::yield();
+
+  // The parked thread now holds the object's lock.  The object's only
+  // monitor is the hot one, so taking it must fail.
+  bool Stolen = Hot.tryLock(Obj, Main);
+  if (Stolen)
+    Hot.unlock(Obj, Main);
+  Release.store(true, std::memory_order_release);
+  Parked.join();
+
+  EXPECT_TRUE(Promoted);
+  EXPECT_TRUE(WindowStillOpen) << "the parked lock left the window early";
+  EXPECT_FALSE(Stolen) << "the parked lock took a second monitor";
+  EXPECT_EQ(fp::hitCount(fp::Id::HotLocksPromoteRace), 1u);
 }
 
 TEST_F(FailPointTest, VMSpawnSurfacesThreadExhaustedTrap) {

@@ -3,18 +3,24 @@
 // Unit coverage for src/load/: the Zipfian popularity sampler, the
 // admission-control degradation ladder (driven with synthetic
 // PressureSignals — no real tables needed), the chaos schedule's
-// determinism, and short end-to-end runSoak() sanity runs, including
-// one against a deliberately tiny MonitorTable so genuine (not
-// injected) exhaustion feeds the ladder.
+// determinism, the session shapes, and short end-to-end runSoak()
+// sanity runs, including the benchmark's adaptive configuration and one
+// against a deliberately tiny MonitorTable so genuine (not injected)
+// exhaustion feeds the ladder.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/ProtocolRegistry.h"
+#include "heap/Heap.h"
 #include "load/AdmissionController.h"
+#include "load/SessionWorkload.h"
 #include "load/SoakHarness.h"
 #include "load/Zipf.h"
 #include "obs/ChromeTrace.h"
 #include "obs/SloSnapshot.h"
+#include "support/Histogram.h"
 #include "support/SplitMix64.h"
+#include "threads/ThreadRegistry.h"
 
 #include <gtest/gtest.h>
 
@@ -23,6 +29,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -534,6 +541,60 @@ TEST(Soak, DeterministicOfferCountPerSeed) {
   // arrival *experiences* is timing-dependent, but the offered count is
   // not.
   EXPECT_EQ(A.Slo.SessionsOffered, B.Slo.SessionsOffered);
+}
+
+TEST(Soak, SessionsOpenConfigurationTicksTheEngineAndShedsNothing) {
+  // The soak configuration the sessions_open benchmark runs: the
+  // adaptive engine, quiescent deflation and speculative deflation on.
+  SoakConfig Config;
+  Config.DurationSeconds = 0.5;
+  Config.Workers = 2;
+  Config.DeflateWhenQuiescent = true;
+  Config.AdaptivePolicy = true;
+  Config.Policy.SpeculativeDeflation = true;
+  SoakResult Result = runSoak(Config);
+  const obs::SloSnapshot &Slo = Result.Slo;
+
+  EXPECT_GT(Slo.SessionsOffered, 0u);
+  EXPECT_EQ(Slo.SessionsOffered, Slo.SessionsCompleted + Slo.SessionsShed);
+  EXPECT_TRUE(Slo.Acquire.monotone());
+  EXPECT_TRUE(Slo.Session.monotone());
+  EXPECT_TRUE(Slo.Wake.monotone());
+  EXPECT_GT(Result.Policy.Ticks, 0u);
+  EXPECT_EQ(Slo.SessionsShed, 0u);
+}
+
+TEST(Soak, SessionShapesServeTheirRequestsAndMonitors) {
+  // The session shapes DESIGN.md §12 describes, in numbers: a light
+  // session serves 24 requests; a heavy one inflates 3 private objects
+  // and then serves 10 hot requests; a heavy one admitted degraded
+  // serves the 10 without asking for a monitor.
+  std::unique_ptr<ProtocolHandle> Handle = createProtocol("ThinLock");
+  ASSERT_NE(Handle, nullptr);
+  Heap TheHeap;
+  ThreadRegistry Registry;
+  SessionWorkload Workload(Handle->sync(), TheHeap, Registry,
+                           /*HotObjects=*/8, /*ZipfTheta=*/0.8);
+  ScopedThreadAttachment Worker(Registry, "worker");
+  SplitMix64 Rng(3);
+  LatencyHistogram Acquire;
+
+  SessionOutcome Light = Workload.run(Worker.context(), Rng, /*Heavy=*/false,
+                                      /*Degraded=*/false, Acquire);
+  EXPECT_EQ(Light.Requests, 24u);
+  EXPECT_EQ(Light.MonitorsRequested, 0u);
+
+  SessionOutcome Heavy = Workload.run(Worker.context(), Rng, /*Heavy=*/true,
+                                      /*Degraded=*/false, Acquire);
+  EXPECT_EQ(Heavy.Requests, 13u);
+  EXPECT_EQ(Heavy.MonitorsRequested, 3u);
+  EXPECT_FALSE(Heavy.AttachFallback);
+
+  SessionOutcome Degraded = Workload.run(Worker.context(), Rng,
+                                         /*Heavy=*/true, /*Degraded=*/true,
+                                         Acquire);
+  EXPECT_EQ(Degraded.Requests, 10u);
+  EXPECT_EQ(Degraded.MonitorsRequested, 0u);
 }
 
 TEST(Soak, TinyMonitorTableEscalatesOnGenuineExhaustion) {

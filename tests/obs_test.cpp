@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <iterator>
 #include <map>
 #include <string>
@@ -163,6 +164,45 @@ TEST(EventRingTest, EmptyRingNeverAllocatesAndDrainsNothing) {
   obs::EventRing Ring;
   EXPECT_EQ(Ring.drain([](const obs::LockEvent &) { FAIL(); }), 0u);
   EXPECT_EQ(Ring.recordedEvents(), 0u);
+}
+
+TEST(EventRingTest, DrainConcurrentWithLappingWriterDeliversNoTornEvent) {
+  // A writer one lap ahead of the reader rewrites the slot the reader is
+  // copying.  Every word of event N carries N, so an event stitched from
+  // two records shows as words that disagree.  A tiny ring keeps the
+  // writer lapping the reader all the time.
+  obs::EventRing Ring(/*Capacity=*/4);
+  std::atomic<bool> Stop{false};
+  std::thread Writer([&] {
+    for (uint64_t Seq = 1; !Stop.load(std::memory_order_relaxed); ++Seq)
+      Ring.record(Seq, Seq, Seq, Seq);
+  });
+  uint64_t Delivered = 0, Torn = 0, OutOfOrder = 0, Last = 0;
+  auto Check = [&](const obs::LockEvent &E) {
+    uint64_t Meta = obs::LockEvent::packMeta(E.Kind, E.ThreadIndex,
+                                             E.ClassIndex, E.Extra);
+    ++Delivered;
+    if (E.ObjectAddr != E.TimeNanos || Meta != E.TimeNanos ||
+        E.Arg != E.TimeNanos) {
+      ++Torn;
+      return;
+    }
+    if (E.TimeNanos <= Last)
+      ++OutOfOrder;
+    Last = E.TimeNanos;
+  };
+  auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < Deadline)
+    Ring.drain(Check);
+  Stop.store(true, std::memory_order_relaxed);
+  Writer.join();
+  Ring.drain(Check);
+
+  EXPECT_EQ(Torn, 0u) << "of " << Delivered << " delivered events";
+  EXPECT_EQ(OutOfOrder, 0u);
+  EXPECT_GT(Delivered, 0u);
+  EXPECT_EQ(Delivered + Ring.droppedEvents(), Ring.recordedEvents());
 }
 
 //===----------------------------------------------------------------------===//

@@ -290,7 +290,6 @@ struct EngineHarness {
 TEST(AdaptiveEngineTest, ThrashPromotesAfterDwellNotBefore) {
   EngineHarness H;
   const uint64_t Addr = 0x7000;
-  const PolicyConfig &Cfg = H.Engine.config();
 
   // Tick 1 seeds the baseline (cumulative profiler rows): no deltas yet.
   recordThrash(H.ring(), Addr, H.Me.index(), 5);
@@ -299,7 +298,7 @@ TEST(AdaptiveEngineTest, ThrashPromotesAfterDwellNotBefore) {
 
   // PromoteDwellTicks of consecutive thrash deltas are required; the
   // decision must not land early.
-  for (unsigned T = 1; T < Cfg.PromoteDwellTicks; ++T) {
+  for (unsigned T = 1; T < AdaptivePolicyEngine::PromoteDwellTicks; ++T) {
     recordThrash(H.ring(), Addr, H.Me.index(), 5);
     H.Engine.tick();
     EXPECT_EQ(H.Engine.policyStore().objectDecisions(), 0u)
@@ -320,10 +319,9 @@ TEST(AdaptiveEngineTest, ThrashPromotesAfterDwellNotBefore) {
 TEST(AdaptiveEngineTest, ChurnAcrossDwellBoundariesDoesNotOscillate) {
   EngineHarness H;
   const uint64_t Addr = 0x8000;
-  const PolicyConfig &Cfg = H.Engine.config();
 
   // Promote (seed + dwell).
-  for (unsigned T = 0; T <= Cfg.PromoteDwellTicks; ++T) {
+  for (unsigned T = 0; T <= AdaptivePolicyEngine::PromoteDwellTicks; ++T) {
     recordThrash(H.ring(), Addr, H.Me.index(), 5);
     H.Engine.tick();
   }
@@ -332,7 +330,8 @@ TEST(AdaptiveEngineTest, ChurnAcrossDwellBoundariesDoesNotOscillate) {
   // Churn phase 1: alternate one thrash tick with one silent tick.
   // Every silent tick is inside the ColdTicks grace window, so the
   // published decision must hold steady — no expiry, no re-promotion.
-  for (unsigned Round = 0; Round < 6 * Cfg.PromoteDwellTicks; ++Round) {
+  for (unsigned Round = 0;
+       Round < 6 * AdaptivePolicyEngine::PromoteDwellTicks; ++Round) {
     if (Round % 2 == 0)
       recordThrash(H.ring(), Addr, H.Me.index(), 5);
     H.Engine.tick();
@@ -344,7 +343,8 @@ TEST(AdaptiveEngineTest, ChurnAcrossDwellBoundariesDoesNotOscillate) {
   // Churn phase 2: the thrash evidence disappears (KeepFat suppressed
   // it) but the object stays contended.  The sticky lever must hold —
   // revoking here would restart the decide/thrash/decide oscillation.
-  for (unsigned Round = 0; Round < 2 * Cfg.DemoteDwellTicks; ++Round) {
+  for (unsigned Round = 0;
+       Round < 2 * AdaptivePolicyEngine::DemoteDwellTicks; ++Round) {
     recordContended(H.ring(), Addr, H.Me.index(), 5);
     H.Engine.tick();
     EXPECT_TRUE(H.Engine.policyStore().forObject(Addr, 5).KeepFat)
@@ -360,9 +360,8 @@ TEST(AdaptiveEngineTest, ChurnAcrossDwellBoundariesDoesNotOscillate) {
 TEST(AdaptiveEngineTest, ColdExpiryThenRetrackRepublishes) {
   EngineHarness H;
   const uint64_t Addr = 0x9000;
-  const PolicyConfig &Cfg = H.Engine.config();
 
-  for (unsigned T = 0; T <= Cfg.PromoteDwellTicks; ++T) {
+  for (unsigned T = 0; T <= AdaptivePolicyEngine::PromoteDwellTicks; ++T) {
     recordThrash(H.ring(), Addr, H.Me.index(), 5);
     H.Engine.tick();
   }
@@ -370,7 +369,7 @@ TEST(AdaptiveEngineTest, ColdExpiryThenRetrackRepublishes) {
 
   // Silence: the decision survives the grace window, then expires at
   // exactly ColdTicks idle ticks.
-  for (unsigned T = 1; T < Cfg.ColdTicks; ++T) {
+  for (unsigned T = 1; T < AdaptivePolicyEngine::ColdTicks; ++T) {
     H.Engine.tick();
     EXPECT_EQ(H.Engine.policyStore().objectDecisions(), 1u)
         << "expired early at idle tick " << T;
@@ -381,12 +380,12 @@ TEST(AdaptiveEngineTest, ColdExpiryThenRetrackRepublishes) {
 
   // Long-cold: tracking state itself is dropped (ObjectsTracked decays
   // once nothing is published and the idle count passes 2x ColdTicks).
-  for (unsigned T = 0; T < 2 * Cfg.ColdTicks; ++T)
+  for (unsigned T = 0; T < 2 * AdaptivePolicyEngine::ColdTicks; ++T)
     H.Engine.tick();
 
   // The object heats up again: the engine re-seeds and re-publishes
   // after the same dwell.
-  for (unsigned T = 0; T <= Cfg.PromoteDwellTicks; ++T) {
+  for (unsigned T = 0; T <= AdaptivePolicyEngine::PromoteDwellTicks; ++T) {
     recordThrash(H.ring(), Addr, H.Me.index(), 5);
     H.Engine.tick();
   }
@@ -396,14 +395,13 @@ TEST(AdaptiveEngineTest, ColdExpiryThenRetrackRepublishes) {
 
 TEST(AdaptiveEngineTest, ClassRollupCoversThePopulationTail) {
   EngineHarness H;
-  const PolicyConfig &Cfg = H.Engine.config();
   const uint32_t Cls = 9;
 
   // MinClassObjects distinct thrashing instances of one class: the
   // class itself earns a decision, covering instances the engine never
   // profiled.
-  for (unsigned T = 0; T <= Cfg.PromoteDwellTicks; ++T) {
-    for (uint64_t I = 0; I < Cfg.MinClassObjects; ++I)
+  for (unsigned T = 0; T <= AdaptivePolicyEngine::PromoteDwellTicks; ++T) {
+    for (uint64_t I = 0; I < AdaptivePolicyEngine::MinClassObjects; ++I)
       recordThrash(H.ring(), 0xA000 + I * 0x100, H.Me.index(), Cls);
     H.Engine.tick();
   }
@@ -608,7 +606,7 @@ TEST(PolicyE2ETest, SpeculativeDeflationRetiresColdMonitor) {
   // The Inflate event lands in the profiler on the first tick; from
   // then on the object is idle.  After ColdTicks idle ticks the scan
   // must retire the quiescent monitor and restore a thin word.
-  for (unsigned T = 0; T <= Cfg.ColdTicks + 1; ++T)
+  for (unsigned T = 0; T <= AdaptivePolicyEngine::ColdTicks + 1; ++T)
     Engine.tick();
   EXPECT_FALSE(Locks.isInflated(Obj));
   PolicyCounters C = Engine.counters();

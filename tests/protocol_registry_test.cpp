@@ -2,9 +2,9 @@
 //
 // The name -> factory seam (core/ProtocolRegistry.h): canonical names,
 // both dispatch faces (type-erased createProtocol and compile-time
-// withProtocol), capability accessors, env/CLI resolution order, and the
-// type-erased SyncBackend surface (tryLock / tryLockFor / statsJson /
-// inflateHint) for a thin-lock and a side-table protocol.
+// withProtocol), capability accessors, and the type-erased SyncBackend
+// surface (tryLock / tryLockFor / statsJson / inflateHint) for a
+// thin-lock and a side-table protocol.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,8 +13,6 @@
 #include "threads/ThreadRegistry.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 using namespace thinlocks;
 
@@ -31,10 +29,7 @@ protected:
     Main = Registry.attach("main");
     Class = &TheHeap.classes().registerClass("R", 0);
   }
-  void TearDown() override {
-    Registry.detach(Main);
-    ::unsetenv(ProtocolEnvVar);
-  }
+  void TearDown() override { Registry.detach(Main); }
 
   Object *newObject() { return TheHeap.allocate(*Class); }
 };
@@ -157,12 +152,3 @@ TEST_F(ProtocolRegistryTest, WithProtocolDispatchesConcreteType) {
                             [](auto &, ProtocolHandle &) {}));
 }
 
-TEST_F(ProtocolRegistryTest, ResolutionOrderCliEnvDefault) {
-  ::unsetenv(ProtocolEnvVar);
-  EXPECT_EQ(resolveProtocolName(), DefaultProtocolName);
-  ::setenv(ProtocolEnvVar, "Fissile", /*overwrite=*/1);
-  EXPECT_EQ(resolveProtocolName(), "Fissile");
-  EXPECT_EQ(resolveProtocolName("JDK111"), "JDK111"); // CLI wins.
-  ::setenv(ProtocolEnvVar, "", /*overwrite=*/1);
-  EXPECT_EQ(resolveProtocolName(), DefaultProtocolName);
-}

@@ -466,7 +466,7 @@ TEST(SpinWait, BackoffGrowsThenYields) {
 
 TEST(SpinWait, NoYieldInEarlyRounds) {
   SpinWait Spinner;
-  for (unsigned I = 0; I < SpinWait::YieldThresholdRound; ++I)
+  for (unsigned I = 0; I < DefaultSpinPolicy.YieldThresholdRound; ++I)
     Spinner.spinOnce();
   EXPECT_EQ(Spinner.totalYields(), 0u);
 }
