@@ -313,8 +313,6 @@ int main(int Argc, char **Argv) {
         .field("monitor_retirements", Result.MonitorRetirements)
         .end();
   }
-  if (!Result.ProtocolStatsJson.empty())
-    Doc.key("protocol_stats").raw(Result.ProtocolStatsJson);
   if (!writeArtifact(Opts.Out, Doc))
     return 1;
   if (Opts.TraceOut != nullptr && !Result.WorstTraceJson.empty() &&

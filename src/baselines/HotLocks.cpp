@@ -3,7 +3,6 @@
 #include "baselines/HotLocks.h"
 
 #include "support/FailPoint.h"
-#include "support/JsonWriter.h"
 
 #include <cassert>
 #include <chrono>
@@ -96,15 +95,4 @@ HotLocksStats HotLocks::stats() const {
   S.Promotions = NextHotSlot.load(std::memory_order_relaxed);
   S.Cache = Cache.stats();
   return S;
-}
-
-std::string HotLocks::statsJson() const {
-  HotLocksStats S = stats();
-  JsonWriter W;
-  W.beginObject()
-      .field("hot_path_ops", S.HotPathOps)
-      .field("cache_path_ops", S.CachePathOps)
-      .field("promotions", S.Promotions);
-  MonitorCache::writeStatsFields(W, S.Cache);
-  return W.end().take();
 }

@@ -39,7 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace thinlocks {
@@ -82,10 +81,6 @@ public:
   uint32_t displacedHeader(const Object *Obj) const;
 
   HotLocksStats stats() const;
-
-  /// \returns the hot/cache path and cache counters rendered as a JSON
-  /// object literal (the SyncBackend statsJson capability).
-  std::string statsJson() const;
 
 private:
   friend class MonitorOps<HotLocks>;

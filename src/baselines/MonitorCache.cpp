@@ -2,8 +2,6 @@
 
 #include "baselines/MonitorCache.h"
 
-#include "support/JsonWriter.h"
-
 #include <cassert>
 
 using namespace thinlocks;
@@ -86,21 +84,4 @@ MonitorCacheStats MonitorCache::stats() const {
 size_t MonitorCache::mappedMonitorCount() const {
   LockGuard Guard(CacheMu);
   return Map.size();
-}
-
-void MonitorCache::writeStatsFields(JsonWriter &W,
-                                    const MonitorCacheStats &S) {
-  W.field("lookups", S.Lookups)
-      .field("hits", S.Hits)
-      .field("misses", S.Misses)
-      .field("sweeps", S.Sweeps)
-      .field("sweep_scanned", S.SweepScannedEntries)
-      .field("pool_growths", S.PoolGrowths);
-}
-
-std::string MonitorCache::statsJson() const {
-  JsonWriter W;
-  W.beginObject();
-  writeStatsFields(W, stats());
-  return W.end().take();
 }

@@ -39,13 +39,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace thinlocks {
-
-class JsonWriter;
 
 /// Event counters for cache behaviour (all monotonically increasing).
 struct MonitorCacheStats {
@@ -79,14 +76,6 @@ public:
 
   /// \returns a snapshot of the cache behaviour counters.
   MonitorCacheStats stats() const;
-
-  /// \returns the cache counters rendered as a JSON object literal (the
-  /// SyncBackend statsJson capability).
-  std::string statsJson() const;
-
-  /// Writes \p S as fields of the JSON object open in \p W; JDK111's and
-  /// IBM112's statsJson both use it.
-  static void writeStatsFields(JsonWriter &W, const MonitorCacheStats &S);
 
   /// \returns the number of object->monitor mappings currently live.
   size_t mappedMonitorCount() const;

@@ -30,6 +30,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 
 namespace thinlocks {
 
@@ -47,9 +48,7 @@ enum class Lookup : uint8_t {
 template <typename Derived> class MonitorOps {
 public:
   void lock(Object *Obj, const ThreadContext &Thread) {
-    auto M = self().resolveMonitor(Obj, Lookup::Acquire);
-    M.Lock->lock(Thread);
-    self().releaseMonitor(M);
+    acquire(Obj, Thread, std::nullopt);
   }
 
   void unlock(Object *Obj, const ThreadContext &Thread) {
@@ -61,27 +60,20 @@ public:
     auto M = self().resolveMonitor(Obj, Lookup::Existing);
     if (!M.Lock)
       return false;
-    bool Ok = M.Lock->unlockChecked(Thread);
+    bool Ok = M.Lock->unlock(Thread) != FatLock::ReleaseResult::NotOwner;
     self().releaseMonitor(M);
     return Ok;
   }
 
   bool tryLock(Object *Obj, const ThreadContext &Thread) {
-    auto M = self().resolveMonitor(Obj, Lookup::Acquire);
-    bool Ok = M.Lock->tryLock(Thread);
-    self().releaseMonitor(M);
-    return Ok;
+    return acquire(Obj, Thread, /*TimeoutNanos=*/0);
   }
 
   TimedLockStatus tryLockFor(Object *Obj, const ThreadContext &Thread,
                              int64_t TimeoutNanos) {
-    auto M = self().resolveMonitor(Obj, Lookup::Acquire);
-    FatLock::TimedResult Result = M.Lock->lockIfLiveFor(Thread, TimeoutNanos);
-    self().releaseMonitor(M);
-    // No baseline retires a monitor while an operation holds it, and none
-    // keeps a waits-for graph, so any failure degrades to TimedOut (see
-    // degradeToTimedOut in core/LockProtocol.h).
-    return degradeToTimedOut(Result == FatLock::TimedResult::Acquired);
+    // No baseline keeps a waits-for graph, so any failure degrades to
+    // TimedOut (see degradeToTimedOut in core/LockProtocol.h).
+    return degradeToTimedOut(acquire(Obj, Thread, TimeoutNanos));
   }
 
   bool holdsLock(Object *Obj, const ThreadContext &Thread) const {
@@ -133,6 +125,20 @@ private:
   /// a caller can observe, so they stay const.
   Derived &mutableSelf() const {
     return const_cast<Derived &>(static_cast<const Derived &>(*this));
+  }
+
+  /// The acquisition behind lock, tryLock and tryLockFor: FatLock::lock
+  /// on \p Obj's monitor, waiting at most \p TimeoutNanos (none =
+  /// unbounded; non-positive = one attempt).  \returns whether \p Thread
+  /// acquired it.
+  bool acquire(Object *Obj, const ThreadContext &Thread,
+               std::optional<int64_t> TimeoutNanos) {
+    auto M = self().resolveMonitor(Obj, Lookup::Acquire);
+    FatLock::TimedResult Result = M.Lock->lock(Thread, TimeoutNanos);
+    self().releaseMonitor(M);
+    assert(Result != FatLock::TimedResult::Retired &&
+           "baseline monitors are never retired");
+    return Result == FatLock::TimedResult::Acquired;
   }
 
   /// Runs \p Op on \p Obj's monitor if \p Thread owns it.  \returns false

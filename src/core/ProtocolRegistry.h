@@ -83,9 +83,6 @@ public:
   virtual MonitorTable *monitorTable() { return nullptr; }
   /// Non-null only for the thin-lock manager (adaptive-policy wiring).
   virtual ThinLockManager *thinLocks() { return nullptr; }
-
-  /// Per-protocol stats snapshot as a JSON object literal ("" if none).
-  std::string statsJson() { return sync().statsJson(); }
 };
 
 /// Builds one protocol type plus its substrate.  The primary template

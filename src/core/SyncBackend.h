@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 namespace thinlocks {
 
@@ -43,11 +42,6 @@ public:
   virtual NotifyStatus notify(Object *Obj, const ThreadContext &Thread) = 0;
   virtual NotifyStatus notifyAll(Object *Obj,
                                  const ThreadContext &Thread) = 0;
-
-  /// Optional capability: a per-protocol stats snapshot as a JSON object
-  /// literal, or "" when the protocol exposes none.  The adapter detects
-  /// a `std::string statsJson() const` member on the concrete protocol.
-  virtual std::string statsJson() const { return {}; }
 
   /// Optional capability: ask the protocol to eagerly bind \p Obj to its
   /// heavyweight representation (thin-lock inflation).  \p Thread must
@@ -103,12 +97,6 @@ public:
   }
   NotifyStatus notifyAll(Object *Obj, const ThreadContext &Thread) override {
     return Impl.notifyAll(Obj, Thread);
-  }
-  std::string statsJson() const override {
-    if constexpr (requires { Impl.statsJson(); })
-      return Impl.statsJson();
-    else
-      return {};
   }
   bool inflateHint(Object *Obj, const ThreadContext &Thread) override {
     if constexpr (requires { Impl.inflate(Obj, Thread); }) {

@@ -219,7 +219,7 @@ public:
       // monitor would only buy the next contention burst an inflation.
       bool MayRetire = Deflation == DeflationPolicy::WhenQuiescent &&
                        TL_LIKELY(!policyFor(Obj).KeepFat);
-      switch (Fat->release(Thread, MayRetire)) {
+      switch (Fat->unlock(Thread, MayRetire)) {
       case FatLock::ReleaseResult::NotOwner:
         return false;
       case FatLock::ReleaseResult::Released:
@@ -227,18 +227,9 @@ public:
           Stats->recordRelease();
         return true;
       case FatLock::ReleaseResult::RetiredNow:
-        // Deflate: we were the only user; re-publish the thin word.
-        // Only the (final) owner performs this store, preserving the
-        // owner-only write discipline.  The retired monitor's table
-        // slot is intentionally never reused: threads may still hold
-        // the stale index and must resolve it to the *retired* monitor
-        // to learn they should retry.
-        Word.store(lockword::headerBitsOf(Value),
-                   std::memory_order_release);
-        // Publish-and-wake: threads that saw the stale fat word are
-        // lot-parked on the object waiting for this store.
-        ParkingLot::global().unparkAll(Obj);
-        Monitors.noteRetirement();
+        // Deflate: we were the only user; the table re-publishes the
+        // thin word and wakes whoever saw the stale fat one.
+        Monitors.finishDeflation(Obj, Value);
         if (obs::tracingEnabled())
           recordEvent(Obj, Thread, obs::EventKind::Deflate);
         if (Stats) {
@@ -272,16 +263,16 @@ public:
       uint32_t Value = Word.load(std::memory_order_relaxed);
       if (lockword::isFat(Value)) {
         FatLock *Fat = Monitors.resolve(Value);
-        switch (Fat->tryLockStatus(Thread)) {
-        case FatLock::TryResult::Acquired:
+        switch (Fat->lock(Thread, /*TimeoutNanos=*/0)) {
+        case FatLock::TimedResult::Acquired:
           if (Stats) {
             Stats->recordFatPath();
             Stats->recordAcquire(Fat->holdCount());
           }
           return true;
-        case FatLock::TryResult::Busy:
+        case FatLock::TimedResult::TimedOut:
           return false;
-        case FatLock::TryResult::Retired:
+        case FatLock::TimedResult::Retired:
           // Deflated under us; the word is changing.  Back off on the
           // escalation ladder (pause -> yield -> park) until the
           // deflater publishes the restored header: a bare yield loop
@@ -455,9 +446,7 @@ public:
   }
 
   LockStats *stats() const { return Stats; }
-  void setStats(LockStats *NewStats) { Stats = NewStats; }
   MonitorTable &monitorTable() { return Monitors; }
-  const ContentionOptions &contentionOptions() const { return Options; }
   void setContentionOptions(const ContentionOptions &NewOptions) {
     Options = NewOptions;
   }
@@ -658,7 +647,7 @@ private:
           if (Slice <= 0)
             return checkDeadlock(Obj, Thread, /*Watchdog=*/false, Report);
         }
-        switch (Fat->lockIfLiveFor(Thread, Slice)) {
+        switch (Fat->lock(Thread, Slice)) {
         case FatLock::TimedResult::Acquired:
           Policy::afterAcquireFence();
           if (TL_UNLIKELY(Tracing))
@@ -766,18 +755,21 @@ private:
     assert(lockword::isThinOwnedBy(CurrentWord, Thread.shiftedIndex()) &&
            "inflating a lock the thread does not own");
     uint32_t Index = Monitors.allocate();
-    FatLock *Fat;
     if (TL_UNLIKELY(Index == 0)) {
       Index = Monitors.emergencyIndex();
-      Fat = Monitors.emergencyMonitor();
-      Fat->lockMergingCount(Thread, Holds);
       if (Stats)
         Stats->recordEmergencyInflation();
       Cause = obs::InflateCause::Emergency;
-    } else {
-      Fat = Monitors.get(Index);
-      Fat->lockWithCount(Thread, Holds);
     }
+    // A fresh monitor is free with an empty queue, so this takes it at
+    // once; the shared emergency one may queue behind another object's
+    // holder, or merge with this thread's own holds.  Neither can be
+    // retired: the fresh one is unpublished, the emergency one pinned.
+    FatLock *Fat = Monitors.get(Index);
+    [[maybe_unused]] FatLock::TimedResult Result =
+        Fat->lock(Thread, std::nullopt, Holds);
+    assert(Result == FatLock::TimedResult::Acquired &&
+           "inflating onto a retired monitor");
     if (obs::tracingEnabled())
       recordEvent(Obj, Thread, obs::EventKind::Inflate,
                   static_cast<uint64_t>(Cause));

@@ -55,6 +55,13 @@ bool FatLock::acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
     Owner = Thread.index();
     return true;
   }
+  if (TimeoutNanos && *TimeoutNanos <= 0) {
+    // One attempt that never queues (a non-positive timeout never means
+    // "wait forever"); standing down for a non-empty queue keeps entry
+    // FIFO.
+    ++Counters.Timeouts;
+    return false;
+  }
   ++Counters.ContendedAcquisitions;
   EntryNode Node;
   Node.Pk = Thread.parker();
@@ -94,28 +101,17 @@ bool FatLock::awaitGrant(UniqueLock &Guard, EntryNode &Node, uint16_t Index,
   return true;
 }
 
-void FatLock::lock(const ThreadContext &Thread) {
+FatLock::TimedResult FatLock::lock(const ThreadContext &Thread,
+                                   std::optional<int64_t> TimeoutNanos,
+                                   uint32_t Holds) {
   assert(Thread.isValid() && "locking with an unattached thread");
-  UniqueLock Guard(Mu);
-  assert(!Retired && "locking a retired (deflated) monitor");
-  ++Counters.Acquisitions;
-  if (Owner == Thread.index()) {
-    ++Hold;
-    return;
-  }
-  acquireSlow(Guard, Thread, std::nullopt);
-  Hold = 1;
-}
-
-FatLock::TimedResult FatLock::lockIfLiveFor(const ThreadContext &Thread,
-                                            int64_t TimeoutNanos) {
-  assert(Thread.isValid() && "locking with an unattached thread");
+  assert(Holds > 0 && "an acquisition takes at least one hold");
   UniqueLock Guard(Mu);
   if (Retired)
     return TimedResult::Retired;
   if (Owner == Thread.index()) {
     ++Counters.Acquisitions;
-    ++Hold;
+    Hold += Holds;
     return TimedResult::Acquired;
   }
   // Being queued blocks retirement, so the monitor stays live until we
@@ -123,12 +119,12 @@ FatLock::TimedResult FatLock::lockIfLiveFor(const ThreadContext &Thread,
   if (!acquireSlow(Guard, Thread, TimeoutNanos))
     return TimedResult::TimedOut;
   ++Counters.Acquisitions;
-  Hold = 1;
+  Hold = Holds;
   return TimedResult::Acquired;
 }
 
-FatLock::ReleaseResult FatLock::release(const ThreadContext &Thread,
-                                        bool MayRetire) {
+FatLock::ReleaseResult FatLock::unlock(const ThreadContext &Thread,
+                                       bool MayRetire) {
   UniqueLock Guard(Mu);
   if (Owner != Thread.index())
     return ReleaseResult::NotOwner;
@@ -137,8 +133,7 @@ FatLock::ReleaseResult FatLock::release(const ThreadContext &Thread,
       ThreadsInWait == 0) {
     // Fully quiescent: nobody is queued and nobody is waiting.  Retire
     // instead of releasing; late arrivals that already resolved this
-    // monitor bounce out of lockIfLiveFor() and re-read the object's
-    // lock word.
+    // monitor bounce out of lock() and re-read the object's lock word.
     Hold = 0;
     Owner = 0;
     Retired = true;
@@ -168,66 +163,12 @@ bool FatLock::retireIfQuiescent() {
   if (Retired || Pinned || Owner != 0 || EntryHead != nullptr ||
       ThreadsInWait != 0)
     return false;
-  // Owner == 0 makes this mutually exclusive with release() (which
+  // Owner == 0 makes this mutually exclusive with unlock() (which
   // requires ownership), and an empty entry queue means no handoff
   // claim is outstanding: nobody can acquire this monitor except
-  // through lockIfLiveFor() or tryLockStatus(), which now reject it.
+  // through lock(), which now rejects it.
   Retired = true;
   return true;
-}
-
-bool FatLock::tryLock(const ThreadContext &Thread) {
-  TryResult Result = tryLockStatus(Thread);
-  assert(Result != TryResult::Retired &&
-         "tryLock on a retired (deflated) monitor");
-  return Result == TryResult::Acquired;
-}
-
-FatLock::TryResult FatLock::tryLockStatus(const ThreadContext &Thread) {
-  assert(Thread.isValid() && "locking with an unattached thread");
-  UniqueLock Guard(Mu);
-  if (Retired)
-    return TryResult::Retired;
-  if (Owner == Thread.index()) {
-    ++Counters.Acquisitions;
-    ++Hold;
-    return TryResult::Acquired;
-  }
-  // A free monitor with a non-empty queue belongs to the queue head;
-  // barging past it would break FIFO entry.
-  if (Owner != 0 || EntryHead != nullptr)
-    return TryResult::Busy;
-  ++Counters.Acquisitions;
-  Owner = Thread.index();
-  Hold = 1;
-  return TryResult::Acquired;
-}
-
-void FatLock::lockWithCount(const ThreadContext &Thread, uint32_t Count) {
-  assert(Thread.isValid() && "locking with an unattached thread");
-  assert(Count > 0 && "inflation transfers at least one hold");
-  UniqueLock Guard(Mu);
-  assert(Owner == 0 && EntryHead == nullptr &&
-         "inflation target must be a fresh, unpublished monitor");
-  ++Counters.Acquisitions;
-  Owner = Thread.index();
-  Hold = Count;
-}
-
-void FatLock::lockMergingCount(const ThreadContext &Thread, uint32_t Count) {
-  assert(Thread.isValid() && "locking with an unattached thread");
-  assert(Count > 0 && "inflation transfers at least one hold");
-  UniqueLock Guard(Mu);
-  assert(!Retired && "emergency monitor must be pinned, never retired");
-  ++Counters.Acquisitions;
-  if (Owner == Thread.index()) {
-    // This thread already routed another object's inflation here: merge
-    // the transferred holds so lock/unlock pairs stay balanced.
-    Hold += Count;
-    return;
-  }
-  acquireSlow(Guard, Thread, std::nullopt);
-  Hold = Count;
 }
 
 void FatLock::pin() {
@@ -238,15 +179,6 @@ void FatLock::pin() {
 bool FatLock::isPinned() const {
   LockGuard Guard(Mu);
   return Pinned;
-}
-
-void FatLock::unlock(const ThreadContext &Thread) {
-  [[maybe_unused]] bool Ok = unlockChecked(Thread);
-  assert(Ok && "unlock by non-owner");
-}
-
-bool FatLock::unlockChecked(const ThreadContext &Thread) {
-  return release(Thread, /*MayRetire=*/false) != ReleaseResult::NotOwner;
 }
 
 void FatLock::removeWaiter(WaitNode *Node) {
@@ -331,7 +263,7 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
   return Node.Notified ? WaitResult::Notified : WaitResult::TimedOut;
 }
 
-bool FatLock::notify(const ThreadContext &Thread) {
+bool FatLock::notify([[maybe_unused]] const ThreadContext &Thread) {
   LockGuard Guard(Mu);
   assert(Owner == Thread.index() && "notify by non-owner");
   ++Counters.Notifies;
@@ -348,7 +280,7 @@ bool FatLock::notify(const ThreadContext &Thread) {
   return true;
 }
 
-uint32_t FatLock::notifyAll(const ThreadContext &Thread) {
+uint32_t FatLock::notifyAll([[maybe_unused]] const ThreadContext &Thread) {
   LockGuard Guard(Mu);
   assert(Owner == Thread.index() && "notifyAll by non-owner");
   ++Counters.Notifies;

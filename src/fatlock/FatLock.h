@@ -18,9 +18,13 @@
 /// (notify_all, with a ticket check deciding who proceeds); here only
 /// the FIFO head is ever woken, so a release costs one futex wake
 /// regardless of queue depth.  Entry order is still strictly FIFO: the
-/// queue head has exclusive claim on a free monitor, and the
-/// non-blocking paths (tryLock, the uncontended fast path) stand down
-/// whenever the queue is non-empty — no barging.
+/// queue head has exclusive claim on a free monitor, and lock()'s
+/// non-queueing takes (the uncontended one and a non-positive timeout's
+/// one attempt) stand down whenever the queue is non-empty — no barging.
+///
+/// The surface is two calls, lock() and unlock(); every protocol built
+/// on FatLock (ThinLock, JDK111, IBM112, EagerMonitor) enters and leaves
+/// through them.
 ///
 /// notify/notifyAll *morph* waiters instead of waking them: the wait
 /// node is moved from the wait set onto the entry-queue tail and the
@@ -66,39 +70,44 @@ class FatLock {
 public:
   enum class WaitResult { Notified, TimedOut };
 
-  /// Result of an unlock that may retire the monitor (deflation support;
-  /// see ThinLockImpl's DeflationPolicy).
+  /// Outcome of an acquisition.
+  enum class TimedResult { Acquired, TimedOut, Retired };
+
+  /// Result of an unlock, which may retire the monitor (deflation
+  /// support; see ThinLockImpl's DeflationPolicy).
   enum class ReleaseResult { Released, RetiredNow, NotOwner };
 
   FatLock() = default;
   FatLock(const FatLock &) = delete;
   FatLock &operator=(const FatLock &) = delete;
 
-  /// Acquires the monitor for \p Thread, blocking FIFO behind earlier
-  /// arrivals.  Recursive acquisition increments the hold count.
-  /// Asserts that the monitor has not been retired.
-  void lock(const ThreadContext &Thread) TL_EXCLUDES(Mu);
+  /// Acquires the monitor for \p Thread with \p Holds holds, the one
+  /// entry of every acquisition:
+  ///  - the owner adds \p Holds to its hold count (recursion, and an
+  ///    emergency inflation onto a monitor it already holds);
+  ///  - a free monitor with an empty entry queue is taken at once;
+  ///  - otherwise a non-positive \p TimeoutNanos refuses at once without
+  ///    queueing (TimedOut), and any other caller queues FIFO behind
+  ///    earlier arrivals, for at most \p TimeoutNanos when one is given.
+  ///    A timed-out entrant dequeues itself so later entrants are not
+  ///    stranded.
+  /// \returns Retired, acquiring nothing, once deflation has retired the
+  /// monitor: the caller must re-read the object's lock word and start
+  /// over.  Retirement needs an empty entry queue, so once this call has
+  /// queued it cannot be stranded.
+  TimedResult lock(const ThreadContext &Thread,
+                   std::optional<int64_t> TimeoutNanos = std::nullopt,
+                   uint32_t Holds = 1) TL_EXCLUDES(Mu);
 
-  /// Outcome of a bounded acquisition attempt.
-  enum class TimedResult { Acquired, TimedOut, Retired };
-
-  /// Like lock(), but gives up after \p TimeoutNanos, dequeuing itself
-  /// so later entrants are not stranded (a non-positive timeout makes
-  /// one attempt and never parks), and \returns Retired without
-  /// acquiring if deflation has *retired* the monitor: the caller must
-  /// re-read the object's lock word and start over.  Retirement needs an
-  /// empty entry queue, so once this call has queued it cannot be
-  /// stranded.
-  TimedResult lockIfLiveFor(const ThreadContext &Thread,
-                            int64_t TimeoutNanos) TL_EXCLUDES(Mu);
-
-  /// Releases one hold.  With \p MayRetire, releasing the last hold of a
-  /// completely quiescent monitor (no queued entrants, no waiters, not
-  /// pinned) retires it instead: a retired monitor rejects all future
-  /// use via lockIfLiveFor() and tryLockStatus(), and the caller owns
-  /// re-publishing the object's thin lock word.  \returns NotOwner,
-  /// leaving the monitor untouched, when \p Thread is not the owner.
-  ReleaseResult release(const ThreadContext &Thread, bool MayRetire)
+  /// Releases one hold; the monitor is freed when the count reaches zero
+  /// and handed to the entry-queue head.  With \p MayRetire, releasing
+  /// the last hold of a completely quiescent monitor (no queued
+  /// entrants, no waiters, not pinned) retires it instead: a retired
+  /// monitor answers every later lock() with Retired, and the caller
+  /// finishes the deflation (MonitorTable::finishDeflation).  \returns
+  /// NotOwner, leaving the monitor untouched, when \p Thread is not the
+  /// owner — the hook for IllegalMonitorStateException.
+  ReleaseResult unlock(const ThreadContext &Thread, bool MayRetire = false)
       TL_EXCLUDES(Mu);
 
   /// \returns true once the monitor has been retired by deflation.
@@ -107,37 +116,10 @@ public:
   /// Third-party retirement for the adaptive engine's speculative
   /// deflation scan: retires the monitor iff it is fully quiescent
   /// (unowned, empty entry queue, no waiters, not pinned, not already
-  /// retired).  Unlike release() the caller is NOT the owner
-  /// — quiescence is the entire claim.  On success the caller owns
-  /// re-publishing the object's thin lock word, exactly as with
-  /// ReleaseResult::RetiredNow.
+  /// retired).  Unlike unlock() the caller is NOT the owner
+  /// — quiescence is the entire claim.  On success the caller finishes
+  /// the deflation, exactly as after ReleaseResult::RetiredNow.
   bool retireIfQuiescent() TL_EXCLUDES(Mu);
-
-  /// Attempts to acquire without blocking.  Fails if another thread owns
-  /// the monitor or if threads are queued ahead.
-  bool tryLock(const ThreadContext &Thread) TL_EXCLUDES(Mu);
-
-  /// Non-blocking acquisition attempt distinguishing "busy" from
-  /// "retired by deflation" (the latter means: re-read the lock word).
-  enum class TryResult { Acquired, Busy, Retired };
-  TryResult tryLockStatus(const ThreadContext &Thread) TL_EXCLUDES(Mu);
-
-  /// Acquires ownership with an initial hold count of \p Count.  Used by
-  /// lock inflation, which transfers an existing thin-lock nesting depth
-  /// into the fat lock.  The monitor must be unowned with an empty queue;
-  /// this is guaranteed because inflation happens before the fat lock is
-  /// published in the object's lock word.
-  void lockWithCount(const ThreadContext &Thread, uint32_t Count)
-      TL_EXCLUDES(Mu);
-
-  /// Emergency-inflation variant of lockWithCount() for a *shared*
-  /// monitor (the MonitorTable's exhaustion fallback): blocks until the
-  /// monitor is free (FIFO), then credits \p Count holds — or, if the
-  /// calling thread already owns it because an earlier object of its
-  /// was also inflated onto this monitor, merges \p Count into the
-  /// existing hold count.
-  void lockMergingCount(const ThreadContext &Thread, uint32_t Count)
-      TL_EXCLUDES(Mu);
 
   /// Marks this monitor as never retirable (the shared emergency monitor:
   /// an unknown number of lock words may name it, so deflation must not
@@ -146,14 +128,6 @@ public:
 
   /// \returns true if pin() was called.
   bool isPinned() const TL_EXCLUDES(Mu);
-
-  /// Releases one hold; the monitor is freed when the count reaches zero.
-  /// Asserts that \p Thread is the owner.
-  void unlock(const ThreadContext &Thread) TL_EXCLUDES(Mu);
-
-  /// Like unlock(), but \returns false (without asserting) when \p Thread
-  /// is not the owner — the hook for IllegalMonitorStateException.
-  bool unlockChecked(const ThreadContext &Thread) TL_EXCLUDES(Mu);
 
   /// Java Object.wait(): releases *all* holds, sleeps until notified or
   /// until \p TimeoutNanos elapses (negative = wait forever), then
@@ -232,10 +206,11 @@ private:
 
   using Clock = std::chrono::steady_clock;
 
-  // The entry path of every blocking acquire: takes a monitor that is
-  // free with an empty queue at once, without reading the clock;
-  // otherwise counts the contention, queues, and waits in awaitGrant()
-  // for at most \p TimeoutNanos (none = unbounded).  \returns false on
+  // The entry path of every non-recursive acquire: takes a monitor that
+  // is free with an empty queue at once, without reading the clock;
+  // refuses a non-positive \p TimeoutNanos otherwise; else counts the
+  // contention, queues, and waits in awaitGrant() for at most
+  // \p TimeoutNanos (none = unbounded).  \returns false on refusal or
   // timeout.  Guard holds Mu on entry and on return.
   bool acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
                    std::optional<int64_t> TimeoutNanos) TL_REQUIRES(Mu);

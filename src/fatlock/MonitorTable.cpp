@@ -3,6 +3,8 @@
 #include "fatlock/MonitorTable.h"
 
 #include "core/LockWord.h"
+#include "heap/Object.h"
+#include "park/ParkingLot.h"
 #include "support/FailPoint.h"
 #include "support/Fatal.h"
 #include "support/ThreadStripe.h"
@@ -185,4 +187,25 @@ FatLock *MonitorTable::resolve(uint32_t LockWord) const {
                "allocated (%u live)",
                LockWord, Index, LiveCount.load(std::memory_order_relaxed));
   return Lock;
+}
+
+void MonitorTable::finishDeflation(Object *Obj, uint32_t StaleWord) {
+  // Retirement froze the word: the monitor had no owner but the retirer
+  // and nobody queued, so this store is its only writer, preserving the
+  // owner-only write discipline.
+  Obj->lockWord().store(lockword::headerBitsOf(StaleWord),
+                        std::memory_order_release);
+  // Publish-and-wake: contenders that resolved the stale word bounced
+  // off the retired monitor and are lot-parked on the object waiting for
+  // exactly this store.
+  ParkingLot::global().unparkAll(Obj);
+  RetirementEvents.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool MonitorTable::deflateIfQuiescent(Object *Obj) {
+  uint32_t Value = Obj->lockWord().load(std::memory_order_acquire);
+  if (!lockword::isFat(Value) || !resolve(Value)->retireIfQuiescent())
+    return false;
+  finishDeflation(Obj, Value);
+  return true;
 }

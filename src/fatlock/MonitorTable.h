@@ -18,6 +18,11 @@
 ///    with the bad index (and, for resolve, the whole lock word) instead
 ///    of indexing garbage under NDEBUG.
 ///
+/// Deflation (an extension; the paper's inflation is permanent) returns
+/// an object to thin through one call here, finishDeflation(), whether
+/// the monitor's last owner retired it or the adaptive engine's scan
+/// did (deflateIfQuiescent()).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef THINLOCKS_FATLOCK_MONITORTABLE_H
@@ -33,6 +38,8 @@
 #include <vector>
 
 namespace thinlocks {
+
+class Object;
 
 /// Growable, chunked index -> FatLock* table.  Lookup is wait-free.
 /// Allocation is *sharded*: threads draw indices from per-shard block
@@ -126,15 +133,27 @@ public:
     return ExhaustionEvents.load(std::memory_order_relaxed);
   }
 
-  /// Records one monitor retirement (owner-path quiescent deflation or
-  /// the adaptive engine's speculative scan).  Indices are never reused,
-  /// so this is a ledger, not a free-list: occupancy() stays monotone
-  /// and this counter says how much of it is retired husks.
-  void noteRetirement() {
-    RetirementEvents.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// The tail of every deflation, run by whoever retired the monitor
+  /// that \p StaleWord, \p Obj's fat lock word, names (the final owner
+  /// after FatLock::unlock's RetiredNow, or deflateIfQuiescent()): stores
+  /// the word's header bits back as \p Obj's thin-unlocked word, wakes
+  /// the threads lot-parked on \p Obj waiting for that store, and counts
+  /// the retirement.  The retired index is never reused: threads may
+  /// still hold the stale word and must resolve it to the *retired*
+  /// monitor to learn they should re-read.
+  void finishDeflation(Object *Obj, uint32_t StaleWord);
 
-  /// \returns how many monitors have been retired by deflation.
+  /// Deflation by a third party that owns nothing (the adaptive engine's
+  /// speculative scan): if \p Obj's lock word is fat and its monitor is
+  /// quiescent (FatLock::retireIfQuiescent, which refuses the pinned
+  /// emergency monitor), retires the monitor and runs finishDeflation().
+  /// \returns whether \p Obj went back to thin.
+  bool deflateIfQuiescent(Object *Obj);
+
+  /// \returns how many monitors have been retired by deflation.  Indices
+  /// are never reused, so this is a ledger, not a free-list: occupancy()
+  /// stays monotone and this counter says how much of it is retired
+  /// husks.
   uint64_t retirementEvents() const {
     return RetirementEvents.load(std::memory_order_relaxed);
   }

@@ -82,7 +82,6 @@ public:
                      bool Heavy, bool Degraded,
                      LatencyHistogram &AcquireHist);
 
-  size_t hotObjectCount() const { return Hot.size(); }
   const ZipfSampler &zipf() const { return Popularity; }
 
 private:

@@ -513,7 +513,6 @@ SoakResult SoakRun::finish(uint64_t RunNanos) {
   if (Engine)
     Result.Policy = Engine->counters();
   Result.MonitorRetirements = Monitors ? Monitors->retirementEvents() : 0;
-  Result.ProtocolStatsJson = Protocol->statsJson();
 
   // Worst tail: slowest arrival-to-completion sessions, exported as
   // trace spans over the lock events inside their windows.

@@ -124,9 +124,6 @@ struct SoakResult {
   /// retirement plus the engine's speculative scan).  Zero for
   /// protocols without a MonitorTable.
   uint64_t MonitorRetirements = 0;
-  /// The protocol's own stats snapshot as a JSON object literal ("" for
-  /// protocols without the statsJson capability).
-  std::string ProtocolStatsJson;
 };
 
 /// \returns the deterministic chaos schedule for \p Seed (exposed for

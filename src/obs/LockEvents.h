@@ -27,9 +27,9 @@
 #define THINLOCKS_OBS_LOCKEVENTS_H
 
 #include "support/Compiler.h"
+#include "support/Timer.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 namespace thinlocks {
@@ -157,14 +157,9 @@ TL_ALWAYS_INLINE bool tracingEnabled() {
 /// both of which are valid traces.
 void setTracing(bool Enabled);
 
-/// \returns a monotonic nanosecond timestamp (steady_clock based — the
-/// same clock every deadline in the library uses).
-inline uint64_t monotonicNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+/// Event timestamps come from the library's one monotonic clock
+/// (support/Timer.h), the steady_clock every deadline uses.
+using thinlocks::monotonicNanos;
 
 } // namespace obs
 } // namespace thinlocks

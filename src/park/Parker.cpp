@@ -3,6 +3,7 @@
 #include "park/Parker.h"
 
 #include "support/FailPoint.h"
+#include "support/Timer.h"
 
 #if defined(THINLOCKS_PARKER_FUTEX)
 #include <climits>
@@ -13,17 +14,6 @@
 #endif
 
 namespace thinlocks {
-
-namespace {
-
-uint64_t monotonicNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-} // namespace
 
 Parker::WakeReason Parker::park() {
   return parkImpl(/*HasDeadline=*/false, std::chrono::steady_clock::time_point());

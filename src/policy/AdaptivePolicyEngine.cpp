@@ -2,14 +2,10 @@
 
 #include "policy/AdaptivePolicyEngine.h"
 
-#include "core/LockWord.h"
-#include "fatlock/FatLock.h"
 #include "fatlock/MonitorTable.h"
-#include "heap/Object.h"
 #include "obs/EventRing.h"
 #include "obs/LockEventCollector.h"
 #include "obs/LockEvents.h"
-#include "park/ParkingLot.h"
 #include "threads/ThreadContext.h"
 
 using namespace thinlocks;
@@ -199,23 +195,8 @@ void AdaptivePolicyEngine::deflateScan(const ThreadContext *Recorder) {
     ++Counters.DeflationScans;
     // The lifetime contract (PolicyConfig::SpeculativeDeflation doc)
     // makes this dereference legal: profiled objects outlive the engine.
-    Object *Obj = reinterpret_cast<Object *>(KV.first);
-    std::atomic<uint32_t> &Word = Obj->lockWord();
-    uint32_t Value = Word.load(std::memory_order_acquire);
-    if (!lockword::isFat(Value))
+    if (!Monitors.deflateIfQuiescent(reinterpret_cast<Object *>(KV.first)))
       continue;
-    FatLock *Fat = Monitors.resolve(Value);
-    if (Fat->isPinned())
-      continue; // Emergency monitor: shared by many words; never retire.
-    if (!Fat->retireIfQuiescent())
-      continue;
-    // We won the retire: from here the word is frozen — the owner path
-    // can't race (retirement required Owner == 0), and contenders that
-    // resolve the stale word bounce off the retired monitor into
-    // backoffOnWord, waiting for exactly this store.
-    Word.store(lockword::headerBitsOf(Value), std::memory_order_release);
-    ParkingLot::global().unparkAll(Obj);
-    Monitors.noteRetirement();
     ++Counters.SpeculativeDeflations;
     if (Recorder && obs::tracingEnabled()) {
       if (obs::EventRing *Ring = Recorder->eventRing())

@@ -16,8 +16,9 @@
 ///   inflate/deflate thrash   -> KeepFat + EagerInflate (restore the
 ///                                                  paper's permanence
 ///                                                  selectively)
-///   cold inflated objects    -> speculative deflation via the FatLock
-///                                                  retirement machinery
+///   cold inflated objects    -> speculative deflation
+///                                                  (MonitorTable::
+///                                                  deflateIfQuiescent)
 ///
 /// Decisions are dwell-gated in both directions (hysteresis): a
 /// classification must hold for PromoteDwellTicks consecutive ticks
@@ -95,8 +96,8 @@ struct PolicyCounters {
 class AdaptivePolicyEngine {
 public:
   /// \param Collector the profiler to consume (tick() drains it).
-  /// \param Monitors the table whose fat locks the deflation scan may
-  /// retire (and whose retirement ledger it feeds).
+  /// \param Monitors the table through which the deflation scan retires
+  /// quiescent fat locks.
   AdaptivePolicyEngine(obs::LockEventCollector &Collector,
                        MonitorTable &Monitors,
                        PolicyConfig Config = PolicyConfig());

@@ -3,7 +3,6 @@
 #include "protocols/FissileLock.h"
 
 #include "park/ParkingLot.h"
-#include "support/JsonWriter.h"
 #include "support/SpinWait.h"
 
 #include <cassert>
@@ -368,20 +367,6 @@ FissileLockStats FissileLock::stats() const {
   S.Handoffs = Handoffs.value();
   S.Morphs = Morphs.value();
   return S;
-}
-
-std::string FissileLock::statsJson() const {
-  FissileLockStats S = stats();
-  return JsonWriter()
-      .beginObject()
-      .field("fast_acquires", S.FastAcquires)
-      .field("queued_acquires", S.QueuedAcquires)
-      .field("head_parks", S.HeadParks)
-      .field("handoffs", S.Handoffs)
-      .field("morphs", S.Morphs)
-      .field("cells", cellCount())
-      .end()
-      .take();
 }
 
 size_t FissileLock::waitSetSize(const Object *Obj) const {

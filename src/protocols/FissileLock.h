@@ -53,11 +53,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace thinlocks {
 
-/// Monotonic event counters for the fissile lock (statsJson capability).
+/// Monotonic event counters for the fissile lock.
 struct FissileLockStats {
   uint64_t FastAcquires = 0;   ///< TS CAS won without queueing.
   uint64_t QueuedAcquires = 0; ///< Acquires that joined the MCS queue.
@@ -90,10 +89,6 @@ public:
   NotifyStatus notifyAll(Object *Obj, const ThreadContext &Thread);
 
   FissileLockStats stats() const;
-
-  /// \returns the counters rendered as a JSON object literal (the
-  /// SyncBackend statsJson capability).
-  std::string statsJson() const;
 
   /// \returns how many side-table cells exist (== objects ever locked).
   uint64_t cellCount() const { return Cells.size(); }

@@ -1,21 +1,15 @@
-//===- support/Histogram.h - Fixed-bucket + latency histograms -*- C++ -*-===//
+//===- support/Histogram.h - Latency histogram -----------------*- C++ -*-===//
 ///
 /// \file
-/// Two histogram shapes:
-///
-///  - Histogram<N>: a fixed number of exact buckets plus an overflow
-///    bucket.  The lock-nesting characterization (paper Figure 3) buckets
-///    acquisitions as First / Second / Third / Fourth-or-deeper, which is
-///    exactly a 3-bucket histogram with overflow.
-///
-///  - LatencyHistogram: a log-linear (HDR-style) value histogram for the
-///    SLO quantiles the sustained-load harness reports (p50/p99/p999
-///    acquire latency, time-to-wake).  Log-linear bucketing keeps the
-///    relative quantile error bounded (~6% with 16 sub-buckets per power
-///    of two) across nine decades of nanoseconds in a few KB of counters,
-///    so each worker thread records into its own private histogram and
-///    the harness merge()s them at snapshot time — no shared cache line
-///    is written on the measurement path.
+/// One histogram shape, LatencyHistogram: a log-linear (HDR-style) value
+/// histogram for the SLO quantiles the sustained-load harness reports
+/// (p50/p99/p999 acquire latency, time-to-wake).  Log-linear bucketing
+/// keeps the relative quantile error bounded (~6% with 16 sub-buckets
+/// per power of two) across nine decades of nanoseconds in a few KB of
+/// counters, so each worker thread records into its own private
+/// histogram and the harness merge()s them at snapshot time — no shared
+/// cache line is written on the measurement path.  (The paper's Figure
+/// 3 nesting buckets live in LockStats' own depth array.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,52 +24,6 @@
 #include <cstdint>
 
 namespace thinlocks {
-
-/// Counts values 0..NumBuckets-1 exactly; larger values land in the
-/// overflow bucket.
-template <size_t NumBuckets> class Histogram {
-  std::array<uint64_t, NumBuckets + 1> Counts{};
-
-public:
-  static constexpr size_t OverflowBucket = NumBuckets;
-
-  void record(uint64_t Value) {
-    if (Value < NumBuckets)
-      ++Counts[Value];
-    else
-      ++Counts[OverflowBucket];
-  }
-
-  /// \returns the count in bucket \p Index (use OverflowBucket for the
-  /// overflow bin).
-  uint64_t count(size_t Index) const {
-    assert(Index <= NumBuckets && "bucket out of range");
-    return Counts[Index];
-  }
-
-  uint64_t total() const {
-    uint64_t Sum = 0;
-    for (uint64_t C : Counts)
-      Sum += C;
-    return Sum;
-  }
-
-  /// \returns bucket \p Index as a fraction of all recorded values, or 0
-  /// if the histogram is empty.
-  double fraction(size_t Index) const {
-    uint64_t Sum = total();
-    if (Sum == 0)
-      return 0.0;
-    return static_cast<double>(count(Index)) / static_cast<double>(Sum);
-  }
-
-  void merge(const Histogram &Other) {
-    for (size_t I = 0; I <= NumBuckets; ++I)
-      Counts[I] += Other.Counts[I];
-  }
-
-  void reset() { Counts.fill(0); }
-};
 
 /// Log-linear value histogram with quantile queries (see file header).
 /// Values are unsigned (nanoseconds in every current use).  Values up to

@@ -2,14 +2,13 @@
 ///
 /// \file
 /// The one JSON writer behind every document the project emits: the
-/// BENCH_* artifacts, the soak's SLO snapshot and the protocols'
-/// statsJson.  It streams: keys land in call order, strings are escaped
-/// by jsonEscape (which the Chrome-trace emitter shares), integers print
-/// exactly, and a double prints with the number of decimals its caller
-/// names.  A container opened with Layout::Lines puts each element on a
-/// line of its own, indented two spaces per level; an inline container
-/// (the default) separates its elements with ", ", so one BENCH row is
-/// one line.
+/// BENCH_* artifacts and the soak's SLO snapshot.  It streams: keys land
+/// in call order, strings are escaped by jsonEscape (which the
+/// Chrome-trace emitter shares), integers print exactly, and a double
+/// prints with the number of decimals its caller names.  A container
+/// opened with Layout::Lines puts each element on a line of its own,
+/// indented two spaces per level; an inline container (the default)
+/// separates its elements with ", ", so one BENCH row is one line.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,13 +129,6 @@ public:
     for (const auto &V : Values)
       value(V);
     return end();
-  }
-
-  /// Splices \p Json, one already-rendered JSON value, in as an element.
-  JsonWriter &raw(std::string_view Json) {
-    element();
-    Out += Json;
-    return *this;
   }
 
   template <class... Args>

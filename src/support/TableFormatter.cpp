@@ -8,16 +8,7 @@
 using namespace thinlocks;
 
 TableFormatter::TableFormatter(std::vector<std::string> Headers)
-    : Headers(std::move(Headers)) {
-  Alignments.assign(this->Headers.size(), Align::Right);
-  if (!Alignments.empty())
-    Alignments[0] = Align::Left;
-}
-
-void TableFormatter::setAlignment(size_t Index, Align A) {
-  assert(Index < Alignments.size() && "column out of range");
-  Alignments[Index] = A;
-}
+    : Headers(std::move(Headers)) {}
 
 void TableFormatter::addRow(std::vector<std::string> Cells) {
   assert(Cells.size() == Headers.size() && "row width mismatch");
@@ -38,10 +29,10 @@ std::string TableFormatter::render() const {
   auto renderCell = [&](const std::string &Cell, size_t Col) {
     std::string Out;
     size_t Pad = Widths[Col] - Cell.size();
-    if (Alignments[Col] == Align::Right)
+    if (Col != 0)
       Out.append(Pad, ' ');
     Out += Cell;
-    if (Alignments[Col] == Align::Left)
+    if (Col == 0)
       Out.append(Pad, ' ');
     return Out;
   };

@@ -17,17 +17,12 @@
 namespace thinlocks {
 
 /// Accumulates rows of string cells and renders them with every column
-/// padded to its widest cell.
+/// padded to its widest cell: column 0 (the row label) left-aligned, the
+/// rest (the numbers) right-aligned.
 class TableFormatter {
 public:
-  enum class Align { Left, Right };
-
   /// Creates a table with the given column headers.
   explicit TableFormatter(std::vector<std::string> Headers);
-
-  /// Sets the alignment of column \p Index (default: Right, except column
-  /// 0 which defaults to Left).
-  void setAlignment(size_t Index, Align A);
 
   /// Appends one row; the row must have exactly as many cells as there are
   /// headers.
@@ -48,7 +43,6 @@ public:
 
 private:
   std::vector<std::string> Headers;
-  std::vector<Align> Alignments;
   // A row with no cells encodes a separator.
   std::vector<std::vector<std::string>> Rows;
 };

@@ -53,7 +53,6 @@ public:
   Klass &hashtableClass() { return *HashtableKlass; }
   Klass &bitSetClass() { return *BitSetKlass; }
   Klass &stringBufferClass() { return *StringBufferKlass; }
-  Klass &threadClass() { return *ThreadKlass; }
 
   // Named method accessors used by workloads (never nullptr).
   const Method &vectorAddElement() const { return *VecAdd; }

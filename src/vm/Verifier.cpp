@@ -293,7 +293,7 @@ private:
       break;
 
     case Opcode::Dup: {
-      AbstractType T;
+      AbstractType T{};
       if (!pop(S, Pc, T))
         break;
       if (push(S, Pc, T) && push(S, Pc, T))
@@ -309,7 +309,7 @@ private:
     }
 
     case Opcode::Swap: {
-      AbstractType B, A;
+      AbstractType B{}, A{};
       if (!pop(S, Pc, B) || !pop(S, Pc, A))
         break;
       if (push(S, Pc, B) && push(S, Pc, A))

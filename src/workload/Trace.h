@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -129,7 +128,6 @@ public:
   NotifyStatus notify(Object *Obj, const ThreadContext &Thread) override;
   NotifyStatus notifyAll(Object *Obj,
                          const ThreadContext &Thread) override;
-  std::string statsJson() const override { return Underlying.statsJson(); }
   bool inflateHint(Object *Obj, const ThreadContext &Thread) override {
     return Underlying.inflateHint(Obj, Thread);
   }

@@ -99,6 +99,15 @@ using Protocols = ::testing::Types<ThinLockManager, MonitorCache, HotLocks,
                                    EagerMonitor, FissileLock>;
 TYPED_TEST_SUITE(ConformanceTest, Protocols);
 
+/// Runs \p Check on the JDK111 monitor of \p Obj, which must have one.
+template <typename Fn>
+void withCacheMonitor(MonitorCache &Cache, Object *Obj, Fn &&Check) {
+  MonitorCache::Ref M = Cache.resolveMonitor(Obj, Lookup::Peek);
+  ASSERT_NE(M.Lock, nullptr);
+  Check(*M.Lock);
+  Cache.releaseMonitor(M);
+}
+
 } // namespace
 
 TYPED_TEST(ConformanceTest, ProtocolHasAName) {
@@ -231,6 +240,67 @@ TYPED_TEST(ConformanceTest, NonPositiveTryLockForTimeoutNeverBlocks) {
       this->protocol().unlock(Obj, this->Main);
   }
   Holder.join();
+}
+
+TYPED_TEST(ConformanceTest, ZeroTimeoutBehindAQueuedWaiterLeavesItsTurn) {
+  // A zero-timeout attempt on a held monitor that already has a waiter:
+  // it is refused at once, and the holder's release grants the waiter,
+  // not the refused caller.  On the FatLock-backed baselines the attempt
+  // never joins the entry queue; JDK111's cache lets the test see the
+  // object's monitor and check that.
+  Object *Obj = this->newObject();
+  auto &P = this->protocol();
+  std::atomic<bool> Held{false};
+  std::atomic<bool> Release{false};
+  std::atomic<bool> WaiterStarted{false};
+  std::atomic<bool> WaiterAcquired{false};
+  std::thread Holder([&] {
+    ScopedThreadAttachment Attachment(this->Registry, "holder");
+    P.lock(Obj, Attachment.context());
+    Held.store(true, std::memory_order_release);
+    while (!Release.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    P.unlock(Obj, Attachment.context());
+  });
+  while (!Held.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  std::thread Waiter([&] {
+    ScopedThreadAttachment Attachment(this->Registry, "waiter");
+    WaiterStarted.store(true, std::memory_order_release);
+    P.lock(Obj, Attachment.context());
+    WaiterAcquired.store(true, std::memory_order_release);
+    P.unlock(Obj, Attachment.context());
+  });
+  while (!WaiterStarted.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  if constexpr (std::is_same_v<TypeParam, MonitorCache>) {
+    uint32_t Queued = 0;
+    while (Queued == 0) {
+      withCacheMonitor(P, Obj,
+                       [&](FatLock &Lock) { Queued = Lock.entryQueueLength(); });
+      std::this_thread::yield();
+    }
+  } else {
+    // Time for the waiter to block behind the holder.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+
+  EXPECT_EQ(P.tryLockFor(Obj, this->Main, /*TimeoutNanos=*/0),
+            TimedLockStatus::TimedOut);
+  if constexpr (std::is_same_v<TypeParam, MonitorCache>) {
+    withCacheMonitor(P, Obj, [](FatLock &Lock) {
+      EXPECT_EQ(Lock.entryQueueLength(), 1u);
+      EXPECT_EQ(Lock.stats().ContendedAcquisitions, 1u); // The waiter's.
+    });
+  }
+  EXPECT_FALSE(WaiterAcquired.load(std::memory_order_acquire));
+  Release.store(true, std::memory_order_release);
+  Holder.join();
+  Waiter.join();
+  EXPECT_TRUE(WaiterAcquired.load(std::memory_order_acquire));
+  EXPECT_EQ(P.tryLockFor(Obj, this->Main, /*TimeoutNanos=*/0),
+            TimedLockStatus::Acquired);
+  P.unlock(Obj, this->Main);
 }
 
 TYPED_TEST(ConformanceTest, NonThinProtocolsNeverReportDeadlock) {

@@ -50,8 +50,9 @@ TEST_F(FatLockTest, RecursiveLockCounts) {
 }
 
 TEST_F(FatLockTest, TryLockSucceedsWhenFree) {
-  EXPECT_TRUE(Lock.tryLock(Main));
-  EXPECT_TRUE(Lock.tryLock(Main)); // Recursive tryLock also succeeds.
+  EXPECT_EQ(Lock.lock(Main, 0), FatLock::TimedResult::Acquired);
+  // A recursive one-attempt lock also succeeds.
+  EXPECT_EQ(Lock.lock(Main, 0), FatLock::TimedResult::Acquired);
   EXPECT_EQ(Lock.holdCount(), 2u);
   Lock.unlock(Main);
   Lock.unlock(Main);
@@ -61,7 +62,8 @@ TEST_F(FatLockTest, TryLockFailsWhenHeldByOther) {
   Lock.lock(Main);
   std::thread Other([this] {
     ScopedThreadAttachment Attachment(Registry, "other");
-    EXPECT_FALSE(Lock.tryLock(Attachment.context()));
+    EXPECT_EQ(Lock.lock(Attachment.context(), 0),
+              FatLock::TimedResult::TimedOut);
   });
   Other.join();
   Lock.unlock(Main);
@@ -71,11 +73,13 @@ TEST_F(FatLockTest, UnlockCheckedRejectsNonOwner) {
   Lock.lock(Main);
   std::thread Other([this] {
     ScopedThreadAttachment Attachment(Registry, "other");
-    EXPECT_FALSE(Lock.unlockChecked(Attachment.context()));
+    EXPECT_EQ(Lock.unlock(Attachment.context()),
+              FatLock::ReleaseResult::NotOwner);
   });
   Other.join();
-  EXPECT_TRUE(Lock.unlockChecked(Main));
-  EXPECT_FALSE(Lock.unlockChecked(Main)); // Now unowned.
+  EXPECT_EQ(Lock.unlock(Main), FatLock::ReleaseResult::Released);
+  // Now unowned.
+  EXPECT_EQ(Lock.unlock(Main), FatLock::ReleaseResult::NotOwner);
 }
 
 TEST_F(FatLockTest, MutualExclusionUnderContention) {
@@ -287,7 +291,7 @@ TEST_F(FatLockTest, NotifyAllWakesEveryWaiter) {
 }
 
 TEST_F(FatLockTest, LockWithCountTransfersNesting) {
-  Lock.lockWithCount(Main, 257);
+  Lock.lock(Main, std::nullopt, 257);
   EXPECT_TRUE(Lock.heldBy(Main));
   EXPECT_EQ(Lock.holdCount(), 257u);
   for (int I = 0; I < 257; ++I)
@@ -350,8 +354,8 @@ private:
 
 TEST_F(FatLockTest, LockIfLiveForNonPositiveTimeoutMakesOneAttempt) {
   // A free (or already owned) monitor is taken at once.
-  EXPECT_EQ(Lock.lockIfLiveFor(Main, 0), FatLock::TimedResult::Acquired);
-  EXPECT_EQ(Lock.lockIfLiveFor(Main, -1), FatLock::TimedResult::Acquired);
+  EXPECT_EQ(Lock.lock(Main, 0), FatLock::TimedResult::Acquired);
+  EXPECT_EQ(Lock.lock(Main, -1), FatLock::TimedResult::Acquired);
   EXPECT_EQ(Lock.holdCount(), 2u);
   Lock.unlock(Main);
   Lock.unlock(Main);
@@ -360,8 +364,7 @@ TEST_F(FatLockTest, LockIfLiveForNonPositiveTimeoutMakesOneAttempt) {
   // "wait forever"), and the attempt leaves nothing in the entry queue.
   Holder Other(Registry, Lock);
   for (int64_t Timeout : {int64_t{0}, int64_t{-1}}) {
-    EXPECT_EQ(Lock.lockIfLiveFor(Main, Timeout),
-              FatLock::TimedResult::TimedOut)
+    EXPECT_EQ(Lock.lock(Main, Timeout), FatLock::TimedResult::TimedOut)
         << Timeout;
     EXPECT_EQ(Lock.entryQueueLength(), 0u);
   }
@@ -374,19 +377,18 @@ TEST_F(FatLockTest, LockIfLiveForGivesUpAtItsDeadlineAndDequeues) {
   Holder Other(Registry, Lock);
   constexpr int64_t TimeoutNanos = 20'000'000;
   auto Start = std::chrono::steady_clock::now();
-  EXPECT_EQ(Lock.lockIfLiveFor(Main, TimeoutNanos),
-            FatLock::TimedResult::TimedOut);
+  EXPECT_EQ(Lock.lock(Main, TimeoutNanos), FatLock::TimedResult::TimedOut);
   EXPECT_GE(std::chrono::steady_clock::now() - Start,
             std::chrono::nanoseconds(TimeoutNanos));
   EXPECT_EQ(Lock.entryQueueLength(), 0u);
   EXPECT_FALSE(Lock.heldBy(Main));
   Other.release();
   // Nothing was stranded: the next entrant finds the monitor free.
-  EXPECT_TRUE(Lock.tryLock(Main));
+  EXPECT_EQ(Lock.lock(Main, 0), FatLock::TimedResult::Acquired);
   Lock.unlock(Main);
   FatLockStats Stats = Lock.stats();
   EXPECT_EQ(Stats.Timeouts, 1u);
-  EXPECT_EQ(Stats.Acquisitions, 2u); // The holder's and the tryLock.
+  EXPECT_EQ(Stats.Acquisitions, 2u); // The holder's and the one attempt.
 }
 
 TEST_F(FatLockTest, LockIfLiveForAcquiresOnHandoffBeforeItsDeadline) {
@@ -396,7 +398,7 @@ TEST_F(FatLockTest, LockIfLiveForAcquiresOnHandoffBeforeItsDeadline) {
       std::this_thread::yield();
     Other.release();
   });
-  EXPECT_EQ(Lock.lockIfLiveFor(Main, /*TimeoutNanos=*/60'000'000'000),
+  EXPECT_EQ(Lock.lock(Main, /*TimeoutNanos=*/60'000'000'000),
             FatLock::TimedResult::Acquired);
   Releaser.join();
   EXPECT_TRUE(Lock.heldBy(Main));
@@ -412,20 +414,20 @@ TEST_F(FatLockTest, ReleaseRetiresOnlyTheLastHoldOfAQuiescentMonitor) {
   Lock.lock(Main);
   std::thread Other([this] {
     ScopedThreadAttachment Attachment(Registry, "other");
-    EXPECT_EQ(Lock.release(Attachment.context(), /*MayRetire=*/true),
+    EXPECT_EQ(Lock.unlock(Attachment.context(), /*MayRetire=*/true),
               FatLock::ReleaseResult::NotOwner);
   });
   Other.join();
-  EXPECT_EQ(Lock.release(Main, /*MayRetire=*/true),
+  EXPECT_EQ(Lock.unlock(Main, /*MayRetire=*/true),
             FatLock::ReleaseResult::Released); // One hold remains.
   EXPECT_FALSE(Lock.isRetired());
-  EXPECT_EQ(Lock.release(Main, /*MayRetire=*/true),
+  EXPECT_EQ(Lock.unlock(Main, /*MayRetire=*/true),
             FatLock::ReleaseResult::RetiredNow);
   EXPECT_TRUE(Lock.isRetired());
   EXPECT_EQ(Lock.ownerIndex(), 0);
   // A retired monitor turns every later entrant back to the lock word.
-  EXPECT_EQ(Lock.lockIfLiveFor(Main, 0), FatLock::TimedResult::Retired);
-  EXPECT_EQ(Lock.tryLockStatus(Main), FatLock::TryResult::Retired);
+  EXPECT_EQ(Lock.lock(Main, 0), FatLock::TimedResult::Retired);
+  EXPECT_EQ(Lock.lock(Main, -1), FatLock::TimedResult::Retired);
   EXPECT_FALSE(Lock.retireIfQuiescent());
 }
 
@@ -433,11 +435,11 @@ TEST_F(FatLockTest, PinnedMonitorIsNeverRetired) {
   Lock.pin();
   EXPECT_TRUE(Lock.isPinned());
   Lock.lock(Main);
-  EXPECT_EQ(Lock.release(Main, /*MayRetire=*/true),
+  EXPECT_EQ(Lock.unlock(Main, /*MayRetire=*/true),
             FatLock::ReleaseResult::Released);
   EXPECT_FALSE(Lock.retireIfQuiescent());
   EXPECT_FALSE(Lock.isRetired());
-  EXPECT_EQ(Lock.lockIfLiveFor(Main, 0), FatLock::TimedResult::Acquired);
+  EXPECT_EQ(Lock.lock(Main, 0), FatLock::TimedResult::Acquired);
   Lock.unlock(Main);
 }
 
@@ -467,16 +469,15 @@ TEST_F(FatLockTest, RetireIfQuiescentRefusesOwnersAndWaiters) {
 
   EXPECT_TRUE(Lock.retireIfQuiescent());
   EXPECT_TRUE(Lock.isRetired());
-  EXPECT_EQ(Lock.lockIfLiveFor(Main, 1'000'000),
-            FatLock::TimedResult::Retired);
+  EXPECT_EQ(Lock.lock(Main, 1'000'000), FatLock::TimedResult::Retired);
 }
 
 TEST_F(FatLockTest, LockMergingCountCreditsOrMergesHolds) {
   // Unowned: credits exactly Count holds.
-  Lock.lockMergingCount(Main, 4);
+  Lock.lock(Main, std::nullopt, 4);
   EXPECT_EQ(Lock.holdCount(), 4u);
   // Already owned by the caller: merges into the existing holds.
-  Lock.lockMergingCount(Main, 2);
+  Lock.lock(Main, std::nullopt, 2);
   EXPECT_EQ(Lock.holdCount(), 6u);
   for (int I = 0; I < 6; ++I) {
     EXPECT_TRUE(Lock.heldBy(Main)) << I;
@@ -491,7 +492,7 @@ TEST_F(FatLockTest, LockMergingCountCreditsOrMergesHolds) {
       std::this_thread::yield();
     Other.release();
   });
-  Lock.lockMergingCount(Main, 3);
+  Lock.lock(Main, std::nullopt, 3);
   Releaser.join();
   EXPECT_TRUE(Lock.heldBy(Main));
   EXPECT_EQ(Lock.holdCount(), 3u);
@@ -499,4 +500,56 @@ TEST_F(FatLockTest, LockMergingCountCreditsOrMergesHolds) {
     Lock.unlock(Main);
   EXPECT_FALSE(Lock.heldBy(Main));
   EXPECT_EQ(Lock.stats().ContendedAcquisitions, 1u);
+}
+
+TEST_F(FatLockTest, RetiredMonitorAnswersRetiredToEveryFormOfLock) {
+  Lock.lock(Main);
+  ASSERT_EQ(Lock.unlock(Main, /*MayRetire=*/true),
+            FatLock::ReleaseResult::RetiredNow);
+  uint64_t AcquisitionsBefore = Lock.stats().Acquisitions;
+  EXPECT_EQ(Lock.lock(Main), FatLock::TimedResult::Retired);
+  EXPECT_EQ(Lock.lock(Main, /*TimeoutNanos=*/1'000'000),
+            FatLock::TimedResult::Retired);
+  EXPECT_EQ(Lock.lock(Main, /*TimeoutNanos=*/0),
+            FatLock::TimedResult::Retired);
+  EXPECT_EQ(Lock.lock(Main, std::nullopt, /*Holds=*/3),
+            FatLock::TimedResult::Retired);
+  // None of them took the monitor or counted an acquisition.
+  EXPECT_EQ(Lock.ownerIndex(), 0);
+  EXPECT_EQ(Lock.holdCount(), 0u);
+  EXPECT_EQ(Lock.stats().Acquisitions, AcquisitionsBefore);
+  EXPECT_EQ(Lock.unlock(Main), FatLock::ReleaseResult::NotOwner);
+}
+
+TEST_F(FatLockTest, ZeroTimeoutBehindAQueueIsRefusedWithoutQueueing) {
+  std::atomic<bool> WaiterAcquired{false};
+  {
+    Holder Other(Registry, Lock);
+    std::thread Waiter([&] {
+      ScopedThreadAttachment Attachment(Registry, "waiter");
+      Lock.lock(Attachment.context());
+      WaiterAcquired.store(true);
+      Lock.unlock(Attachment.context());
+    });
+    while (Lock.entryQueueLength() == 0)
+      std::this_thread::yield();
+
+    EXPECT_EQ(Lock.lock(Main, /*TimeoutNanos=*/0),
+              FatLock::TimedResult::TimedOut);
+    EXPECT_EQ(Lock.entryQueueLength(), 1u);
+    FatLockStats Stats = Lock.stats();
+    EXPECT_EQ(Stats.ContendedAcquisitions, 1u); // The waiter's only.
+    EXPECT_EQ(Stats.Timeouts, 1u);
+
+    // The holder's release grants the queued waiter, not the refused
+    // caller.
+    Other.release();
+    Waiter.join();
+  }
+  EXPECT_TRUE(WaiterAcquired.load());
+  EXPECT_FALSE(Lock.heldBy(Main));
+  EXPECT_EQ(Lock.lock(Main, /*TimeoutNanos=*/0),
+            FatLock::TimedResult::Acquired);
+  Lock.unlock(Main);
+  EXPECT_EQ(Lock.stats().Acquisitions, 3u);
 }

@@ -244,7 +244,7 @@ TEST_F(FissileTest, TryLockForContendedTimesOutWithoutQueueing) {
   Locks.unlock(Obj, Main);
 }
 
-TEST_F(FissileTest, StatsJsonAndCellAccounting) {
+TEST_F(FissileTest, StatsAndCellAccounting) {
   Object *A = newObject();
   Object *B = newObject();
   Locks.lock(A, Main);
@@ -254,9 +254,4 @@ TEST_F(FissileTest, StatsJsonAndCellAccounting) {
   EXPECT_EQ(Locks.cellCount(), 2u);
   FissileLockStats S = Locks.stats();
   EXPECT_GE(S.FastAcquires, 2u);
-  std::string Json = Locks.statsJson();
-  EXPECT_EQ(Json.front(), '{');
-  EXPECT_EQ(Json.back(), '}');
-  EXPECT_NE(Json.find("\"fast_acquires\""), std::string::npos);
-  EXPECT_NE(Json.find("\"cells\": 2"), std::string::npos);
 }

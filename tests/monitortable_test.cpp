@@ -1,11 +1,15 @@
 //===- tests/monitortable_test.cpp - Monitor index table tests ------------===//
 
 #include "fatlock/MonitorTable.h"
+#include "core/LockWord.h"
+#include "heap/Heap.h"
+#include "park/ParkingLot.h"
 #include "threads/ThreadRegistry.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <thread>
@@ -163,4 +167,96 @@ TEST(MonitorTable, ConcurrentExhaustionIsExactWithPartialBlocks) {
   // The emergency monitor is untouched by exhaustion accounting.
   EXPECT_NE(Table.emergencyMonitor(), nullptr);
   EXPECT_EQ(Table.emergencyIndex(), Capacity);
+}
+
+//===----------------------------------------------------------------------===//
+// The deflation tail: every deflation returns its object to thin here
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+class MonitorTableDeflationTest : public ::testing::Test {
+protected:
+  MonitorTable Table;
+  ThreadRegistry Registry;
+  Heap TheHeap;
+  ThreadContext Main;
+  Object *Obj = nullptr;
+  uint32_t Header = 0;
+
+  void SetUp() override {
+    Main = Registry.attach("main");
+    Obj = TheHeap.allocate(TheHeap.classes().registerClass("Deflated", 0));
+    Header = Obj->headerBits();
+  }
+  void TearDown() override { Registry.detach(Main); }
+
+  /// Names monitor \p Index in Obj's lock word, as inflation publishes
+  /// it, and \returns that fat word.
+  uint32_t publishFat(uint32_t Index) {
+    uint32_t Word = lockword::makeFat(Index, Header);
+    Obj->lockWord().store(Word, std::memory_order_release);
+    return Word;
+  }
+};
+
+} // namespace
+
+TEST_F(MonitorTableDeflationTest, FinishDeflationRestoresWakesAndCounts) {
+  uint32_t Index = Table.allocate();
+  FatLock *Fat = Table.get(Index);
+  ASSERT_EQ(Fat->lock(Main), FatLock::TimedResult::Acquired);
+  uint32_t FatWord = publishFat(Index);
+
+  // A contender that met the retired monitor waits in the lot, keyed by
+  // the object, for the word to leave the stale fat value.
+  std::atomic<ParkingLot::ParkResult> Result{ParkingLot::ParkResult::Invalid};
+  std::thread Contender([&] {
+    ScopedThreadAttachment Attachment(Registry, "contender");
+    Result.store(ParkingLot::global().parkUntil(
+        Obj, *Attachment.context().parker(),
+        [&] {
+          return Obj->lockWord().load(std::memory_order_relaxed) == FatWord;
+        },
+        std::chrono::steady_clock::now() + std::chrono::seconds(10)));
+  });
+  while (ParkingLot::global().queuedOn(Obj) == 0)
+    std::this_thread::yield();
+
+  ASSERT_EQ(Fat->unlock(Main, /*MayRetire=*/true),
+            FatLock::ReleaseResult::RetiredNow);
+  Table.finishDeflation(Obj, FatWord);
+  Contender.join();
+  EXPECT_EQ(Result.load(), ParkingLot::ParkResult::Unparked);
+  // Thin and unlocked, with the object's header bits intact.
+  EXPECT_EQ(Obj->lockWord().load(), Header);
+  EXPECT_EQ(Table.retirementEvents(), 1u);
+}
+
+TEST_F(MonitorTableDeflationTest, DeflateIfQuiescentRefusesThinPinnedOwned) {
+  // A thin word names no monitor.
+  EXPECT_FALSE(Table.deflateIfQuiescent(Obj));
+  EXPECT_EQ(Obj->lockWord().load(), Header);
+
+  // The emergency monitor is pinned: many words may name it.
+  uint32_t Shared = publishFat(Table.emergencyIndex());
+  EXPECT_FALSE(Table.deflateIfQuiescent(Obj));
+  EXPECT_EQ(Obj->lockWord().load(), Shared);
+  EXPECT_FALSE(Table.emergencyMonitor()->isRetired());
+
+  // An owned monitor is in use.
+  uint32_t Index = Table.allocate();
+  ASSERT_EQ(Table.get(Index)->lock(Main), FatLock::TimedResult::Acquired);
+  uint32_t Owned = publishFat(Index);
+  EXPECT_FALSE(Table.deflateIfQuiescent(Obj));
+  EXPECT_EQ(Obj->lockWord().load(), Owned);
+  EXPECT_FALSE(Table.get(Index)->isRetired());
+  EXPECT_EQ(Table.retirementEvents(), 0u);
+
+  // Released, the same monitor is quiescent and retires.
+  Table.get(Index)->unlock(Main);
+  EXPECT_TRUE(Table.deflateIfQuiescent(Obj));
+  EXPECT_TRUE(Table.get(Index)->isRetired());
+  EXPECT_EQ(Obj->lockWord().load(), Header);
+  EXPECT_EQ(Table.retirementEvents(), 1u);
 }

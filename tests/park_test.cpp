@@ -376,7 +376,7 @@ TEST_F(SubstrateFatLockTest, TimedEntrantTimeoutHandsWakeToNewHead) {
   std::atomic<bool> SecondAcquired{false};
   std::thread First([&] {
     ScopedThreadAttachment Attachment(Registry, "first");
-    EXPECT_EQ(Lock.lockIfLiveFor(Attachment.context(), 40'000'000),
+    EXPECT_EQ(Lock.lock(Attachment.context(), 40'000'000),
               FatLock::TimedResult::TimedOut);
   });
   waitFor([&] { return Lock.entryQueueLength() == 1; });

@@ -621,3 +621,38 @@ TEST(PolicyE2ETest, SpeculativeDeflationRetiresColdMonitor) {
   Registry.detach(Me);
   obs::setTracing(false);
 }
+
+TEST(PolicyE2ETest, SpeculativeDeflationReturnsTheNextLockToTheFastPath) {
+  ThreadRegistry Registry;
+  MonitorTable Monitors;
+  LockStats Stats;
+  ThinLockManager Locks(Monitors, &Stats, DeflationPolicy::Never);
+  Heap TheHeap;
+  obs::LockEventCollector Collector(Registry);
+  PolicyConfig Cfg;
+  Cfg.SpeculativeDeflation = true; // Heap outlives the engine here.
+  AdaptivePolicyEngine Engine(Collector, Monitors, Cfg);
+  Locks.setPolicyStore(&Engine.policyStore());
+  const ClassInfo &Cls = TheHeap.classes().registerClass("FastAgain", 0);
+  Object *Obj = TheHeap.allocate(Cls);
+  const uint32_t Header = Obj->headerBits();
+
+  obs::setTracing(true);
+  ThreadContext Me = Registry.attach("main");
+  inflateByOverflow(Locks, Obj, Me);
+  ASSERT_TRUE(Locks.isInflated(Obj));
+  for (unsigned T = 0; T <= AdaptivePolicyEngine::ColdTicks + 1; ++T)
+    Engine.tick();
+  obs::setTracing(false);
+  ASSERT_EQ(Engine.counters().SpeculativeDeflations, 1u);
+
+  // The scan's deflation left the word thin, unlocked and with its
+  // header bits, so the next acquisition is the paper's one CAS.
+  EXPECT_EQ(Obj->lockWord().load(), Header);
+  uint64_t FastBefore = Stats.fastPathAcquisitions();
+  Locks.lock(Obj, Me);
+  EXPECT_EQ(Stats.fastPathAcquisitions(), FastBefore + 1);
+  EXPECT_EQ(Locks.lockDepth(Obj, Me), 1u);
+  Locks.unlock(Obj, Me);
+  Registry.detach(Me);
+}

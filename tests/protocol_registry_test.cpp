@@ -3,8 +3,8 @@
 // The name -> factory seam (core/ProtocolRegistry.h): canonical names,
 // both dispatch faces (type-erased createProtocol and compile-time
 // withProtocol), capability accessors, and the type-erased SyncBackend
-// surface (tryLock / tryLockFor / statsJson / inflateHint) for a
-// thin-lock and a side-table protocol.
+// surface (tryLock / tryLockFor / inflateHint) for a thin-lock and a
+// side-table protocol.
 //
 //===----------------------------------------------------------------------===//
 
@@ -110,22 +110,6 @@ TEST_F(ProtocolRegistryTest, InflateHintDegradesGracefully) {
   ASSERT_NE(Handle, nullptr);
   Object *Obj = newObject();
   EXPECT_FALSE(Handle->sync().inflateHint(Obj, Main));
-}
-
-TEST_F(ProtocolRegistryTest, StatsJsonCapability) {
-  // Side-table protocols expose their counters; exercise one op first
-  // so the snapshot is visibly non-trivial.
-  for (const char *Name : {"JDK111", "IBM112", "Fissile"}) {
-    std::unique_ptr<ProtocolHandle> Handle = createProtocol(Name);
-    ASSERT_NE(Handle, nullptr) << Name;
-    Object *Obj = newObject();
-    Handle->sync().lock(Obj, Main);
-    Handle->sync().unlock(Obj, Main);
-    std::string Json = Handle->statsJson();
-    ASSERT_FALSE(Json.empty()) << Name;
-    EXPECT_EQ(Json.front(), '{') << Name;
-    EXPECT_EQ(Json.back(), '}') << Name;
-  }
 }
 
 TEST_F(ProtocolRegistryTest, WithProtocolDispatchesConcreteType) {

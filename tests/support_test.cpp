@@ -119,49 +119,6 @@ TEST(SplitMix64, NextBoolRespectsProbabilityRoughly) {
 }
 
 //===----------------------------------------------------------------------===//
-// Histogram
-//===----------------------------------------------------------------------===//
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram<3> H;
-  H.record(0);
-  H.record(1);
-  H.record(1);
-  H.record(2);
-  H.record(3); // overflow
-  H.record(99); // overflow
-  EXPECT_EQ(H.count(0), 1u);
-  EXPECT_EQ(H.count(1), 2u);
-  EXPECT_EQ(H.count(2), 1u);
-  EXPECT_EQ(H.count(Histogram<3>::OverflowBucket), 2u);
-  EXPECT_EQ(H.total(), 6u);
-}
-
-TEST(Histogram, Fractions) {
-  Histogram<2> H;
-  EXPECT_DOUBLE_EQ(H.fraction(0), 0.0);
-  H.record(0);
-  H.record(0);
-  H.record(1);
-  H.record(5);
-  EXPECT_DOUBLE_EQ(H.fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(H.fraction(1), 0.25);
-  EXPECT_DOUBLE_EQ(H.fraction(Histogram<2>::OverflowBucket), 0.25);
-}
-
-TEST(Histogram, MergeAndReset) {
-  Histogram<2> A, B;
-  A.record(0);
-  B.record(0);
-  B.record(1);
-  A.merge(B);
-  EXPECT_EQ(A.count(0), 2u);
-  EXPECT_EQ(A.count(1), 1u);
-  A.reset();
-  EXPECT_EQ(A.total(), 0u);
-}
-
-//===----------------------------------------------------------------------===//
 // LatencyHistogram
 //===----------------------------------------------------------------------===//
 
@@ -252,9 +209,10 @@ TEST(LatencyHistogram, BucketBoundsRoundTrip) {
     EXPECT_LE(Low, High);
     EXPECT_EQ(LatencyHistogram::bucketOf(Low), I);
     EXPECT_EQ(LatencyHistogram::bucketOf(High), I);
-    if (I > 0)
+    if (I > 0) {
       EXPECT_EQ(LatencyHistogram::bucketHigh(I - 1) + 1, Low)
           << "gap or overlap before bucket " << I;
+    }
   }
 }
 
@@ -614,16 +572,4 @@ TEST(JsonWriterTest, DoublesPrintWithTheirNamedDecimals) {
       .end();
   EXPECT_EQ(W.take(),
             "[16.94, 3136021.7, 0.0000, -2, 300.000000, null, null]");
-}
-
-TEST(JsonWriterTest, RawSplicesARenderedValue) {
-  std::string Stats = JsonWriter().beginObject().field("hits", 2).end().take();
-  EXPECT_EQ(JsonWriter()
-                .beginObject()
-                .field("before", 1)
-                .key("stats")
-                .raw(Stats)
-                .end()
-                .take(),
-            "{\"before\": 1, \"stats\": {\"hits\": 2}}");
 }
