@@ -4,9 +4,9 @@
 /// The scaffold of the drivers that write BENCH artifacts (bench_matrix,
 /// bench_txn, bench_soak, macro_trace): the build-type stamp, the
 /// self-check ledger and the checked file write.  An artifact document
-/// opens with beginArtifact(), which stamps `schema` and `build_type`;
-/// tools/bench_gate.py refuses to publish a timing artifact whose
-/// build_type is not "release" (DESIGN.md §16).
+/// opens with beginArtifact(), which stamps `schema`, `build_type` and
+/// the host's `nproc`; tools/bench_gate.py refuses to publish a timing
+/// artifact whose build_type is not "release" (DESIGN.md §16).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string_view>
+#include <thread>
 
 namespace thinlocks::bench {
 
@@ -50,12 +51,15 @@ inline int exitStatus(const char *Tool) {
 }
 
 /// \returns an artifact document: an object with a key per line, stamped
-/// with \p Schema and BuildType.  Close it with writeArtifact().
+/// with \p Schema, BuildType and the CPUs the host offers (what the
+/// google-benchmark files record as num_cpus).  Close it with
+/// writeArtifact().
 inline JsonWriter beginArtifact(const char *Schema) {
   JsonWriter Doc;
   Doc.beginObject(JsonWriter::Layout::Lines)
       .field("schema", Schema)
-      .field("build_type", BuildType);
+      .field("build_type", BuildType)
+      .field("nproc", std::thread::hardware_concurrency());
   return Doc;
 }
 

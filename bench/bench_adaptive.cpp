@@ -1,36 +1,25 @@
-//===- bench/bench_adaptive.cpp - Adaptive policy engine A/B --------------===//
+//===- bench/bench_adaptive.cpp - Adaptive engine A/B ---------------------===//
 //
-// A/B harness for the profiler->policy loop (DESIGN.md §13): the same
-// workload run with a static SpinPolicy versus with an
-// AdaptivePolicyEngine ticking between rounds and publishing per-object
-// decisions into the lock slow paths.
+// A/B harness for the profiler-driven lifecycle (DESIGN.md §13): the same
+// workload run with the profiler drained between rounds (static) versus
+// with an AdaptivePolicyEngine ticking between rounds and speculatively
+// deflating the quiescent monitors of cold objects.
 //
-// Three scenarios:
+// Two scenarios:
 //
-//  Fastpath — single-thread uncontended lock/unlock pairs.  The policy
-//    store is consulted only on slow paths, so wiring the engine must
-//    cost nothing here: adaptive and static rows must be within noise.
+//  ZipfHot — four threads hammer a Zipf(0.9)-skewed object set, so a few
+//    hot objects take almost all the contention while the tail stays
+//    thin.  Under DeflationPolicy::WhenQuiescent the hot objects thrash
+//    (every burst re-inflates, every quiescent unlock retires).  The
+//    per-acquire latency histogram (p50/p99), throughput and the
+//    inflation/retirement counters are the comparison.
 //
-//  ZipfHot — four threads (one more than the evaluation host has CPUs)
-//    hammer a Zipf(0.9)-skewed object set, so a few hot objects take
-//    almost all the contention while the tail stays thin.  Under
-//    DeflationPolicy::WhenQuiescent the hot objects thrash (every burst
-//    re-inflates, every quiescent unlock retires) and the contenders'
-//    spin ladders convoy on the oversubscribed CPU.  The engine detects
-//    the thrash and publishes KeepFat + EagerInflate, converting the
-//    churn into a stable fat monitor whose FIFO queue parks waiters off
-//    the runqueue.  The per-acquire latency histogram (p50/p99) and the
-//    inflation/retirement counters are the comparison: expect the
-//    adaptive arm to trade a slightly higher median (hot acquires pay
-//    the fat-monitor path) for a much better tail and an
-//    orders-of-magnitude drop in inflation/retirement churn.
-//
-//  PhaseShift — one object runs hot long enough for the engine to
-//    promote KeepFat, then the load goes single-threaded.  The engine
-//    must expire the decision once the object is cold and speculatively
-//    retire the now-quiescent monitor, so the timed solo phase runs at
-//    thin-lock speed again.  Counters prove the round trip (expiries,
-//    spec_deflations) and the timed ns/op shows the recovery.
+//  PhaseShift — one object runs hot through repeated contention bursts,
+//    then the load goes single-threaded.  Whichever returns it to thin —
+//    a burst's last unlocker under WhenQuiescent, or the engine's scan
+//    once the object is cold — the timed solo phase must run at
+//    thin-lock speed again.  Counters say which (spec_deflations,
+//    live_monitors) and the timed ns/op shows the recovery.
 //
 //===----------------------------------------------------------------------===//
 
@@ -83,13 +72,12 @@ struct Fixture {
       Cfg.SpeculativeDeflation = true;
       Engine = std::make_unique<policy::AdaptivePolicyEngine>(Collector,
                                                               Monitors, Cfg);
-      Locks.setPolicyStore(&Engine->policyStore());
     }
   }
 
   /// One sampling step.  The static arm still drains the collector so
-  /// both arms pay the same tracing/drain overhead; only the policy
-  /// loop itself differs.
+  /// both arms pay the same tracing/drain overhead; only the engine's
+  /// tracking and deflation scan differ.
   void tick() {
     if (Engine)
       Engine->tick();
@@ -178,30 +166,6 @@ void contentionBurst(Fixture &F, Object *Obj) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fastpath: adaptive wiring must be free off the slow paths.
-//===----------------------------------------------------------------------===//
-
-void Adaptive_Fastpath(benchmark::State &State, bool Adaptive) {
-  Fixture F(Adaptive, 1);
-  obs::setTracing(false);
-  ScopedThreadAttachment Me(F.Registry);
-  constexpr uint64_t Inner = 4096;
-  for (auto _ : State)
-    benchmark::DoNotOptimize(
-        runNativeSync(F.Locks, F.Objects[0], Me.context(), Inner));
-  State.SetItemsProcessed(State.iterations() * Inner);
-}
-
-void Adaptive_Fastpath_Static(benchmark::State &State) {
-  Adaptive_Fastpath(State, false);
-  State.SetLabel("static");
-}
-void Adaptive_Fastpath_Adaptive(benchmark::State &State) {
-  Adaptive_Fastpath(State, true);
-  State.SetLabel("adaptive");
-}
-
-//===----------------------------------------------------------------------===//
 // ZipfHot: thrashing hot objects, static vs adaptive.
 //===----------------------------------------------------------------------===//
 
@@ -218,9 +182,8 @@ void Adaptive_ZipfHot(benchmark::State &State, bool Adaptive) {
   SplitMix64 MainRng(1);
   LatencyHistogram Acquire;
 
-  // Warm-up: both arms run the same rounds; in the adaptive arm this is
-  // where the engine earns its promote dwell, so the timed rounds below
-  // measure the published steady state, not the learning transient.
+  // Warm-up: both arms run the same rounds, so the timed rounds below
+  // measure a steady state in which the engine tracks every hot object.
   uint64_t Seed = 0;
   for (uint64_t Round = 0; Round < WarmupRounds; ++Round)
     zipfRound(F, Zipf, MainRng, Me.context(), OpsPerRound, ++Seed, nullptr);
@@ -239,12 +202,9 @@ void Adaptive_ZipfHot(benchmark::State &State, bool Adaptive) {
       static_cast<double>(F.Stats.inflations() - WarmupInflations);
   State.counters["monitor_retirements"] =
       static_cast<double>(F.Monitors.retirementEvents());
-  if (F.Engine) {
-    policy::PolicyCounters C = F.Engine->counters();
-    State.counters["keep_fat"] = static_cast<double>(C.KeepFatDecisions);
-    State.counters["promotions"] = static_cast<double>(C.Promotions);
-    State.counters["demotions"] = static_cast<double>(C.Demotions);
-  }
+  if (F.Engine)
+    State.counters["spec_deflations"] =
+        static_cast<double>(F.Engine->counters().SpeculativeDeflations);
   obs::setTracing(false);
 }
 
@@ -258,7 +218,7 @@ void Adaptive_ZipfHot_Adaptive(benchmark::State &State) {
 }
 
 //===----------------------------------------------------------------------===//
-// PhaseShift: promote under thrash, then recover to thin when cold.
+// PhaseShift: thrash, then recover to thin when cold.
 //===----------------------------------------------------------------------===//
 
 void Adaptive_PhaseShift(benchmark::State &State) {
@@ -266,14 +226,14 @@ void Adaptive_PhaseShift(benchmark::State &State) {
   obs::setTracing(true);
   Object *Obj = F.Objects[0];
 
-  // Hot phase: repeated inflate/deflate bursts until KeepFat publishes.
+  // Hot phase: repeated inflate/deflate bursts, each followed by a tick.
   for (int Round = 0; Round < 12; ++Round) {
     contentionBurst(F, Obj);
     F.tick();
   }
-  // Cold phase: no activity.  The engine walks the object to cold
-  // expiry, drops the KeepFat decision, and its deflation scan retires
-  // the quiescent monitor (tracking state itself is dropped at 2x).
+  // Cold phase: no activity.  Once the object is cold the engine's
+  // deflation scan retires a still-fat monitor (tracking state itself is
+  // dropped at 2x).
   const unsigned ColdTicks = policy::AdaptivePolicyEngine::ColdTicks;
   for (unsigned Round = 0; Round < 2 * ColdTicks + 2; ++Round)
     F.tick();
@@ -286,19 +246,14 @@ void Adaptive_PhaseShift(benchmark::State &State) {
         runNativeSync(F.Locks, Obj, Me.context(), Inner));
   State.SetItemsProcessed(State.iterations() * Inner);
 
-  policy::PolicyCounters C = F.Engine->counters();
-  State.counters["keep_fat"] = static_cast<double>(C.KeepFatDecisions);
-  State.counters["expiries"] = static_cast<double>(C.Expiries);
   State.counters["spec_deflations"] =
-      static_cast<double>(C.SpeculativeDeflations);
+      static_cast<double>(F.Engine->counters().SpeculativeDeflations);
   State.counters["live_monitors"] =
       static_cast<double>(F.Monitors.liveMonitorCount());
   State.SetLabel("adaptive");
   obs::setTracing(false);
 }
 
-BENCHMARK(Adaptive_Fastpath_Static);
-BENCHMARK(Adaptive_Fastpath_Adaptive);
 BENCHMARK(Adaptive_ZipfHot_Static)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(48);

@@ -14,11 +14,10 @@
 //                  -DTHINLOCKS_FAILPOINTS=ON build; exits 77 (ctest
 //                  SKIP_RETURN_CODE) otherwise.
 //   --smoke        CI profile: short duration, modest rate.
-//   --adaptive     closes the profiler->policy loop: an
-//                  AdaptivePolicyEngine ticks with the admission
-//                  controller and steers the lock slow paths (spin
-//                  class, eager inflation, KeepFat, speculative
-//                  deflation).
+//   --adaptive     an AdaptivePolicyEngine ticks with the admission
+//                  controller, tracks idle objects through the
+//                  profiler and speculatively deflates the quiescent
+//                  monitors of cold ones.
 //
 // The binary is its own referee: quantile monotonicity, the accounting
 // identity offered == completed + shed, typed-error bookkeeping, trace
@@ -30,7 +29,7 @@
 // The harness is protocol-generic: --protocol NAME (default ThinLock)
 // soaks any registered protocol; the name lands in the SLO snapshot, the
 // config block, and every trace span.
-// --adaptive stays thin-lock-only (the engine steers header policies).
+// --adaptive stays thin-lock-only (the engine deflates ThinLock monitors).
 //
 // Usage:
 //   bench_soak [--duration-s N] [--rate R] [--workers N] [--seed S]
@@ -143,7 +142,7 @@ int main(int Argc, char **Argv) {
   }
   if (Opts.Adaptive && Protocol != "ThinLock") {
     std::fprintf(stderr,
-                 "error: --adaptive steers thin-lock header policies; "
+                 "error: --adaptive deflates thin-lock monitors; "
                  "protocol '%s' has none\n",
                  Protocol.c_str());
     return 2;
@@ -224,18 +223,9 @@ int main(int Argc, char **Argv) {
                 degradationLevelName(Transition.second));
   if (Opts.Adaptive) {
     const policy::PolicyCounters &P = Result.Policy;
-    std::printf("policy: ticks=%llu promotions=%llu demotions=%llu "
-                "expiries=%llu deep=%llu park_early=%llu keep_fat=%llu "
-                "spec_deflations=%llu publish_failures=%llu tracked=%llu\n",
+    std::printf("policy: ticks=%llu spec_deflations=%llu tracked=%llu\n",
                 static_cast<unsigned long long>(P.Ticks),
-                static_cast<unsigned long long>(P.Promotions),
-                static_cast<unsigned long long>(P.Demotions),
-                static_cast<unsigned long long>(P.Expiries),
-                static_cast<unsigned long long>(P.DeepSpinDecisions),
-                static_cast<unsigned long long>(P.ParkEarlyDecisions),
-                static_cast<unsigned long long>(P.KeepFatDecisions),
                 static_cast<unsigned long long>(P.SpeculativeDeflations),
-                static_cast<unsigned long long>(P.PublishFailures),
                 static_cast<unsigned long long>(P.ObjectsTracked));
   }
 
@@ -301,15 +291,7 @@ int main(int Argc, char **Argv) {
     Doc.key("policy")
         .beginObject()
         .field("ticks", P.Ticks)
-        .field("promotions", P.Promotions)
-        .field("demotions", P.Demotions)
-        .field("expiries", P.Expiries)
-        .field("deep_spin", P.DeepSpinDecisions)
-        .field("park_early", P.ParkEarlyDecisions)
-        .field("keep_fat", P.KeepFatDecisions)
-        .field("class_promotions", P.ClassPromotions)
         .field("speculative_deflations", P.SpeculativeDeflations)
-        .field("publish_failures", P.PublishFailures)
         .field("monitor_retirements", Result.MonitorRetirements)
         .end();
   }

@@ -143,6 +143,10 @@ void Wakeup_EntryHandoff(benchmark::State &State) {
     E.Locks->inflate(E.Obj, Attach.context());
     E.Locks->unlock(E.Obj, Attach.context());
   }
+  // A run mixes uncontended enter/exit with FIFO handoffs in a proportion
+  // the scheduler picks; blocked parks per iteration say which it was.
+  const Parker &Pk = *Attach.context().parker();
+  const uint64_t ParksBefore = Pk.blockedParkCount();
   ScopedCpuSample Cpu;
   for (auto _ : State) {
     Object *Obj = E.Obj;
@@ -150,6 +154,9 @@ void Wakeup_EntryHandoff(benchmark::State &State) {
     E.Locks->unlock(Obj, Attach.context());
   }
   Cpu.report(State);
+  State.counters["blocked_parks_per_op"] = benchmark::Counter(
+      static_cast<double>(Pk.blockedParkCount() - ParksBefore),
+      benchmark::Counter::kAvgIterations);
   State.SetItemsProcessed(State.iterations());
 }
 

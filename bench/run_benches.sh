@@ -26,7 +26,7 @@
 #                   binaries without touching the committed files.
 #   BENCH_TRACE=1   also run macro_trace and stage BENCH_trace.json, a
 #                   Chrome trace of a traced macro replay (DESIGN.md §10).
-#   BENCH_ADAPTIVE=1  also run bench_adaptive (the profiler->policy A/B,
+#   BENCH_ADAPTIVE=1  also run bench_adaptive (the adaptive engine A/B,
 #                   DESIGN.md §13; it oversubscribes the host on purpose)
 #                   and stage BENCH_adaptive.json.
 #   BENCH_SOAK=1    also run bench_soak and stage BENCH_soak.json;

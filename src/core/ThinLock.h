@@ -17,7 +17,10 @@
 ///  - contention: the acquirer spin-waits (with backoff and yields) for
 ///    the word to become unlocked, CASes it to itself, and *inflates*:
 ///    allocates a fat lock, transfers its hold, and publishes
-///    (shape bit | monitor index).  Inflation is permanent.
+///    (shape bit | monitor index).  The paper keeps inflation permanent;
+///    DeflationPolicy::WhenQuiescent and the adaptive engine's speculative
+///    scan (MonitorTable::deflateIfQuiescent) may return a quiescent fat
+///    lock to thin.
 ///  - count overflow (257th hold) and wait() also inflate.
 ///
 /// Robustness layers beyond the paper:
@@ -49,7 +52,6 @@
 #include "heap/Object.h"
 #include "obs/EventRing.h"
 #include "park/ParkingLot.h"
-#include "policy/PolicyStore.h"
 #include "support/Compiler.h"
 #include "support/FailPoint.h"
 #include "support/Fatal.h"
@@ -131,14 +133,6 @@ public:
 
   static const char *protocolName() { return Policy::Name; }
 
-  /// Wires the adaptive policy engine's decision store into the SLOW
-  /// paths (lockSlow / tryLockFor spin-class selection, eager inflation,
-  /// the KeepFat deflation veto).  The fast paths never consult it —
-  /// the invariant tools/lint/fastpath_guard.py proves.  Null (the
-  /// default) restores purely static behavior.  \p Store must outlive
-  /// this manager's last use.
-  void setPolicyStore(const policy::PolicyStore *Store) { Policies = Store; }
-
   /// Acquires \p Obj's monitor for \p Thread (recursively if already
   /// held).  The paper's 17-instruction fast path is the inline portion.
   TL_ALWAYS_INLINE void lock(Object *Obj, const ThreadContext &Thread) {
@@ -214,12 +208,8 @@ public:
     uint32_t Shifted = Thread.shiftedIndex();
     if (lockword::isFat(Value)) {
       FatLock *Fat = Monitors.resolve(Value);
-      // KeepFat is the policy engine's veto on quiescent deflation: the
-      // profiler saw this object thrash thin<->fat, so retiring its
-      // monitor would only buy the next contention burst an inflation.
-      bool MayRetire = Deflation == DeflationPolicy::WhenQuiescent &&
-                       TL_LIKELY(!policyFor(Obj).KeepFat);
-      switch (Fat->unlock(Thread, MayRetire)) {
+      switch (Fat->unlock(Thread,
+                          Deflation == DeflationPolicy::WhenQuiescent)) {
       case FatLock::ReleaseResult::NotOwner:
         return false;
       case FatLock::ReleaseResult::Released:
@@ -329,10 +319,8 @@ public:
                              DeadlockReport *Report = nullptr) {
     assert(Thread.isValid() && "locking with an unattached thread");
     // Uncontended / recursive cases never need the deadline machinery.
-    if (tryLock(Obj, Thread)) {
-      maybeEagerInflate(Obj, Thread);
+    if (tryLock(Obj, Thread))
       return TimedLockStatus::Acquired;
-    }
     return acquireContended(Obj, Thread,
                             std::chrono::steady_clock::now() +
                                 std::chrono::nanoseconds(TimeoutNanos),
@@ -403,9 +391,10 @@ public:
     return notifyImpl(Obj, Thread, /*All=*/true);
   }
 
-  /// \returns true once \p Obj's lock has been inflated (it never
-  /// deflates — paper: "Once an object's lock is inflated, it remains
-  /// inflated for the lifetime of the object").
+  /// \returns true while \p Obj's lock word is fat.  Under the paper's
+  /// DeflationPolicy::Never that holds for the rest of the object's life
+  /// once inflated; WhenQuiescent and the speculative scan may return the
+  /// word to thin.
   bool isInflated(const Object *Obj) const {
     return lockword::isFat(Obj->lockWord().load(std::memory_order_relaxed));
   }
@@ -610,8 +599,7 @@ private:
   ///  - With \p Deadline (tryLockFor()): every wait is bounded by the time
   ///    left, and expiry is classified by checkDeadlock() without the
   ///    aborting watchdog.  Winning the word inflates only after meeting
-  ///    a contender here (the failed tryLock may have lost a mere race)
-  ///    or under the policy engine's EagerInflate.
+  ///    a contender here (the failed tryLock may have lost a mere race).
   /// Always inlined, so each entry point gets a copy with the deadline
   /// tests folded away and lock()'s fat branch reads no clock.
   TL_ALWAYS_INLINE TimedLockStatus
@@ -621,14 +609,11 @@ private:
                    DeadlockReport *Report) {
     std::atomic<uint32_t> &Word = Obj->lockWord();
     uint32_t Shifted = Thread.shiftedIndex();
-    // Adaptive spin class: contenders on an object the policy engine has
-    // classified escalate on its ladder instead of the static one.
-    const policy::LockPolicy Pol = policyFor(Obj);
-    SpinWait Spinner(policy::spinPolicyFor(Pol.Spin, Options.Spin));
+    SpinWait Spinner(Options.Spin);
     BlockedOnScope Blocked(Thread, Obj);
     const auto ParkClamp =
         Deadline.value_or(std::chrono::steady_clock::time_point::max());
-    bool InflateOnWin = !Deadline || Pol.EagerInflate;
+    bool InflateOnWin = !Deadline;
     uint64_t ParksAtLastCheck = 0;
     const bool Tracing = obs::tracingEnabled();
     const uint64_t TraceT0 = Tracing ? obs::monotonicNanos() : 0;
@@ -790,31 +775,6 @@ private:
     return Fat;
   }
 
-  /// The adaptive decision for \p Obj, or all-defaults when no store is
-  /// wired (the common case — one predictable branch).  Slow paths only.
-  policy::LockPolicy policyFor(const Object *Obj) const {
-    if (TL_LIKELY(Policies == nullptr))
-      return policy::LockPolicy();
-    return Policies->forObject(reinterpret_cast<uint64_t>(Obj),
-                               Obj->classIndex());
-  }
-
-  /// EagerInflate's deterministic trigger: after a successful slow-path
-  /// acquisition that left the word thin, a decided object goes fat
-  /// immediately — the engine has seen it re-inflate enough times that
-  /// the thin contention dance is pure overhead.
-  void maybeEagerInflate(Object *Obj, const ThreadContext &Thread) {
-    if (TL_LIKELY(Policies == nullptr))
-      return;
-    uint32_t Value = Obj->lockWord().load(std::memory_order_relaxed);
-    if (!lockword::isThinOwnedBy(Value, Thread.shiftedIndex()))
-      return; // Already fat (or emergency-shared): nothing to do.
-    if (!policyFor(Obj).EagerInflate)
-      return;
-    inflateOwned(Obj, Thread, Value, lockword::countOf(Value) + 1,
-                 obs::InflateCause::Hint);
-  }
-
   NotifyStatus notifyImpl(Object *Obj, const ThreadContext &Thread,
                           bool All) {
     uint32_t Value = Obj->lockWord().load(std::memory_order_relaxed);
@@ -844,9 +804,6 @@ private:
   LockStats *Stats;
   DeflationPolicy Deflation;
   ContentionOptions Options;
-  /// Adaptive decisions consulted by the slow paths; null = static
-  /// behavior.  See setPolicyStore().
-  const policy::PolicyStore *Policies = nullptr;
 };
 
 /// The shipping configuration (paper §3.5.1): per-operation dynamic

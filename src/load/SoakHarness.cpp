@@ -107,7 +107,7 @@ public:
                      ? Config.RegistryCapacity
                      : ThreadRegistry::MaxThreadIndex),
         Protocol(makeProtocol(Config, Stats)),
-        Monitors(Protocol->monitorTable()), Thin(Protocol->thinLocks()),
+        Monitors(Protocol->monitorTable()),
         Workload(Protocol->sync(), TheHeap, Registry, Config.HotObjects,
                  Config.ZipfTheta),
         Collector(Registry) {
@@ -116,13 +116,12 @@ public:
     ChaosArmed.assign(Chaos.size(), false);
     ChaosDone.assign(Chaos.size(), false);
     if (Config.AdaptivePolicy) {
-      if (!Thin || !Monitors)
-        fatalError("soak: AdaptivePolicy steers thin-lock header "
-                   "policies; protocol '%s' has none",
+      if (!Protocol->thinLocks() || !Monitors)
+        fatalError("soak: AdaptivePolicy deflates thin-lock monitors; "
+                   "protocol '%s' has none",
                    Protocol->name());
       Engine = std::make_unique<policy::AdaptivePolicyEngine>(
           Collector, *Monitors, Config.Policy);
-      Thin->setPolicyStore(&Engine->policyStore());
     }
   }
 
@@ -145,10 +144,9 @@ private:
   LockStats Stats;
   /// Owns the protocol under load plus its substrate (type-erased).
   std::unique_ptr<ProtocolHandle> Protocol;
-  /// Capability views into *Protocol; null when the protocol lacks the
-  /// substrate (only ThinLock has a MonitorTable / policy store).
+  /// Capability view into *Protocol; null when the protocol lacks the
+  /// substrate.
   MonitorTable *Monitors = nullptr;
-  ThinLockManager *Thin = nullptr;
   Heap TheHeap;
   SessionWorkload Workload;
   obs::LockEventCollector Collector;
@@ -317,9 +315,9 @@ void SoakRun::updateChaos(double Frac) {
 }
 
 void SoakRun::tickerLoop() {
-  // The adaptive engine records its decisions into the ticker's event
-  // ring so they land in the same timeline as the contention they
-  // answer; attach only when the engine exists, so non-adaptive runs
+  // The adaptive engine records its scan's deflations into the ticker's
+  // event ring so they land in the same timeline as the contention they
+  // follow; attach only when the engine exists, so non-adaptive runs
   // keep their registry occupancy (some chaos configs size it tightly).
   std::unique_ptr<ScopedThreadAttachment> Attach;
   if (Engine)

@@ -84,10 +84,11 @@ struct SoakConfig {
   bool DeflateWhenQuiescent = true;
   /// Arm the seeded failpoint schedule (requires a failpoints build).
   bool Chaos = false;
-  /// Close the profiler->policy loop: run an AdaptivePolicyEngine off
-  /// the controller's tick cadence and wire its decision store into the
-  /// lock slow paths.  Thin-lock only: the engine steers header-word
-  /// policies, so enabling it with any other Protocol is a fatal
+  /// Run an AdaptivePolicyEngine off the controller's tick cadence: it
+  /// tracks idle objects through the profiler and, with
+  /// Policy.SpeculativeDeflation, retires cold objects' quiescent fat
+  /// locks.  Thin-lock only: the engine deflates through ThinLock's
+  /// MonitorTable, so enabling it with any other Protocol is a fatal
   /// configuration error (callers pre-validate; see bench_soak).
   bool AdaptivePolicy = false;
   /// Engine settings when AdaptivePolicy is on.  The harness owns its

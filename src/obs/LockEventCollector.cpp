@@ -119,10 +119,9 @@ void LockEventCollector::fold(const LockEvent &E) {
   else
     ++RetentionDrops;
 
-  // Policy decisions annotate the timeline but carry no per-object cost,
-  // and class-level ones use ObjectAddr 0 — folding them would mint a
-  // phantom profile row at address zero for the engine to chase.
-  if (E.Kind == EventKind::PolicyDecision || E.ObjectAddr == 0)
+  // An event without an object would mint a phantom profile row at
+  // address zero.
+  if (E.ObjectAddr == 0)
     return;
 
   HotLockEntry &Entry = Profile.touch(E.ObjectAddr);
@@ -170,7 +169,6 @@ void LockEventCollector::fold(const LockEvent &E) {
     break;
   case EventKind::Wake:
   case EventKind::Deadlock:
-  case EventKind::PolicyDecision:
   case EventKind::None:
     break;
   }

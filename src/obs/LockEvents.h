@@ -62,10 +62,6 @@ enum class EventKind : uint8_t {
   /// The owner-graph walker double-confirmed a waits-for cycle through
   /// the recording thread.  Extra = cycle length (threads).
   Deadlock,
-  /// The adaptive policy engine published or expired a decision.
-  /// Arg = packed LockPolicy; Extra bit 0 = published (0 = erased),
-  /// bit 1 = class-level decision (ObjectAddr is 0 for those).
-  PolicyDecision,
 };
 
 /// \returns true for the kinds that span time (ContendedAcquire, Park,

@@ -561,6 +561,12 @@ TEST(Soak, SessionsOpenConfigurationTicksTheEngineAndShedsNothing) {
   EXPECT_TRUE(Slo.Session.monotone());
   EXPECT_TRUE(Slo.Wake.monotone());
   EXPECT_GT(Result.Policy.Ticks, 0u);
+  // The engine publishes no decisions; the ledger fields sessions_open
+  // still reports for them read 0.
+  EXPECT_EQ(Result.Policy.Promotions, 0u);
+  EXPECT_EQ(Result.Policy.Demotions, 0u);
+  EXPECT_EQ(Result.Policy.KeepFatDecisions, 0u);
+  EXPECT_EQ(Result.Policy.PublishFailures, 0u);
   EXPECT_EQ(Slo.SessionsShed, 0u);
 }
 

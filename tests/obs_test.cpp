@@ -102,8 +102,7 @@ TEST(LockEventTest, DurationKindsStartArgNanosBeforeTheirStamp) {
   const obs::EventKind Instants[] = {
       obs::EventKind::None,      obs::EventKind::Inflate,
       obs::EventKind::Deflate,   obs::EventKind::Notify,
-      obs::EventKind::NotifyAll, obs::EventKind::Deadlock,
-      obs::EventKind::PolicyDecision};
+      obs::EventKind::NotifyAll, obs::EventKind::Deadlock};
   for (obs::EventKind Kind : Instants) {
     EXPECT_FALSE(obs::isDurationKind(Kind)) << obs::eventKindName(Kind);
     obs::LockEvent E;
@@ -354,6 +353,26 @@ TEST(ObsCollectorTest, RetentionCapFeedsAggregateButDropsTimeline) {
   ASSERT_EQ(Top.size(), 1u);
   // The aggregate saw all ten even though the timeline kept four.
   EXPECT_EQ(Top[0].ContendedAcquires, 10u);
+}
+
+TEST(ObsCollectorTest, EventWithoutObjectStaysInTimelineOnly) {
+  ThreadRegistry Registry;
+  obs::LockEventCollector Collector(Registry);
+  ThreadContext Main = Registry.attach("main");
+  Main.eventRing()->record(contendedEvent(0, Main.index(), 1, 500, 0));
+  Main.eventRing()->record(contendedEvent(0x5000, Main.index(), 2, 10, 0));
+  Registry.detach(Main);
+
+  EXPECT_EQ(Collector.drain(), 2u);
+  EXPECT_EQ(Collector.events().size(), 2u);
+  // Address zero names no object: no phantom profile row, in the object
+  // table or the class rollup.
+  std::vector<obs::HotLockEntry> Top = Collector.topLocks(4);
+  ASSERT_EQ(Top.size(), 1u);
+  EXPECT_EQ(Top[0].ObjectAddr, 0x5000u);
+  std::vector<obs::HotClassEntry> Classes = Collector.topClasses(4);
+  ASSERT_EQ(Classes.size(), 1u);
+  EXPECT_EQ(Classes[0].BlockedNanos, 10u);
 }
 
 TEST(ObsCollectorTest, TopClassesRollsUpAndBreaksTies) {

@@ -429,6 +429,76 @@ TEST(SpinWait, NoYieldInEarlyRounds) {
   EXPECT_EQ(Spinner.totalYields(), 0u);
 }
 
+// The park rung.  nextRound() leaves the sleep to its caller, so these
+// walk the ladder without sleeping.
+
+namespace {
+
+/// Runs the pause and yield rounds of the default ladder, \returns the
+/// spinner poised at its first park round.
+SpinWait spinnerAtParkRung() {
+  SpinWait Spinner;
+  for (unsigned I = 0; I < DefaultSpinPolicy.ParkThresholdRound; ++I)
+    EXPECT_EQ(Spinner.nextRound(), 0u) << "parked early at round " << I;
+  return Spinner;
+}
+
+} // namespace
+
+TEST(SpinWait, FirstParkLastsMinParkNanos) {
+  SpinWait Spinner = spinnerAtParkRung();
+  EXPECT_EQ(Spinner.nextRound(), DefaultSpinPolicy.MinParkNanos);
+}
+
+TEST(SpinWait, ParkDoublesEachRound) {
+  SpinWait Spinner = spinnerAtParkRung();
+  unsigned Rounds = 0;
+  for (uint64_t Expected = DefaultSpinPolicy.MinParkNanos;
+       Expected < DefaultSpinPolicy.MaxParkNanos; Expected *= 2, ++Rounds)
+    EXPECT_EQ(Spinner.nextRound(), Expected) << "park round " << Rounds;
+  // 50us doubles five times (to 1.6ms) before the next doubling passes
+  // the 2ms cap.
+  EXPECT_EQ(Rounds, 6u);
+}
+
+TEST(SpinWait, ParkSaturatesAtMaxParkNanos) {
+  SpinWait Spinner = spinnerAtParkRung();
+  uint64_t Park = 0;
+  for (int I = 0; I < 6; ++I)
+    Park = Spinner.nextRound();
+  EXPECT_LT(Park, DefaultSpinPolicy.MaxParkNanos);
+  // Far past 64 doublings: still the cap, never a shifted-out zero.
+  for (int I = 0; I < 100; ++I)
+    EXPECT_EQ(Spinner.nextRound(), DefaultSpinPolicy.MaxParkNanos)
+        << "park round " << 6 + I;
+}
+
+TEST(SpinWait, IsParkingTurnsTrueAfterFirstParkRound) {
+  SpinWait Spinner;
+  for (unsigned I = 0; I < DefaultSpinPolicy.ParkThresholdRound; ++I) {
+    Spinner.nextRound();
+    EXPECT_FALSE(Spinner.isParking()) << "after round " << I;
+  }
+  Spinner.nextRound();
+  EXPECT_TRUE(Spinner.isParking());
+  Spinner.reset();
+  EXPECT_FALSE(Spinner.isParking());
+  EXPECT_EQ(Spinner.nextRound(), 0u);
+}
+
+TEST(SpinWait, TotalParksAndYieldsCountRounds) {
+  SpinWait Spinner = spinnerAtParkRung();
+  EXPECT_EQ(Spinner.totalParks(), 0u);
+  EXPECT_EQ(Spinner.totalYields(), DefaultSpinPolicy.ParkThresholdRound -
+                                       DefaultSpinPolicy.YieldThresholdRound);
+  for (int I = 0; I < 5; ++I)
+    Spinner.nextRound();
+  EXPECT_EQ(Spinner.totalParks(), 5u);
+  // A park round does not also yield.
+  EXPECT_EQ(Spinner.totalYields(), DefaultSpinPolicy.ParkThresholdRound -
+                                       DefaultSpinPolicy.YieldThresholdRound);
+}
+
 //===----------------------------------------------------------------------===//
 // TableFormatter
 //===----------------------------------------------------------------------===//

@@ -48,6 +48,22 @@ TYPED_TEST_SUITE(ThinLockTypedTest, Policies);
 
 } // namespace
 
+TYPED_TEST(ThinLockTypedTest, TryLockForWithoutContentionStaysThin) {
+  // An uncontended bounded acquire is tryLock's CAS (and its nested
+  // store): the contended loop never runs and nothing inflates the word.
+  Object *Obj = this->newObject();
+  for (int I = 0; I < 2; ++I)
+    ASSERT_EQ(this->Locks.tryLockFor(Obj, this->Main, 1'000'000),
+              TimedLockStatus::Acquired);
+  uint32_t Held = Obj->lockWord().load();
+  EXPECT_TRUE(lockword::isThin(Held));
+  EXPECT_EQ(lockword::countOf(Held), 1u);
+  this->Locks.unlock(Obj, this->Main);
+  this->Locks.unlock(Obj, this->Main);
+  EXPECT_FALSE(this->Locks.isInflated(Obj));
+  EXPECT_EQ(this->Stats.inflations(), 0u);
+}
+
 TYPED_TEST(ThinLockTypedTest, LockSetsThinWordUnlockClearsIt) {
   Object *Obj = this->newObject();
   uint32_t Before = Obj->lockWord().load();
