@@ -199,6 +199,11 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Slo.Session.P99),
               static_cast<unsigned long long>(Slo.Session.P999),
               static_cast<unsigned long long>(Slo.Session.Max));
+  std::printf("dispatch p50=%lluns p99=%lluns p999=%lluns max=%lluns\n",
+              static_cast<unsigned long long>(Slo.Dispatch.P50),
+              static_cast<unsigned long long>(Slo.Dispatch.P99),
+              static_cast<unsigned long long>(Slo.Dispatch.P999),
+              static_cast<unsigned long long>(Slo.Dispatch.Max));
   std::printf("wake p50=%lluns p99=%lluns count=%llu\n",
               static_cast<unsigned long long>(Slo.Wake.P50),
               static_cast<unsigned long long>(Slo.Wake.P99),
@@ -236,6 +241,7 @@ int main(int Argc, char **Argv) {
   check(Slo.RequestsCompleted > 0, "no requests completed");
   check(Slo.Acquire.monotone(), "acquire quantiles not monotone");
   check(Slo.Session.monotone(), "session quantiles not monotone");
+  check(Slo.Dispatch.monotone(), "dispatch quantiles not monotone");
   check(Slo.Wake.monotone(), "wake quantiles not monotone");
   check(Slo.SessionsOffered ==
             Slo.SessionsCompleted + Slo.SessionsShed,

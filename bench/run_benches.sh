@@ -29,8 +29,11 @@
 #   BENCH_ADAPTIVE=1  also run bench_adaptive (the adaptive engine A/B,
 #                   DESIGN.md §13; it oversubscribes the host on purpose)
 #                   and stage BENCH_adaptive.json.
-#   BENCH_SOAK=1    also run bench_soak and stage BENCH_soak.json;
-#                   BENCH_SOAK_ARGS overrides the default --duration-s 10.
+#   BENCH_SOAK=1    also run bench_soak and stage BENCH_soak.json, the
+#                   nightly soak's baseline; BENCH_SOAK_ARGS overrides the
+#                   default --duration-s 10 --adaptive (the nightly job
+#                   runs --adaptive, and tools/soak_slo_diff.py compares
+#                   only documents that agree on it).
 #   BENCH_MATRIX=1  also run bench_matrix (every registered protocol x
 #                   the shared workload battery, DESIGN.md §14) and stage
 #                   BENCH_matrix.json; BENCH_MATRIX_ARGS overrides the
@@ -111,7 +114,8 @@ stage BENCH_contention.json suites bench_inflation_storm bench_wakeup
     stage BENCH_adaptive.json suites bench_adaptive
   [ "${BENCH_TRACE:-0}" = 0 ] || stage BENCH_trace.json driver macro_trace
   [ "${BENCH_SOAK:-0}" = 0 ] ||
-    stage BENCH_soak.json driver bench_soak ${BENCH_SOAK_ARGS:---duration-s 10}
+    stage BENCH_soak.json driver bench_soak \
+      ${BENCH_SOAK_ARGS:---duration-s 10 --adaptive}
   [ "${BENCH_MATRIX:-0}" = 0 ] ||
     stage BENCH_matrix.json driver bench_matrix ${BENCH_MATRIX_ARGS:-}
   [ "${BENCH_TXN:-0}" = 0 ] ||

@@ -15,7 +15,12 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
+#include <optional>
 #include <thread>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 using namespace thinlocks;
 using namespace thinlocks::load;
@@ -75,6 +80,7 @@ struct Arrival {
 struct WorkerState {
   LatencyHistogram Acquire;
   LatencyHistogram Session;
+  LatencyHistogram Dispatch;
   std::vector<obs::SessionSpanInfo> Sessions;
   uint64_t Requests = 0;
   uint64_t Completed = 0;
@@ -110,7 +116,7 @@ public:
         Monitors(Protocol->monitorTable()),
         Workload(Protocol->sync(), TheHeap, Registry, Config.HotObjects,
                  Config.ZipfTheta),
-        Collector(Registry) {
+        Collector(Registry), Schedule(Config.Seed) {
     if (Config.Chaos && failpoint::compiledIn())
       Chaos = buildChaosSchedule(ChaosSeed);
     ChaosArmed.assign(Chaos.size(), false);
@@ -128,11 +134,16 @@ public:
   SoakResult run();
 
 private:
-  void arrivalLoop();
   void workerLoop(unsigned Index);
   void tickerLoop();
-  /// Routes one decided arrival.  Caller holds Mu.
-  void dispatchLocked(const Arrival &A, AdmissionDecision Decision)
+  /// Draws arrivals in schedule order until one is not yet due or the
+  /// schedule ends.
+  void drawLocked() TL_REQUIRES(Mu);
+  /// Offers \p A to admission control and \returns the decision.
+  AdmissionDecision offerLocked(const Arrival &A) TL_REQUIRES(Mu);
+  /// Routes one decided arrival: an admitted one is queued, or, when
+  /// \p Claimed, marked for its claiming worker to serve (\returns true).
+  bool dispatchLocked(Arrival &A, AdmissionDecision Decision, bool Claimed)
       TL_REQUIRES(Mu);
   void retryDeferredLocked() TL_REQUIRES(Mu);
   /// Arms/disarms chaos phases for run fraction \p Frac (ticker only).
@@ -166,7 +177,21 @@ private:
   uint64_t ChaosPhasesRun = 0;        // Ticker-only until join.
 
   mutable Mutex Mu;
+  /// Idle workers wait here once the schedule is done (retries, drain).
   std::condition_variable_any QueueCv;
+  /// run() waits here for the schedule's end.
+  std::condition_variable_any ScheduleCv;
+  /// The seeded arrival schedule, drawn by the workers in order: a gap,
+  /// then the heavy flag, per arrival.
+  SplitMix64 Schedule TL_GUARDED_BY(Mu);
+  double ScheduleNanos TL_GUARDED_BY(Mu) = 0; ///< Last instant, from T0.
+  uint64_t NextId TL_GUARDED_BY(Mu) = 1;
+  /// The next arrival, drawn before its instant and not yet claimed.
+  std::optional<Arrival> NextArrival TL_GUARDED_BY(Mu);
+  /// Claimed arrivals not yet offered to admission control.
+  unsigned Claims TL_GUARDED_BY(Mu) = 0;
+  /// The schedule drew its first gap past DurationNanos.
+  bool ScheduleDone TL_GUARDED_BY(Mu) = false;
   std::deque<Arrival> Queue TL_GUARDED_BY(Mu);
   std::vector<Arrival> Deferred TL_GUARDED_BY(Mu);
   bool ArrivalsDone TL_GUARDED_BY(Mu) = false;
@@ -187,33 +212,35 @@ private:
   std::vector<WorkerState> Workers; // Worker I owns slot I until join.
 };
 
-void SoakRun::dispatchLocked(const Arrival &A, AdmissionDecision Decision) {
+bool SoakRun::dispatchLocked(Arrival &A, AdmissionDecision Decision,
+                             bool Claimed) {
   uint64_t Now = monotonicNanos();
   switch (Decision) {
   case AdmissionDecision::Admit:
-  case AdmissionDecision::AdmitDegraded: {
-    if (Queue.size() >= QueueLimit) {
+  case AdmissionDecision::AdmitDegraded:
+    if (!Claimed && Queue.size() >= QueueLimit) {
       // Backpressure of last resort: admission control lagged the
       // arrival process; shed rather than queue without bound.
       ++QueueOverflow;
       ++ShedCount;
-      return;
+      return false;
     }
-    Arrival Queued = A;
-    Queued.Degraded = Decision == AdmissionDecision::AdmitDegraded;
-    Queue.push_back(Queued);
+    A.Degraded = Decision == AdmissionDecision::AdmitDegraded;
     if (Now >= ChaosOverNanos)
       ++AdmitsAfterChaos;
+    if (Claimed)
+      return true;
+    Queue.push_back(A);
     QueueCv.notify_one();
-    return;
-  }
+    return false;
   case AdmissionDecision::Defer:
     Deferred.push_back(A);
-    return;
+    return false;
   case AdmissionDecision::Shed:
     ++ShedCount;
-    return;
+    return false;
   }
+  return false;
 }
 
 void SoakRun::retryDeferredLocked() {
@@ -221,63 +248,108 @@ void SoakRun::retryDeferredLocked() {
     return;
   std::vector<Arrival> Retry;
   Retry.swap(Deferred);
-  for (const Arrival &A : Retry)
-    dispatchLocked(A, Controller.admit(/*InflationHeavy=*/A.Heavy));
+  for (Arrival &A : Retry)
+    dispatchLocked(A, Controller.admit(/*InflationHeavy=*/A.Heavy),
+                   /*Claimed=*/false);
 }
 
-void SoakRun::arrivalLoop() {
-  SplitMix64 Rng(Config.Seed);
-  const double GapScale = 1e9 / Config.ArrivalsPerSecond;
-  double ClockNanos = 0;
-  uint64_t NextId = 1;
-  for (;;) {
-    // Open loop: exponential inter-arrival gaps on the *scheduled*
-    // clock.  The schedule never waits for the system — a late harness
-    // just fires the backlog immediately, which is exactly the overload
-    // an open-loop generator must not hide.
-    ClockNanos += -std::log(1.0 - Rng.nextDouble()) * GapScale;
-    if (ClockNanos >= static_cast<double>(DurationNanos))
-      break;
-    uint64_t When = T0 + static_cast<uint64_t>(ClockNanos);
-    uint64_t Now = monotonicNanos();
-    if (When > Now)
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(When - Now));
+AdmissionDecision SoakRun::offerLocked(const Arrival &A) {
+  ++Offered;
+  AdmissionDecision Decision = Controller.admit(A.Heavy);
+  if (Decision == AdmissionDecision::Defer)
+    ++DeferredOnce;
+  return Decision;
+}
 
+void SoakRun::drawLocked() {
+  // Open loop: exponential inter-arrival gaps on the *scheduled* clock.
+  // The schedule never waits for the system: arrivals already due when
+  // drawn are admitted and queued at once, the backlog of a late
+  // harness, which is exactly the overload an open loop must not hide.
+  const double GapScale = 1e9 / Config.ArrivalsPerSecond;
+  uint64_t Now = monotonicNanos();
+  while (!NextArrival && !ScheduleDone) {
+    ScheduleNanos += -std::log(1.0 - Schedule.nextDouble()) * GapScale;
+    if (ScheduleNanos >= static_cast<double>(DurationNanos)) {
+      ScheduleDone = true;
+      if (Claims == 0)
+        ScheduleCv.notify_all();
+      return;
+    }
     Arrival A;
     A.Id = NextId++;
-    A.ArrivalNanos = When;
-    A.Heavy = Rng.nextBool(Config.HeavyFraction);
-    AdmissionDecision Decision = Controller.admit(A.Heavy);
-    LockGuard Guard(Mu);
-    ++Offered;
-    if (Decision == AdmissionDecision::Defer)
-      ++DeferredOnce;
-    dispatchLocked(A, Decision);
+    A.ArrivalNanos = T0 + static_cast<uint64_t>(ScheduleNanos);
+    A.Heavy = Schedule.nextBool(Config.HeavyFraction);
+    if (A.ArrivalNanos > Now)
+      NextArrival = A;
+    else
+      dispatchLocked(A, offerLocked(A), /*Claimed=*/false);
   }
 }
 
 void SoakRun::workerLoop(unsigned Index) {
+#ifdef __linux__
+  // A claimed arrival starts on this thread's own timer; the default
+  // 50 us timer slack would start it up to that long after its instant.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   ScopedThreadAttachment Attach(Registry,
                                 "soak-worker-" + std::to_string(Index));
   WorkerState &W = Workers[Index];
   SplitMix64 Rng(Config.Seed ^ (0x9e3779b97f4a7c15ull * (Index + 1)));
   for (;;) {
     Arrival A;
+    bool Claimed = false;
     {
       UniqueLock Guard(Mu);
-      while (Queue.empty() && !Draining)
+      for (;;) {
+        // Queued work first (backlog and deferred retries, oldest
+        // first), then the next arrival of the schedule.
+        if (!Queue.empty()) {
+          A = Queue.front();
+          Queue.pop_front();
+          break;
+        }
+        if (!NextArrival && !ScheduleDone) {
+          drawLocked();
+          continue;
+        }
+        if (NextArrival) {
+          A = *NextArrival;
+          NextArrival.reset();
+          ++Claims;
+          Claimed = true;
+          break;
+        }
+        if (Draining)
+          return;
         QueueCv.wait(Guard);
-      if (Queue.empty())
-        return; // Draining and nothing left.
-      A = Queue.front();
-      Queue.pop_front();
+      }
+    }
+    if (Claimed) {
+      // The claimer keeps the arrival clock: its own timer is the one
+      // wake-up between the instant and the session.
+      for (uint64_t Now = monotonicNanos(); Now < A.ArrivalNanos;
+           Now = monotonicNanos())
+        std::this_thread::sleep_for(
+            std::chrono::nanoseconds(A.ArrivalNanos - Now));
+      LockGuard Guard(Mu);
+      bool Serve = dispatchLocked(A, offerLocked(A), /*Claimed=*/true);
+      if (--Claims == 0 && ScheduleDone)
+        ScheduleCv.notify_all();
+      if (!Serve)
+        continue;
     }
     uint64_t Start = monotonicNanos();
+    if (Start < A.ArrivalNanos)
+      fatalError("soak: session %llu started %llu ns before its instant",
+                 static_cast<unsigned long long>(A.Id),
+                 static_cast<unsigned long long>(A.ArrivalNanos - Start));
+    W.Dispatch.record(Start - A.ArrivalNanos);
     SessionOutcome Outcome = Workload.run(Attach.context(), Rng, A.Heavy,
                                           A.Degraded, W.Acquire);
     uint64_t End = monotonicNanos();
-    W.Session.record(End >= A.ArrivalNanos ? End - A.ArrivalNanos : 0);
+    W.Session.record(End - A.ArrivalNanos);
     obs::SessionSpanInfo Span;
     Span.SessionId = A.Id;
     Span.WorkerTid = Attach.context().index();
@@ -397,9 +469,10 @@ SoakResult SoakRun::run() {
     WorkerThreads.emplace_back([this, I] { workerLoop(I); });
   std::thread Ticker([this] { tickerLoop(); });
 
-  arrivalLoop();
   {
-    LockGuard Guard(Mu);
+    UniqueLock Guard(Mu);
+    while (!ScheduleDone || Claims != 0)
+      ScheduleCv.wait(Guard);
     ArrivalsDone = true;
   }
 
@@ -449,13 +522,14 @@ SoakResult SoakRun::run() {
 
 SoakResult SoakRun::finish(uint64_t RunNanos) {
   SoakResult Result;
-  LatencyHistogram Acquire, Session, Wake;
+  LatencyHistogram Acquire, Session, Dispatch, Wake;
   std::vector<obs::SessionSpanInfo> AllSessions;
   uint64_t Requests = 0, Completed = 0, DegradedRuns = 0,
            AttachFallbacks = 0;
   for (const WorkerState &W : Workers) {
     Acquire.merge(W.Acquire);
     Session.merge(W.Session);
+    Dispatch.merge(W.Dispatch);
     AllSessions.insert(AllSessions.end(), W.Sessions.begin(),
                        W.Sessions.end());
     Requests += W.Requests;
@@ -473,6 +547,7 @@ SoakResult SoakRun::finish(uint64_t RunNanos) {
   Slo.DurationSeconds = static_cast<double>(RunNanos) / 1e9;
   Slo.Acquire = obs::SloQuantiles::of(Acquire);
   Slo.Session = obs::SloQuantiles::of(Session);
+  Slo.Dispatch = obs::SloQuantiles::of(Dispatch);
   Slo.Wake = obs::SloQuantiles::of(Wake);
   {
     LockGuard Guard(Mu);

@@ -7,9 +7,18 @@
 /// system is keeping up — the sizing knob is arrival rate, not thread
 /// count, because a closed loop (N threads in lockstep) self-throttles
 /// under overload and hides exactly the queueing collapse an SLO exists
-/// to measure (coordinated omission).  A small worker pool serves the
-/// arrival queue; the gap between arrival and completion *is* the
-/// session latency, queueing included.
+/// to measure (coordinated omission).  The gap between the scheduled
+/// arrival and completion *is* the session latency, queueing included.
+///
+/// The workers keep the arrival clock themselves; no generator thread
+/// hands arrivals over.  An idle worker takes the oldest queued arrival
+/// or else claims the next one of the seeded schedule, sleeps to its
+/// instant on its own timer (1 ns timer slack on Linux), and offers it
+/// to admission control and serves it itself, so a session costs one
+/// wake-up.  Arrivals already due when drawn form the queued backlog.
+/// When every worker is busy at an instant, that arrival is admitted
+/// when the first worker frees up.  The time from instant to start is
+/// reported as the dispatch delay.
 ///
 /// Load-shedding: an AdmissionController ticks on a fixed cadence,
 /// sampling MonitorTable/ThreadRegistry occupancy and the typed
@@ -26,9 +35,9 @@
 /// before the run does, so a chaos run also proves *recovery*: the
 /// ladder must walk back to Normal and late arrivals must be admitted.
 ///
-/// Every run records per-worker acquire/session LatencyHistograms and
-/// drains the obs event rings; the result is an SloSnapshot plus a
-/// Chrome trace of the worst sessions.
+/// Every run records per-worker acquire/session/dispatch
+/// LatencyHistograms and drains the obs event rings; the result is an
+/// SloSnapshot plus a Chrome trace of the worst sessions.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -43,6 +43,7 @@ void SloSnapshot::writeJson(JsonWriter &W) const {
       .field("duration_s", DurationSeconds, 4);
   writeQuantiles(W, "acquire", Acquire);
   writeQuantiles(W, "session", Session);
+  writeQuantiles(W, "dispatch", Dispatch);
   writeQuantiles(W, "wake", Wake);
   W.field("sessions_offered", SessionsOffered)
       .field("sessions_completed", SessionsCompleted)

@@ -3,8 +3,8 @@
 /// \file
 /// The reporting end of the sustained-load soak harness (DESIGN.md §12):
 /// a point-in-time summary of how the locking substrate served an
-/// open-loop session workload — acquire-latency and whole-session
-/// quantiles (p50/p99/p999 out of support/Histogram.h's
+/// open-loop session workload — acquire-latency, whole-session and
+/// dispatch-delay quantiles (p50/p99/p999 out of support/Histogram.h's
 /// LatencyHistogram), time-to-wake quantiles folded from drained Wake
 /// events, throughput, and the admission-control ledger (shed/deferred/
 /// degraded counts, typed-error totals, degradation-level residency).
@@ -59,7 +59,7 @@ struct SessionSpanInfo {
   uint64_t SessionId = 0;
   uint32_t WorkerTid = 0;     ///< Worker thread index (trace lane).
   uint64_t ArrivalNanos = 0;  ///< Open-loop arrival stamp.
-  uint64_t StartNanos = 0;    ///< Dequeue / execution start.
+  uint64_t StartNanos = 0;    ///< Session start (after dispatch).
   uint64_t EndNanos = 0;
   uint64_t MaxAcquireNanos = 0;
   bool Heavy = false;
@@ -76,6 +76,9 @@ struct SloSnapshot {
 
   SloQuantiles Acquire; ///< Per-acquisition latency (lock() wall time).
   SloQuantiles Session; ///< Arrival-to-completion (includes queueing).
+  /// Arrival-to-start: the part of Session before the session runs
+  /// (the worker's wake-up past the instant, or time queued).
+  SloQuantiles Dispatch;
   SloQuantiles Wake;    ///< Unpark-to-resume, from drained Wake events.
 
   /// Offered load accounting.  Offered == Completed + Shed always holds

@@ -43,7 +43,8 @@ QUANTILES = {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}
 SOAK = {"schema": "thinlocks-bench-soak-v1", "build_type": "release",
         "config": {"protocol": "ThinLock", "chaos": False, "adaptive": True},
         "slo": {"protocol": "ThinLock", "acquire": QUANTILES,
-                "session": QUANTILES, "wake": QUANTILES,
+                "session": QUANTILES, "dispatch": QUANTILES,
+                "wake": QUANTILES,
                 "sessions_offered": 5, "sessions_completed": 4,
                 "sessions_shed": 1, "final_level": 0},
         "policy": {"ticks": 3}}
@@ -119,6 +120,19 @@ class BenchGate(unittest.TestCase):
                 result = self.gate("check", self.write("debug.json", doc))
                 self.assertEqual(result.returncode, 1)
                 self.assertIn("not 'release'", result.stderr)
+
+    def test_soak_dispatch_above_session_or_missing_is_refused(self):
+        late = {"p50_ns": 3, "p99_ns": 3, "p999_ns": 3, "max_ns": 4}
+        for name, edit, why in (
+                ("late.json", lambda d: d["slo"].update(dispatch=late),
+                 "dispatch p50 is above session p50"),
+                ("bare.json", lambda d: d["slo"].pop("dispatch"),
+                 "KeyError('dispatch')")):
+            with self.subTest(name=name):
+                doc = doctored(SOAK, edit)
+                result = self.gate("check", self.write(name, doc))
+                self.assertEqual(result.returncode, 1, result.stderr)
+                self.assertIn(why, result.stderr)
 
     def test_unknown_and_malformed_documents_are_refused(self):
         for name, doc in (("unknown.json", {"schema": "other"}),

@@ -530,17 +530,53 @@ TEST(Soak, ShortRunAccountsEverySession) {
 }
 
 TEST(Soak, DeterministicOfferCountPerSeed) {
+  // The arrival schedule is a pure function of the seed, written out
+  // here: one SplitMix64 of the seed draws a gap, then the heavy flag,
+  // per arrival, up to the first gap past the run.  What each arrival
+  // *experiences* is timing-dependent, but the offered count is not,
+  // whatever the worker count.
   SoakConfig Config;
   Config.ArrivalsPerSecond = 300;
   Config.DurationSeconds = 0.3;
-  Config.Workers = 1;
   Config.Seed = 5;
-  SoakResult A = runSoak(Config);
-  SoakResult B = runSoak(Config);
-  // The arrival schedule is a pure function of the seed; what each
-  // arrival *experiences* is timing-dependent, but the offered count is
-  // not.
-  EXPECT_EQ(A.Slo.SessionsOffered, B.Slo.SessionsOffered);
+  SplitMix64 Rng(Config.Seed);
+  const double GapScale = 1e9 / Config.ArrivalsPerSecond;
+  const double EndNanos =
+      static_cast<double>(static_cast<uint64_t>(Config.DurationSeconds * 1e9));
+  uint64_t Scheduled = 0;
+  for (double Clock = 0;;) {
+    Clock += -std::log(1.0 - Rng.nextDouble()) * GapScale;
+    if (Clock >= EndNanos)
+      break;
+    Rng.nextBool(Config.HeavyFraction);
+    ++Scheduled;
+  }
+  ASSERT_GT(Scheduled, 0u);
+  for (unsigned Workers : {1u, 2u, 3u}) {
+    Config.Workers = Workers;
+    SoakResult Result = runSoak(Config);
+    EXPECT_EQ(Result.Slo.SessionsOffered, Scheduled) << Workers << " workers";
+    EXPECT_EQ(Result.Slo.SessionsOffered,
+              Result.Slo.SessionsCompleted + Result.Slo.SessionsShed);
+  }
+}
+
+TEST(Soak, OneWorkerUnderOverloadShedsTheBacklogPastTheQueueLimit) {
+  // Arrivals far faster than one worker serves them: the arrivals due
+  // while it works pile up as a backlog, and the bounded queue sheds
+  // what does not fit; every offered session is still accounted for.
+  SoakConfig Config;
+  Config.ArrivalsPerSecond = 200'000;
+  Config.DurationSeconds = 0.05;
+  Config.Workers = 1;
+  Config.Seed = 4;
+  SoakResult Result = runSoak(Config);
+  const obs::SloSnapshot &Slo = Result.Slo;
+
+  EXPECT_GT(Result.QueueOverflowShed, 0u);
+  EXPECT_GT(Slo.SessionsCompleted, 0u);
+  EXPECT_EQ(Slo.SessionsOffered, Slo.SessionsCompleted + Slo.SessionsShed);
+  EXPECT_TRUE(Slo.Session.monotone());
 }
 
 TEST(Soak, SessionsOpenConfigurationTicksTheEngineAndShedsNothing) {

@@ -283,7 +283,7 @@ for Arg in "$@"; do
   [ "$Prev" = "--out" ] && Out="$Arg"
   Prev="$Arg"
 done
-printf '%s\n' '{"schema": "thinlocks-bench-soak-v1", "build_type": "debug", "config": {"protocol": "ThinLock", "chaos": false, "adaptive": false}, "slo": {"protocol": "ThinLock", "acquire": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "session": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "wake": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "sessions_offered": 3, "sessions_completed": 3, "sessions_shed": 0, "final_level": 0}}' > "$Out"
+printf '%s\n' '{"schema": "thinlocks-bench-soak-v1", "build_type": "debug", "config": {"protocol": "ThinLock", "chaos": false, "adaptive": false}, "slo": {"protocol": "ThinLock", "acquire": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "session": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "dispatch": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "wake": {"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}, "sessions_offered": 3, "sessions_completed": 3, "sessions_shed": 0, "final_level": 0}}' > "$Out"
 STUB
 chmod +x "$BUILD/bench/bench_soak"
 BENCH_OUT_DIR="$OUT_I" BENCH_SOAK=1 bash "$RUN_BENCHES" "$BUILD" \
@@ -299,6 +299,46 @@ if sentinels_untouched "$OUT_I" && [ ! -e "$OUT_I/BENCH_soak.json" ]; then
   pass "scenario I: nothing published after refusal"
 else
   fail "scenario I: a BENCH_*.json was published by a debug-build soak"
+fi
+
+#--- Scenario J: BENCH_SOAK=1 stages the adaptive soak baseline ---------#
+# The nightly job runs bench_soak --adaptive and tools/soak_slo_diff.py
+# refuses to compare documents that disagree on "adaptive", so the
+# default BENCH_SOAK run must pass --adaptive.  The stub writes
+# "adaptive": true (and the policy block the gate then asks for) only
+# when it receives the flag.
+OUT_J="$SANDBOX/out-j"
+seed_sentinels "$OUT_J"
+cat >"$BUILD/bench/bench_soak" <<'STUB'
+#!/usr/bin/env bash
+Out=""
+Prev=""
+Adaptive=false
+Policy=""
+for Arg in "$@"; do
+  [ "$Prev" = "--out" ] && Out="$Arg"
+  [ "$Arg" = "--adaptive" ] && Adaptive=true
+  Prev="$Arg"
+done
+[ "$Adaptive" = true ] && Policy=', "policy": {"ticks": 1}'
+Q='{"p50_ns": 1, "p99_ns": 2, "p999_ns": 3, "max_ns": 4}'
+printf '%s\n' "{\"schema\": \"thinlocks-bench-soak-v1\", \"build_type\": \"release\", \"config\": {\"protocol\": \"ThinLock\", \"chaos\": false, \"adaptive\": $Adaptive}, \"slo\": {\"protocol\": \"ThinLock\", \"acquire\": $Q, \"session\": $Q, \"dispatch\": $Q, \"wake\": $Q, \"sessions_offered\": 3, \"sessions_completed\": 3, \"sessions_shed\": 0, \"final_level\": 0}$Policy}" > "$Out"
+STUB
+chmod +x "$BUILD/bench/bench_soak"
+BENCH_OUT_DIR="$OUT_J" BENCH_SOAK=1 bash "$RUN_BENCHES" "$BUILD" \
+  >/dev/null 2>&1
+Status=$?
+rm -f "$BUILD/bench/bench_soak"
+if [ "$Status" -eq 0 ]; then
+  pass "scenario J: soak baseline staged"
+else
+  fail "scenario J: the stub soak run failed (status $Status)"
+fi
+if python3 -c 'import json, sys; sys.exit(not json.load(open(sys.argv[1]))["config"]["adaptive"])' \
+     "$OUT_J/BENCH_soak.json" 2>/dev/null; then
+  pass "scenario J: the published soak baseline is adaptive"
+else
+  fail "scenario J: the published soak baseline is not the --adaptive soak"
 fi
 
 if [ "$Failures" -ne 0 ]; then

@@ -90,10 +90,14 @@ def check_soak(doc):
     config, slo = doc["config"], doc["slo"]
     need(config["protocol"] == slo["protocol"],
          "config and slo name different protocols")
-    for name in ("acquire", "session", "wake"):
+    for name in ("acquire", "session", "dispatch", "wake"):
         q = slo[name]
         need(q["p50_ns"] <= q["p99_ns"] <= q["p999_ns"] <= q["max_ns"],
              f"{name} quantiles are not monotone")
+    # Each session's dispatch delay (scheduled instant to start) is part
+    # of its latency.
+    need(slo["dispatch"]["p50_ns"] <= slo["session"]["p50_ns"],
+         "dispatch p50 is above session p50")
     need(slo["sessions_completed"] > 0, "no sessions completed")
     need(slo["sessions_offered"] ==
          slo["sessions_completed"] + slo["sessions_shed"],

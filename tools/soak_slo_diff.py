@@ -12,8 +12,9 @@ checks, in order of severity:
   1. Typed error counters (monitor/registry exhaustion, emergency
      inflations) must be zero in the candidate — these are correctness
      escapes, not noise, so no tolerance applies.
-  2. Latency quantiles (p50/p99/p999 of the acquire, session, and wake
-     histograms) may not exceed baseline * quantile-tolerance.  An
+  2. Latency quantiles (p50/p99/p999 of the acquire, session, dispatch
+     and wake histograms) may not exceed baseline * quantile-tolerance;
+     a histogram missing from either document is a regression.  An
      absolute floor of 1us on the *delta* filters scheduler jitter on
      nanosecond-scale values: a 40ns -> 90ns p50 is a 2.25x ratio but
      means nothing on a shared runner.
@@ -34,7 +35,7 @@ import json
 import sys
 
 QUANTILE_KEYS = ("p50_ns", "p99_ns", "p999_ns")
-HISTOGRAMS = ("acquire", "session", "wake")
+HISTOGRAMS = ("acquire", "session", "dispatch", "wake")
 ERROR_COUNTERS = (
     "monitor_exhaustion_events",
     "registry_exhaustion_events",
