@@ -84,7 +84,6 @@ Assembler &Assembler::invoke(uint32_t MethodId) {
 Assembler &Assembler::ret() { return emit(Opcode::Return); }
 Assembler &Assembler::iret() { return emit(Opcode::Ireturn); }
 Assembler &Assembler::aret() { return emit(Opcode::Areturn); }
-Assembler &Assembler::yield() { return emit(Opcode::Yield); }
 
 Assembler &Assembler::jmp(Label Target) {
   return emitBranch(Opcode::Goto, Target);
@@ -95,12 +94,6 @@ Assembler &Assembler::ifIcmpLt(Label Target) {
 Assembler &Assembler::ifIcmpGe(Label Target) {
   return emitBranch(Opcode::IfIcmpGe, Target);
 }
-Assembler &Assembler::ifIcmpEq(Label Target) {
-  return emitBranch(Opcode::IfIcmpEq, Target);
-}
-Assembler &Assembler::ifIcmpNe(Label Target) {
-  return emitBranch(Opcode::IfIcmpNe, Target);
-}
 Assembler &Assembler::ifeq(Label Target) {
   return emitBranch(Opcode::Ifeq, Target);
 }
@@ -109,9 +102,6 @@ Assembler &Assembler::ifne(Label Target) {
 }
 Assembler &Assembler::ifNull(Label Target) {
   return emitBranch(Opcode::IfNull, Target);
-}
-Assembler &Assembler::ifNonNull(Label Target) {
-  return emitBranch(Opcode::IfNonNull, Target);
 }
 
 Assembler &

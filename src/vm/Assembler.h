@@ -69,24 +69,22 @@ public:
   Assembler &ret();
   Assembler &iret();
   Assembler &aret();
-  Assembler &yield();
 
   // --- Branches ----------------------------------------------------------
   Assembler &jmp(Label Target);
   Assembler &ifIcmpLt(Label Target);
   Assembler &ifIcmpGe(Label Target);
-  Assembler &ifIcmpEq(Label Target);
-  Assembler &ifIcmpNe(Label Target);
   Assembler &ifeq(Label Target);
   Assembler &ifne(Label Target);
   Assembler &ifNull(Label Target);
-  Assembler &ifNonNull(Label Target);
 
   // --- Structured helpers --------------------------------------------------
 
   /// Emits a `synchronized (locals[RefLocal]) { Body }` region: aload +
   /// monitorenter, the body, aload + monitorexit.  (The microjvm has no
-  /// exceptions other than fatal traps, so no handler table is needed.)
+  /// exception handlers: a trap unwinds the whole activation, and the
+  /// interpreter's unwind releases the monitor that javac's handler
+  /// would.)
   Assembler &synchronizedOn(int32_t RefLocal,
                             const std::function<void(Assembler &)> &Body);
 

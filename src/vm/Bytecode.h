@@ -45,12 +45,9 @@ enum class Opcode : uint8_t {
   Goto,       ///< [] -> []                  (pc = A)
   IfIcmpLt,   ///< [a b] -> []               (pc = A if a < b)
   IfIcmpGe,   ///< [a b] -> []               (pc = A if a >= b)
-  IfIcmpEq,   ///< [a b] -> []               (pc = A if a == b)
-  IfIcmpNe,   ///< [a b] -> []               (pc = A if a != b)
   Ifeq,       ///< [a] -> []                 (pc = A if a == 0)
   Ifne,       ///< [a] -> []                 (pc = A if a != 0)
   IfNull,     ///< [r] -> []                 (pc = A if r == null)
-  IfNonNull,  ///< [r] -> []                 (pc = A if r != null)
   New,        ///< [] -> [ref]               (instance of class id A)
   GetField,   ///< [r] -> [r.field[A]]
   PutField,   ///< [r v] -> []               (r.field[A] = v)
@@ -60,7 +57,6 @@ enum class Opcode : uint8_t {
   Return,     ///< [] -> caller              (void return)
   Ireturn,    ///< [v] -> caller             (int return)
   Areturn,    ///< [r] -> caller             (ref return)
-  Yield,      ///< [] -> []                  (scheduler hint)
 };
 
 /// \returns a printable mnemonic for \p Op.

@@ -5,7 +5,6 @@
 #include "vm/Klass.h"
 
 #include <cassert>
-#include <thread>
 
 using namespace thinlocks;
 using namespace thinlocks::vm;
@@ -75,16 +74,18 @@ Trap Interpreter::pushFrame(const Method &M, std::span<const Value> Args) {
   for (size_t I = 0; I < Args.size(); ++I)
     Locals[F.LocalsBase + I] = Args[I];
   F.StackBase = Stack.size();
+  F.MonitorsBase = Monitors.size();
   Frames.push_back(F);
   return Trap::None;
 }
 
 RunResult Interpreter::unwindWith(Trap T) {
-  // Release every synchronized-method monitor held by unwound frames,
-  // mirroring the JVM's implicit exception handler around synchronized
-  // methods.
+  // Release every monitor held by unwound frames, mirroring the JVM's
+  // implicit exception handlers around synchronized blocks and methods.
   for (size_t I = Frames.size(); I-- > 0;) {
     Frame &F = Frames[I];
+    for (; Monitors.size() > F.MonitorsBase; Monitors.pop_back())
+      (void)Vm.sync().unlockChecked(Monitors.back(), Thread);
     if (F.SyncObject)
       (void)Vm.sync().unlockChecked(F.SyncObject, Thread);
   }
@@ -258,29 +259,11 @@ RunResult Interpreter::run(const Method &M, std::span<const Value> Args) {
       break;
 
     case Opcode::IfIcmpLt:
-    case Opcode::IfIcmpGe:
-    case Opcode::IfIcmpEq:
-    case Opcode::IfIcmpNe: {
+    case Opcode::IfIcmpGe: {
       int32_t B, A;
       if (!popInt(B) || !popInt(A))
         return unwindWith(Trap::BadBytecode);
-      bool Taken = false;
-      switch (Inst.Op) {
-      case Opcode::IfIcmpLt:
-        Taken = A < B;
-        break;
-      case Opcode::IfIcmpGe:
-        Taken = A >= B;
-        break;
-      case Opcode::IfIcmpEq:
-        Taken = A == B;
-        break;
-      case Opcode::IfIcmpNe:
-        Taken = A != B;
-        break;
-      default:
-        tlUnreachable("icmp dispatch");
-      }
+      bool Taken = (Inst.Op == Opcode::IfIcmpLt) ? (A < B) : (A >= B);
       if (Taken)
         F.Pc = static_cast<uint32_t>(Inst.A);
       break;
@@ -297,14 +280,11 @@ RunResult Interpreter::run(const Method &M, std::span<const Value> Args) {
       break;
     }
 
-    case Opcode::IfNull:
-    case Opcode::IfNonNull: {
+    case Opcode::IfNull: {
       Object *Ref;
       if (!popRef(Ref))
         return unwindWith(Trap::BadBytecode);
-      bool Taken =
-          (Inst.Op == Opcode::IfNull) ? (Ref == nullptr) : (Ref != nullptr);
-      if (Taken)
+      if (!Ref)
         F.Pc = static_cast<uint32_t>(Inst.A);
       break;
     }
@@ -358,6 +338,7 @@ RunResult Interpreter::run(const Method &M, std::span<const Value> Args) {
       if (!Ref)
         return unwindWith(Trap::NullPointer);
       Vm.sync().lock(Ref, Thread);
+      Monitors.push_back(Ref);
       break;
     }
 
@@ -367,6 +348,13 @@ RunResult Interpreter::run(const Method &M, std::span<const Value> Args) {
         return unwindWith(Trap::BadBytecode);
       if (!Ref)
         return unwindWith(Trap::NullPointer);
+      // Find this frame's innermost entry of Ref; exits need not nest.
+      size_t Entry = Monitors.size();
+      while (Entry > F.MonitorsBase && Monitors[Entry - 1] != Ref)
+        --Entry;
+      if (Entry == F.MonitorsBase)
+        return unwindWith(Trap::IllegalMonitorState);
+      Monitors.erase(Monitors.begin() + (Entry - 1));
       if (!Vm.sync().unlockChecked(Ref, Thread))
         return unwindWith(Trap::IllegalMonitorState);
       break;
@@ -432,6 +420,8 @@ RunResult Interpreter::run(const Method &M, std::span<const Value> Args) {
           return unwindWith(Trap::BadBytecode);
       }
       Frame Finished = Frames.back();
+      if (Monitors.size() > Finished.MonitorsBase)
+        return unwindWith(Trap::IllegalMonitorState);
       if (Finished.SyncObject &&
           !Vm.sync().unlockChecked(Finished.SyncObject, Thread))
         return unwindWith(Trap::IllegalMonitorState);
@@ -447,10 +437,6 @@ RunResult Interpreter::run(const Method &M, std::span<const Value> Args) {
         push(Result);
       break;
     }
-
-    case Opcode::Yield:
-      std::this_thread::yield();
-      break;
     }
   }
 }

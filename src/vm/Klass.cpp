@@ -9,13 +9,6 @@
 using namespace thinlocks;
 using namespace thinlocks::vm;
 
-int32_t Klass::fieldSlot(const std::string &FieldName) const {
-  for (const FieldInfo &Field : Fields)
-    if (Field.Name == FieldName)
-      return static_cast<int32_t>(Field.Slot);
-  return -1;
-}
-
 ValueKind Klass::fieldKind(uint32_t Slot) const {
   assert(Slot < Fields.size() && "field slot out of range");
   return Fields[Slot].Kind;
@@ -63,18 +56,12 @@ const char *vm::opcodeName(Opcode Op) {
     return "if_icmplt";
   case Opcode::IfIcmpGe:
     return "if_icmpge";
-  case Opcode::IfIcmpEq:
-    return "if_icmpeq";
-  case Opcode::IfIcmpNe:
-    return "if_icmpne";
   case Opcode::Ifeq:
     return "ifeq";
   case Opcode::Ifne:
     return "ifne";
   case Opcode::IfNull:
     return "ifnull";
-  case Opcode::IfNonNull:
-    return "ifnonnull";
   case Opcode::New:
     return "new";
   case Opcode::GetField:
@@ -93,8 +80,6 @@ const char *vm::opcodeName(Opcode Op) {
     return "ireturn";
   case Opcode::Areturn:
     return "areturn";
-  case Opcode::Yield:
-    return "yield";
   }
   return "<bad opcode>";
 }

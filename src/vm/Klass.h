@@ -37,7 +37,6 @@ class Klass {
   const ClassInfo *HeapClass = nullptr;
   Object *ClassObj = nullptr;
   std::vector<FieldInfo> Fields;
-  std::vector<uint32_t> MethodIds;
 
 public:
   const std::string &name() const { return Name; }
@@ -50,13 +49,8 @@ public:
 
   const std::vector<FieldInfo> &fields() const { return Fields; }
 
-  /// \returns the slot of field \p FieldName, or -1 if undeclared.
-  int32_t fieldSlot(const std::string &FieldName) const;
-
   /// \returns the declared kind of the field in \p Slot.
   ValueKind fieldKind(uint32_t Slot) const;
-
-  const std::vector<uint32_t> &methodIds() const { return MethodIds; }
 };
 
 } // namespace vm

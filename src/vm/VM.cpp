@@ -74,7 +74,6 @@ Method &VM::defineMethod(Klass &Owner, std::string Name, MethodTraits Traits,
   M.NumArgs = NumArgs;
   M.NumLocals = NumLocals;
   M.Code = std::move(Code);
-  Owner.MethodIds.push_back(M.Id);
   Methods.push_back(std::move(Record));
   return M;
 }
@@ -95,7 +94,6 @@ Method &VM::defineNativeMethod(Klass &Owner, std::string Name,
   M.NumArgs = NumArgs;
   M.NumLocals = NumArgs;
   M.Native = std::move(Fn);
-  Owner.MethodIds.push_back(M.Id);
   Methods.push_back(std::move(Record));
   return M;
 }
@@ -109,16 +107,6 @@ const Method *VM::methodById(uint32_t Id) const {
 bool VM::nativeReturnsValue(uint32_t Id) const {
   assert(Id < Methods.size() && "bad method id");
   return Methods[Id].ReturnsValue;
-}
-
-const Method *VM::findMethod(const Klass &Owner,
-                             const std::string &Name) const {
-  for (uint32_t Id : Owner.methodIds()) {
-    const Method *M = Methods[Id].M.get();
-    if (M->Name == Name)
-      return M;
-  }
-  return nullptr;
 }
 
 Klass *VM::findClass(const std::string &Name) {

@@ -93,10 +93,6 @@ public:
   /// \returns the method with id \p Id, or nullptr.
   const Method *methodById(uint32_t Id) const;
 
-  /// \returns the method \p Name of \p Owner, or nullptr.
-  const Method *findMethod(const Klass &Owner,
-                           const std::string &Name) const;
-
   /// \returns true if native method \p Id produces a value the
   /// interpreter should push.  Bytecode methods signal this through
   /// their return opcode instead.

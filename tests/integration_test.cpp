@@ -1,7 +1,7 @@
 //===- tests/integration_test.cpp - Whole-stack integration ---------------===//
 //
 // End-to-end scenarios crossing every layer: assembled bytecode ->
-// verifier -> interpreter -> synchronized library classes -> lock-trace
+// interpreter -> synchronized library classes -> lock-trace
 // recording -> characterization -> cross-protocol replay -> statistics.
 //
 //===----------------------------------------------------------------------===//
@@ -10,9 +10,7 @@
 #include "baselines/MonitorCache.h"
 #include "core/ThinLock.h"
 #include "vm/Assembler.h"
-#include "vm/Disassembler.h"
 #include "vm/NativeLibrary.h"
-#include "vm/Verifier.h"
 #include "vm/VM.h"
 #include "workload/MacroReplay.h"
 #include "workload/MicroBench.h"
@@ -44,7 +42,6 @@ TEST(Integration, CompiledExpressionsDriveSynchronizedLibraryWork) {
   Asm.iload(0).iload(0).imul().iload(0).isub().iret();
   Method &F = Vm.defineMethod(K, "f", MethodTraits{}, /*NumArgs=*/1,
                               /*NumLocals=*/1, Asm.finish());
-  ASSERT_FALSE(Verifier(Vm).verifyAll());
 
   ScopedThreadAttachment Main(Vm.threads(), "main");
   Object *Vec = Vm.newInstance(Lib.vectorClass());
@@ -189,19 +186,4 @@ TEST(Integration, DeflatingVmRunsTheFullMicroSuite) {
   runMicroProgram(Vm, *Programs.NestedSync, 500, Target, Main.context());
   EXPECT_FALSE(Vm.sync().holdsLock(Target, Main.context()));
   EXPECT_EQ(Stats.totalAcquisitions(), Stats.totalReleases());
-}
-
-TEST(Integration, DisassembledListingsCoverEveryDefinedMethod) {
-  VM Vm;
-  NativeLibrary Lib(Vm);
-  MicroPrograms Programs = buildMicroPrograms(Vm);
-  (void)Programs;
-  for (uint32_t Id = 0;; ++Id) {
-    const Method *M = Vm.methodById(Id);
-    if (!M)
-      break;
-    std::string Listing = disassemble(*M, &Vm);
-    EXPECT_NE(Listing.find(M->Name), std::string::npos);
-    EXPECT_FALSE(Listing.empty());
-  }
 }

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 using namespace thinlocks;
 using namespace thinlocks::vm;
 using namespace thinlocks::workload;
@@ -25,7 +28,30 @@ protected:
   void SetUp() override {
     Vm = std::make_unique<VM>(VM::Config{GetParam(), {}});
   }
+
+  /// Asserts that another attached thread can take \p Obj's monitor.  The
+  /// bounded wait fails the test instead of hanging it when \p Obj is
+  /// still held.
+  void expectFreeForAnotherThread(Object *Obj) {
+    TimedLockStatus Status = TimedLockStatus::TimedOut;
+    std::thread Other([&] {
+      ScopedThreadAttachment Attach(Vm->threads(), "other");
+      Status = Vm->sync().tryLockFor(
+          Obj, Attach.context(),
+          std::chrono::nanoseconds(std::chrono::seconds(5)).count());
+      if (Status == TimedLockStatus::Acquired)
+        Vm->sync().unlock(Obj, Attach.context());
+    });
+    Other.join();
+    EXPECT_EQ(Status, TimedLockStatus::Acquired);
+  }
 };
+
+MethodTraits synchronizedTraits() {
+  MethodTraits Sync;
+  Sync.IsSynchronized = true;
+  return Sync;
+}
 
 } // namespace
 
@@ -118,6 +144,93 @@ TEST_P(VmThreadsTest, ThreadsBenchmarkContendsCorrectly) {
                         /*ItersPerThread=*/300, Target);
   ScopedThreadAttachment Main(Vm->threads(), "main");
   EXPECT_FALSE(Vm->sync().holdsLock(Target, Main.context()));
+}
+
+//===----------------------------------------------------------------------===//
+// Structured locking: a frame exits every monitor it enters, on every
+// protocol.
+//===----------------------------------------------------------------------===//
+
+TEST_P(VmThreadsTest, TrapInsideSynchronizedBlocksReleasesEveryMonitor) {
+  // run(a, b) { synchronized (a) { b.inner(a); } }
+  // synchronized inner(this = b, a) { synchronized (a) { 1 / 0; } }
+  // The trap unwinds two frames holding a twice and b once.
+  Klass &K = Vm->defineClass("Unwound", {});
+  Assembler Inner;
+  Inner.synchronizedOn(1, [](Assembler &A) {
+    A.iconst(1).iconst(0).idiv().pop();
+  });
+  Method &InnerM = Vm->defineMethod(K, "inner", synchronizedTraits(), 2, 2,
+                                    Inner.ret().finish());
+  Assembler Outer;
+  Outer.synchronizedOn(0, [&](Assembler &A) {
+    A.aload(1).aload(0).invoke(InnerM.Id);
+  });
+  Method &Run =
+      Vm->defineMethod(K, "run", MethodTraits{}, 2, 2, Outer.ret().finish());
+
+  Object *A = Vm->newInstance(K);
+  Object *B = Vm->newInstance(K);
+  ScopedThreadAttachment Main(Vm->threads(), "main");
+  RunResult R = Vm->call(
+      Run, std::vector<Value>{Value::makeRef(A), Value::makeRef(B)},
+      Main.context());
+  EXPECT_EQ(R.TrapKind, Trap::DivideByZero) << trapName(R.TrapKind);
+  EXPECT_EQ(Vm->sync().lockDepth(A, Main.context()), 0u);
+  EXPECT_EQ(Vm->sync().lockDepth(B, Main.context()), 0u);
+  expectFreeForAnotherThread(A);
+  expectFreeForAnotherThread(B);
+}
+
+TEST_P(VmThreadsTest, ReturnHoldingABlockMonitorTrapsAndReleasesIt) {
+  // leak(obj) { monitorenter obj; return 7; }
+  Klass &K = Vm->defineClass("Leaky", {});
+  Assembler Asm;
+  Asm.aload(0).monitorEnter().iconst(7).iret();
+  Method &Leak =
+      Vm->defineMethod(K, "leak", MethodTraits{}, 1, 1, Asm.finish());
+
+  Object *Obj = Vm->newInstance(K);
+  ScopedThreadAttachment Main(Vm->threads(), "main");
+  RunResult R = Vm->call(Leak, std::vector<Value>{Value::makeRef(Obj)},
+                         Main.context());
+  EXPECT_EQ(R.TrapKind, Trap::IllegalMonitorState) << trapName(R.TrapKind);
+  EXPECT_EQ(Vm->sync().lockDepth(Obj, Main.context()), 0u);
+  expectFreeForAnotherThread(Obj);
+}
+
+TEST_P(VmThreadsTest, MonitorExitOfAnotherFramesMonitorTraps) {
+  Klass &K = Vm->defineClass("Borrower", {});
+  // exitIt(obj) { monitorexit obj; return; }
+  Assembler ExitIt;
+  ExitIt.aload(0).monitorExit().ret();
+  Method &ExitPlain =
+      Vm->defineMethod(K, "exitIt", MethodTraits{}, 1, 1, ExitIt.finish());
+  // The caller's block monitor:
+  // run(obj) { synchronized (obj) { exitIt(obj); } }
+  Assembler Caller;
+  Caller.synchronizedOn(0, [&](Assembler &A) {
+    A.aload(0).invoke(ExitPlain.Id);
+  });
+  Method &Run =
+      Vm->defineMethod(K, "run", MethodTraits{}, 1, 1, Caller.ret().finish());
+  // The synchronized method's own receiver:
+  // synchronized exitOwn(this) { monitorexit this; return; }
+  Assembler ExitOwn;
+  ExitOwn.aload(0).monitorExit().ret();
+  Method &ExitSync = Vm->defineMethod(K, "exitOwn", synchronizedTraits(), 1,
+                                      1, ExitOwn.finish());
+
+  ScopedThreadAttachment Main(Vm->threads(), "main");
+  for (const Method *M : {&Run, &ExitSync}) {
+    Object *Obj = Vm->newInstance(K);
+    RunResult R = Vm->call(*M, std::vector<Value>{Value::makeRef(Obj)},
+                           Main.context());
+    EXPECT_EQ(R.TrapKind, Trap::IllegalMonitorState)
+        << M->Name << ": " << trapName(R.TrapKind);
+    EXPECT_EQ(Vm->sync().lockDepth(Obj, Main.context()), 0u) << M->Name;
+    expectFreeForAnotherThread(Obj);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, VmThreadsTest,
