@@ -187,7 +187,7 @@ void Adaptive_ZipfHot(benchmark::State &State, bool Adaptive) {
   uint64_t Seed = 0;
   for (uint64_t Round = 0; Round < WarmupRounds; ++Round)
     zipfRound(F, Zipf, MainRng, Me.context(), OpsPerRound, ++Seed, nullptr);
-  const uint64_t WarmupInflations = F.Stats.inflations();
+  const uint64_t WarmupInflations = F.Stats.snapshot().inflations();
 
   for (auto _ : State)
     zipfRound(F, Zipf, MainRng, Me.context(), OpsPerRound, ++Seed, &Acquire);
@@ -198,8 +198,8 @@ void Adaptive_ZipfHot(benchmark::State &State, bool Adaptive) {
   State.counters["p99_acquire_ns"] =
       static_cast<double>(Acquire.quantile(0.99));
   State.counters["mean_acquire_ns"] = static_cast<double>(Acquire.mean());
-  State.counters["timed_inflations"] =
-      static_cast<double>(F.Stats.inflations() - WarmupInflations);
+  State.counters["timed_inflations"] = static_cast<double>(
+      F.Stats.snapshot().inflations() - WarmupInflations);
   State.counters["monitor_retirements"] =
       static_cast<double>(F.Monitors.retirementEvents());
   if (F.Engine)

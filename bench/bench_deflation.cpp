@@ -79,7 +79,7 @@ void Deflation_Recovery(benchmark::State &State, DeflationPolicy Policy) {
         runNativeSync(F.Locks, F.Obj, Me.context(), Inner));
   State.SetItemsProcessed(State.iterations() * Inner);
   State.counters["deflations"] =
-      static_cast<double>(F.Stats.deflations());
+      static_cast<double>(F.Stats.snapshot().Deflations);
   State.counters["monitors"] =
       static_cast<double>(F.Monitors.liveMonitorCount());
 }
@@ -105,10 +105,9 @@ void Deflation_Thrash(benchmark::State &State, DeflationPolicy Policy) {
         runNativeSync(F.Locks, F.Obj, Me.context(), SoloPairs));
   }
   State.SetItemsProcessed(State.iterations() * SoloPairs);
-  State.counters["inflations"] =
-      static_cast<double>(F.Stats.inflations());
-  State.counters["deflations"] =
-      static_cast<double>(F.Stats.deflations());
+  LockStats::Snapshot S = F.Stats.snapshot();
+  State.counters["inflations"] = static_cast<double>(S.inflations());
+  State.counters["deflations"] = static_cast<double>(S.Deflations);
   State.counters["monitors"] =
       static_cast<double>(F.Monitors.liveMonitorCount());
 }

@@ -48,14 +48,15 @@ int main() {
     ScopedThreadAttachment Main(Registry, "fig3");
 
     replayProfile(Profile, Locks, TheHeap, Main.context(), Cfg);
+    LockStats::Snapshot S = Stats.snapshot();
 
-    FirstFractions.push_back(Stats.depthFraction(0));
+    FirstFractions.push_back(S.depthFraction(0));
     Table.addRow(
         {Profile.Name,
-         TableFormatter::formatDouble(Stats.depthFraction(0) * 100, 1) + "%",
-         TableFormatter::formatDouble(Stats.depthFraction(1) * 100, 1) + "%",
-         TableFormatter::formatDouble(Stats.depthFraction(2) * 100, 1) + "%",
-         TableFormatter::formatDouble(Stats.depthFraction(3) * 100, 1) + "%",
+         TableFormatter::formatDouble(S.depthFraction(0) * 100, 1) + "%",
+         TableFormatter::formatDouble(S.depthFraction(1) * 100, 1) + "%",
+         TableFormatter::formatDouble(S.depthFraction(2) * 100, 1) + "%",
+         TableFormatter::formatDouble(S.depthFraction(3) * 100, 1) + "%",
          TableFormatter::formatDouble(Profile.DepthMix[0] * 100, 1) + "%"});
   }
   std::printf("%s\n", Table.render().c_str());

@@ -51,12 +51,13 @@ int main() {
     ReplayConfig Cfg = scaledConfigFor(Profile, 200'000, /*WorkPerSync=*/0);
     ReplayResult Result =
         replayProfile(Profile, Locks, TheHeap, Main.context(), Cfg);
+    LockStats::Snapshot S = Stats.snapshot();
 
     double MeasuredRatio =
-        static_cast<double>(Stats.totalAcquisitions()) /
+        static_cast<double>(S.Acquisitions) /
         static_cast<double>(Result.SynchronizedObjects);
     Ratios.push_back(syncsPerSyncObject(Profile));
-    MeasuredFirstFractions.push_back(Stats.depthFraction(0));
+    MeasuredFirstFractions.push_back(S.depthFraction(0));
 
     Table.addRow(
         {Profile.Name,
@@ -66,7 +67,7 @@ int main() {
          TableFormatter::formatWithCommas(Profile.SynchronizedObjects),
          TableFormatter::formatWithCommas(Profile.SyncOperations),
          TableFormatter::formatDouble(syncsPerSyncObject(Profile), 1),
-         TableFormatter::formatWithCommas(Stats.totalAcquisitions()),
+         TableFormatter::formatWithCommas(S.Acquisitions),
          TableFormatter::formatDouble(MeasuredRatio, 1)});
   }
   std::printf("%s\n", Table.render().c_str());

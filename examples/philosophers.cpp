@@ -113,11 +113,11 @@ void runStrategy(const char *Name,
   std::printf(") = %ld meals\n", Total);
   std::printf("         forks inflated by contention: %d of %d\n",
               InflatedForks, NumPhilosophers);
+  LockStats::Snapshot S = T.Stats.snapshot();
   std::printf("         contention inflations: %llu, spin iterations: "
               "%llu\n\n",
-              static_cast<unsigned long long>(
-                  T.Stats.contentionInflations()),
-              static_cast<unsigned long long>(T.Stats.spinIterations()));
+              static_cast<unsigned long long>(S.ContentionInflations),
+              static_cast<unsigned long long>(S.SpinIterations));
 }
 
 } // namespace

@@ -8,18 +8,20 @@
 // against the microjvm's thread-safe library classes.  Every put/get on
 // the Hashtable and every addElement/elementAt on the Vector is a
 // synchronized method — all pure overhead in a single-threaded run.
-// The same interpreted program runs on each protocol; a lock trace is
-// recorded and characterized (Table 1 / Figure 3 style).
+// The same interpreted program runs on each protocol; a separate
+// ThinLock pass counts its lock operations into a LockStats and
+// characterizes them (Table 1 / Figure 3 style).  Exits 1 unless every
+// counted operation was an uncontended thin acquire with its release.
 //
 // Build & run:  ./build/examples/wordcount [words]
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/LockStats.h"
 #include "support/SplitMix64.h"
 #include "support/Timer.h"
 #include "vm/NativeLibrary.h"
 #include "vm/VM.h"
-#include "workload/Trace.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -27,24 +29,24 @@
 
 using namespace thinlocks;
 using namespace thinlocks::vm;
-using namespace thinlocks::workload;
 
 namespace {
+
+/// The program synchronizes on exactly the two library objects it
+/// creates: the Hashtable of counts and the Vector of distinct words.
+constexpr unsigned SynchronizedObjects = 2;
 
 /// Runs the word count: draws `Words` word-ids from a skewed
 /// distribution (a Zipf-ish vocabulary, like real text), counts them in
 /// a Hashtable, and keeps the distinct words in a Vector.  Returns the
-/// elapsed nanos; optionally records the lock trace.
+/// elapsed nanos; when \p Stats is non-null, the protocol counts every
+/// lock operation into it.
 uint64_t runWordCount(const char *Protocol, int32_t Words,
-                      LockTrace *TraceOut) {
-  VM Vm(VM::Config{Protocol, {}});
+                      LockStats *Stats) {
+  VM::Config Cfg{Protocol, {}};
+  Cfg.Sync.Stats = Stats;
+  VM Vm(Cfg);
   NativeLibrary Lib(Vm);
-
-  std::unique_ptr<TracingBackend> Tracer;
-  if (TraceOut) {
-    Tracer = std::make_unique<TracingBackend>(Vm.sync(), *TraceOut);
-    Vm.overrideSync(Tracer.get());
-  }
 
   ScopedThreadAttachment Main(Vm.threads(), "main");
   const ThreadContext &Me = Main.context();
@@ -83,7 +85,6 @@ uint64_t runWordCount(const char *Protocol, int32_t Words,
       call(Lib.vectorSize(), {Value::makeRef(Distinct)}).asInt();
   uint64_t Nanos = Watch.elapsedNanos();
 
-  Vm.overrideSync(nullptr);
   std::printf("  %-10s %8.2f ms   (%d distinct words)\n",
               Protocol, Nanos / 1e6, DistinctWords);
   return Nanos;
@@ -105,24 +106,37 @@ int main(int Argc, char **Argv) {
               "%.2fx\n",
               double(Jdk) / Thin, double(Ibm) / Thin);
 
-  // Separate untimed pass with the recorder attached (recording costs a
-  // mutex + append per operation, so it must never share a timed run).
-  LockTrace Trace;
-  std::printf("\nrecording pass for characterization:\n");
-  runWordCount("ThinLock", Words, &Trace);
+  // Separate untimed pass with the counters attached, so no timed run
+  // pays for them.
+  LockStats Stats;
+  std::printf("\ncounting pass for characterization:\n");
+  runWordCount("ThinLock", Words, &Stats);
+  LockStats::Snapshot S = Stats.snapshot();
 
-  std::printf("\nlock-trace characterization:\n");
-  std::printf("  synchronized objects: %u\n", Trace.objectCount());
+  std::printf("\nlock characterization:\n");
+  std::printf("  synchronized objects: %u\n", SynchronizedObjects);
   std::printf("  lock operations:      %llu\n",
-              static_cast<unsigned long long>(Trace.lockOperationCount()));
-  std::printf("  locks / object:       %.1f\n", Trace.locksPerObject());
-  double Mix[4];
-  Trace.depthMix(Mix);
+              static_cast<unsigned long long>(S.Acquisitions));
+  std::printf("  locks / object:       %.1f\n",
+              double(S.Acquisitions) / SynchronizedObjects);
   std::printf("  depth mix:            first %.1f%%, second %.1f%%, "
               "third %.1f%%, fourth+ %.1f%%\n",
-              Mix[0] * 100, Mix[1] * 100, Mix[2] * 100, Mix[3] * 100);
+              S.depthFraction(0) * 100, S.depthFraction(1) * 100,
+              S.depthFraction(2) * 100, S.depthFraction(3) * 100);
+  if (S.Releases != S.Acquisitions || S.inflations() != 0 ||
+      S.FatPath != 0) {
+    std::fprintf(stderr,
+                 "wordcount: not every lock operation was uncontended: "
+                 "%llu acquisitions, %llu releases, %llu inflations, "
+                 "%llu fat-path acquires\n",
+                 static_cast<unsigned long long>(S.Acquisitions),
+                 static_cast<unsigned long long>(S.Releases),
+                 static_cast<unsigned long long>(S.inflations()),
+                 static_cast<unsigned long long>(S.FatPath));
+    return 1;
+  }
   std::printf("\nevery one of those %llu lock operations was uncontended "
               "— the single-threaded tax the paper removes.\n",
-              static_cast<unsigned long long>(Trace.lockOperationCount()));
+              static_cast<unsigned long long>(S.Acquisitions));
   return 0;
 }

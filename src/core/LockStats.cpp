@@ -6,18 +6,7 @@
 
 using namespace thinlocks;
 
-namespace {
-
-/// Saturating subtraction: a raw counter read concurrently with
-/// recording can lag the baseline captured a moment later, so clamp at
-/// zero instead of wrapping to ~2^64.
-uint64_t minus(uint64_t Raw, uint64_t Base) {
-  return Raw >= Base ? Raw - Base : 0;
-}
-
-} // namespace
-
-LockStats::Snapshot LockStats::rawSnapshot() const {
+LockStats::Snapshot LockStats::snapshot() const {
   Snapshot S;
   S.FastPath = FastPathAcquires.value();
   // Fast-path acquires are depth-1 by construction; fold them into
@@ -43,55 +32,11 @@ LockStats::Snapshot LockStats::rawSnapshot() const {
   return S;
 }
 
-LockStats::Snapshot LockStats::snapshot() const {
-  Snapshot S = rawSnapshot();
-  LockGuard Guard(BaselineMutex);
-  S.Acquisitions = minus(S.Acquisitions, Baseline.Acquisitions);
-  S.Releases = minus(S.Releases, Baseline.Releases);
-  S.FastPath = minus(S.FastPath, Baseline.FastPath);
-  S.FatPath = minus(S.FatPath, Baseline.FatPath);
-  S.SpinIterations = minus(S.SpinIterations, Baseline.SpinIterations);
-  S.ContentionInflations =
-      minus(S.ContentionInflations, Baseline.ContentionInflations);
-  S.OverflowInflations =
-      minus(S.OverflowInflations, Baseline.OverflowInflations);
-  S.WaitInflations = minus(S.WaitInflations, Baseline.WaitInflations);
-  S.Deflations = minus(S.Deflations, Baseline.Deflations);
-  S.EmergencyInflations =
-      minus(S.EmergencyInflations, Baseline.EmergencyInflations);
-  S.TimedOutAcquisitions =
-      minus(S.TimedOutAcquisitions, Baseline.TimedOutAcquisitions);
-  S.DeadlocksDetected =
-      minus(S.DeadlocksDetected, Baseline.DeadlocksDetected);
-  for (unsigned Bucket = 0; Bucket < NumDepthBuckets; ++Bucket)
-    S.DepthBuckets[Bucket] =
-        minus(S.DepthBuckets[Bucket], Baseline.DepthBuckets[Bucket]);
-  S.Wakes = minus(S.Wakes, Baseline.Wakes);
-  S.WakeNanosTotal = minus(S.WakeNanosTotal, Baseline.WakeNanosTotal);
-  // WakeNanosMax is a high-water mark, not a sum; it was re-zeroed at
-  // reset() time so the raw value already reflects this epoch.
-  return S;
-}
-
 double LockStats::Snapshot::depthFraction(unsigned Bucket) const {
   if (Acquisitions == 0)
     return 0.0;
   return static_cast<double>(DepthBuckets[Bucket]) /
          static_cast<double>(Acquisitions);
-}
-
-double LockStats::depthFraction(unsigned Bucket) const {
-  return snapshot().depthFraction(Bucket);
-}
-
-void LockStats::reset() {
-  // Epoch reset: never zero the live stripes (concurrent snapshots
-  // would mix pre- and post-wipe stripe values); just move the
-  // baseline forward.  See the header comment on reset().
-  Snapshot Raw = rawSnapshot();
-  LockGuard Guard(BaselineMutex);
-  Baseline = Raw;
-  WakeNanosMax.store(0, std::memory_order_relaxed);
 }
 
 std::string LockStats::summary() const {

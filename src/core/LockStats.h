@@ -14,12 +14,15 @@
 /// acquisition count is derived as the bucket sum rather than kept as a
 /// thirteenth counter — the acquire hot path bumps one counter, not two.
 ///
+/// This is the library's one lock census: the Table 1 and Figure 3
+/// drivers, the examples and perfbench's traced phase all count through
+/// it, and all read it through snapshot().
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef THINLOCKS_CORE_LOCKSTATS_H
 #define THINLOCKS_CORE_LOCKSTATS_H
 
-#include "support/Mutex.h"
 #include "support/StatsCounter.h"
 
 #include <array>
@@ -83,9 +86,9 @@ public:
 
   /// Records a depth-1 acquisition taken via the thin CAS fast path.
   /// One counter bump on the hottest path in the system:
-  /// fastPathAcquisitions() *and* depth bucket 0 are both derived from
-  /// it (slow-path depth-1 acquires land in DepthBuckets[0] via
-  /// recordAcquire, and the views sum the two).
+  /// Snapshot::FastPath *and* depth bucket 0 are both derived from it
+  /// (slow-path depth-1 acquires land in DepthBuckets[0] via
+  /// recordAcquire, and snapshot() sums the two).
   void recordFastPathAcquire() { FastPathAcquires.increment(); }
 
   void recordRelease() { Releases.increment(); }
@@ -115,65 +118,16 @@ public:
     }
   }
 
-  /// Reads every counter once into a coherent copy, relative to the
-  /// last reset() epoch.
-  Snapshot snapshot() const TL_EXCLUDES(BaselineMutex);
-
-  uint64_t totalAcquisitions() const { return snapshot().Acquisitions; }
-  uint64_t totalReleases() const { return snapshot().Releases; }
-  uint64_t fastPathAcquisitions() const { return snapshot().FastPath; }
-  uint64_t fatPathAcquisitions() const { return snapshot().FatPath; }
-  uint64_t spinIterations() const { return snapshot().SpinIterations; }
-  uint64_t contentionInflations() const {
-    return snapshot().ContentionInflations;
-  }
-  uint64_t overflowInflations() const {
-    return snapshot().OverflowInflations;
-  }
-  uint64_t waitInflations() const { return snapshot().WaitInflations; }
-  uint64_t inflations() const { return snapshot().inflations(); }
-  uint64_t deflations() const { return snapshot().Deflations; }
-  uint64_t emergencyInflations() const {
-    return snapshot().EmergencyInflations;
-  }
-  uint64_t timedOutAcquisitions() const {
-    return snapshot().TimedOutAcquisitions;
-  }
-  uint64_t deadlocksDetected() const {
-    return snapshot().DeadlocksDetected;
-  }
-
-  /// \returns how many wake handoffs have been recorded.
-  uint64_t wakeCount() const { return snapshot().Wakes; }
-
-  /// \returns the acquisition count in Figure 3 bucket \p Bucket (0..3).
-  uint64_t depthBucket(unsigned Bucket) const {
-    return snapshot().DepthBuckets[Bucket];
-  }
-
-  /// \returns bucket \p Bucket as a fraction of all acquisitions (0 when
-  /// nothing has been recorded).
-  double depthFraction(unsigned Bucket) const;
-
-  /// Starts a new counting epoch: subsequent snapshots and accessors
-  /// report only events recorded after this call.  *Epoch-based*: the
-  /// live striped counters are never zeroed (zeroing 36 stripes while
-  /// writers bump and readers sum them tears — a snapshot overlapping
-  /// the stripe-by-stripe wipe mixes pre- and post-reset stripe values
-  /// and can even make paired counters go "negative", e.g. more
-  /// acquires than releases by millions).  Instead reset() captures a
-  /// baseline snapshot under a mutex and snapshot() subtracts it, so a
-  /// reset racing concurrent recording and snapshotting yields only the
-  /// usual in-flight slack, never torn totals.
-  void reset() TL_EXCLUDES(BaselineMutex);
+  /// Reads every counter once into a coherent copy.  This is the only
+  /// read: per-field reads taken one at a time disagree with each other
+  /// while other threads keep recording.  A caller that wants a fresh
+  /// count constructs a new LockStats.
+  Snapshot snapshot() const;
 
   /// Renders a human-readable multi-line summary.
   std::string summary() const;
 
 private:
-  /// One pass over the live counters, ignoring the epoch baseline.
-  Snapshot rawSnapshot() const;
-
   StatsCounter Releases;
   StatsCounter FastPathAcquires;
   StatsCounter FatPath;
@@ -189,11 +143,6 @@ private:
   StatsCounter Wakes;
   StatsCounter WakeNanosTotal;
   std::atomic<uint64_t> WakeNanosMax{0};
-  /// The raw-counter values at the last reset(); subtracted from every
-  /// raw snapshot.  Guarded by BaselineMutex (reset/snapshot only — the
-  /// recording hot paths never touch it).
-  mutable Mutex BaselineMutex;
-  Snapshot Baseline TL_GUARDED_BY(BaselineMutex);
 };
 
 } // namespace thinlocks

@@ -2,10 +2,11 @@
 ///
 /// \file
 /// A virtual-dispatch adapter over any SyncProtocol.  The bytecode
-/// interpreter and the trace-replay harness need to switch protocols at
-/// runtime (ThinLock vs JDK111 vs IBM112); benchmarks that measure the
-/// bare fast path use the concrete protocol types directly instead, so
-/// the virtual call here never pollutes a fast-path measurement.
+/// interpreter and every driver that picks a protocol by registry name
+/// switch protocols at runtime (ThinLock vs JDK111 vs IBM112);
+/// benchmarks that measure the bare fast path use the concrete protocol
+/// types directly instead, so the virtual call here never pollutes a
+/// fast-path measurement.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -199,7 +199,6 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
                                   int64_t TimeoutNanos) {
   UniqueLock Guard(Mu);
   assert(Owner == Thread.index() && "wait by non-owner");
-  ++Counters.Waits;
   // From here until reacquisition completes we are a user the
   // quiescence check must see, even while absent from the wait set and
   // the entry queue (the notify -> re-queue window).
@@ -266,7 +265,6 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
 bool FatLock::notify([[maybe_unused]] const ThreadContext &Thread) {
   LockGuard Guard(Mu);
   assert(Owner == Thread.index() && "notify by non-owner");
-  ++Counters.Notifies;
   if (!WaitHead)
     return false;
   // Wait morphing: move the longest waiter from the wait set to the
@@ -283,7 +281,6 @@ bool FatLock::notify([[maybe_unused]] const ThreadContext &Thread) {
 uint32_t FatLock::notifyAll([[maybe_unused]] const ThreadContext &Thread) {
   LockGuard Guard(Mu);
   assert(Owner == Thread.index() && "notifyAll by non-owner");
-  ++Counters.Notifies;
   // Morph the whole wait set onto the entry queue in FIFO order — no
   // thundering herd: each waiter sleeps through until the release that
   // makes it the claimable head, so a broadcast of N waiters costs zero

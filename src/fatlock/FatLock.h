@@ -58,8 +58,6 @@ class Parker;
 struct FatLockStats {
   uint64_t Acquisitions = 0;
   uint64_t ContendedAcquisitions = 0;
-  uint64_t Waits = 0;
-  uint64_t Notifies = 0;
   uint64_t Timeouts = 0;
 };
 

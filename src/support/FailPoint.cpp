@@ -46,17 +46,15 @@ bool findByName(const std::string &Name, Id &Out) {
 }
 
 /// Applies one "name=mode[:arg]" clause.
-bool armOne(const std::string &Clause, std::string *Error) {
+bool armOne(const std::string &Clause, std::string &Error) {
   size_t Eq = Clause.find('=');
   if (Eq == std::string::npos) {
-    if (Error)
-      *Error = "missing '=' in \"" + Clause + "\"";
+    Error = "missing '=' in \"" + Clause + "\"";
     return false;
   }
   Id Point;
   if (!findByName(Clause.substr(0, Eq), Point)) {
-    if (Error)
-      *Error = "unknown failpoint \"" + Clause.substr(0, Eq) + "\"";
+    Error = "unknown failpoint \"" + Clause.substr(0, Eq) + "\"";
     return false;
   }
   std::string ModeSpec = Clause.substr(Eq + 1);
@@ -67,8 +65,7 @@ bool armOne(const std::string &Clause, std::string *Error) {
     char *End = nullptr;
     ModeArg = std::strtoull(ModeSpec.c_str() + Colon + 1, &End, 10);
     if (End == nullptr || *End != '\0') {
-      if (Error)
-        *Error = "bad argument in \"" + Clause + "\"";
+      Error = "bad argument in \"" + Clause + "\"";
       return false;
     }
   }
@@ -81,8 +78,7 @@ bool armOne(const std::string &Clause, std::string *Error) {
   } else if (ModeName == "off") {
     disarm(Point);
   } else {
-    if (Error)
-      *Error = "unknown mode \"" + ModeName + "\"";
+    Error = "unknown mode \"" + ModeName + "\"";
     return false;
   }
   return true;
@@ -165,19 +161,6 @@ bool thinlocks::failpoint::evaluate(Id I) {
   return Fire;
 }
 
-bool thinlocks::failpoint::armFromSpec(const std::string &Spec,
-                                       std::string *Error) {
-  size_t Pos = 0;
-  while (Pos < Spec.size()) {
-    size_t Comma = Spec.find(',', Pos);
-    size_t End = Comma == std::string::npos ? Spec.size() : Comma;
-    if (End > Pos && !armOne(Spec.substr(Pos, End - Pos), Error))
-      return false;
-    Pos = End + 1;
-  }
-  return true;
-}
-
 size_t thinlocks::failpoint::armFromSpecCollect(
     const std::string &Spec, std::vector<std::string> *Errors) {
   size_t Applied = 0;
@@ -187,7 +170,7 @@ size_t thinlocks::failpoint::armFromSpecCollect(
     size_t End = Comma == std::string::npos ? Spec.size() : Comma;
     if (End > Pos) {
       std::string Error;
-      if (armOne(Spec.substr(Pos, End - Pos), &Error))
+      if (armOne(Spec.substr(Pos, End - Pos), Error))
         ++Applied;
       else if (Errors)
         Errors->push_back(std::move(Error));

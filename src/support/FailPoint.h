@@ -90,16 +90,12 @@ uint64_t hitCount(Id I);
 uint64_t evalCount(Id I);
 
 /// Parses and applies a comma-separated spec, e.g.
-/// "thinlock.initial-cas=always,monitortable.exhausted=times:3".
-/// \returns false (and sets \p Error) on a malformed spec; valid entries
-/// before the error are still applied.
-bool armFromSpec(const std::string &Spec, std::string *Error = nullptr);
-
-/// Like armFromSpec, but parses the *whole* spec, applying every valid
-/// clause and collecting one message per malformed clause into
-/// \p Errors (when non-null).  \returns the number of clauses applied.
-/// This is the environment-variable parser: reporting every typo at
-/// once beats fixing them one rerun at a time.
+/// "thinlock.initial-cas=always,monitortable.exhausted=times:3".  Parses
+/// the *whole* spec, applying every valid clause and collecting one
+/// message per malformed clause into \p Errors (when non-null).
+/// \returns the number of clauses applied.  This is the
+/// environment-variable parser: reporting every typo at once beats
+/// fixing them one rerun at a time.
 size_t armFromSpecCollect(const std::string &Spec,
                           std::vector<std::string> *Errors);
 

@@ -18,7 +18,7 @@ VM::VM(const Config &Cfg) : Handle(createProtocol(Cfg.Protocol, Cfg.Sync)) {
     fatalError("vm: unknown protocol '%s' (see core/ProtocolRegistry.h for "
                "the registered names)",
                Cfg.Protocol.c_str());
-  Builtin = &Handle->sync();
+  Sync = &Handle->sync();
   // Thread-index recycling safety: detach() quarantines any index a live
   // lock word still encodes (a thread that died holding a lock), so the
   // next spawn cannot impersonate the stale owner.  The auditor reads

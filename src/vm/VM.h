@@ -65,13 +65,9 @@ public:
 
   Heap &heap() { return TheHeap; }
   ThreadRegistry &threads() { return Registry; }
-  SyncBackend &sync() { return SyncOverride ? *SyncOverride : *Builtin; }
-
-  /// Routes all interpreter synchronization through \p External (e.g. a
-  /// workload::TracingBackend wrapping sync()) instead of the built-in
-  /// backend; pass nullptr to restore.  Not owning; the override must
-  /// outlive execution.  Install before spawning VM threads.
-  void overrideSync(SyncBackend *External) { SyncOverride = External; }
+  /// The protocol every interpreted monitor operation goes through.  To
+  /// count those operations, pass a LockStats as Config::Sync.Stats.
+  SyncBackend &sync() { return *Sync; }
 
   // --- Definition ---------------------------------------------------------
 
@@ -152,8 +148,7 @@ private:
   std::unique_ptr<ProtocolHandle> Handle;
   /// Handle->sync(), cached so an interpreted monitor op is one virtual
   /// call.
-  SyncBackend *Builtin = nullptr;
-  SyncBackend *SyncOverride = nullptr;
+  SyncBackend *Sync = nullptr;
 
   mutable std::mutex DefMutex;
   std::vector<std::unique_ptr<Klass>> Klasses;

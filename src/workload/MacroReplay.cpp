@@ -3,12 +3,8 @@
 #include "workload/MacroReplay.h"
 
 #include "support/Compiler.h"
-#include "vm/NativeLibrary.h"
-#include "vm/VM.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace thinlocks;
 using namespace thinlocks::workload;
@@ -73,143 +69,4 @@ TL_NOINLINE uint32_t workload::replayWork(uint32_t Seed, uint32_t Units) {
     X ^= X << 5;
   }
   return X;
-}
-
-ReplayResult workload::replayProfileOnVm(vm::VM &Vm,
-                                         vm::NativeLibrary &Library,
-                                         const BenchmarkProfile &Profile,
-                                         const ThreadContext &Thread,
-                                         const ReplayConfig &Cfg) {
-  using vm::RunResult;
-  using vm::Value;
-
-  ReplayResult Result;
-  SplitMix64 Rng(Cfg.Seed ^ Profile.SyncOperations ^ 0x5ca1ab1eu);
-
-  uint64_t SyncOps = Profile.SyncOperations / Cfg.ScaleDivisor;
-  if (SyncOps < Cfg.MinSyncOps)
-    SyncOps = Cfg.MinSyncOps;
-  if (Cfg.MaxSyncOps != 0 && SyncOps > Cfg.MaxSyncOps)
-    SyncOps = Cfg.MaxSyncOps;
-
-  uint64_t SyncObjects = Profile.SynchronizedObjects / Cfg.ScaleDivisor;
-  if (SyncObjects == 0)
-    SyncObjects = 1;
-  // Keep VM replays bounded; they carry interpreter overhead per op.
-  if (SyncObjects > 4096)
-    SyncObjects = 4096;
-
-  vm::Klass &PlainKlass = *Vm.findClass("java/lang/Class");
-
-  auto checkedCall = [&](const vm::Method &M,
-                         std::initializer_list<Value> Args) {
-    std::vector<Value> ArgVec(Args);
-    RunResult R = Vm.call(M, ArgVec, Thread);
-    if (!R.ok()) {
-      std::fprintf(stderr, "VM replay: %s trapped with %s\n",
-                   M.Name.c_str(), vm::trapName(R.TrapKind));
-      std::abort();
-    }
-    return R.Result;
-  };
-
-  StopWatch Watch;
-
-  // Population: a mix of Vectors, Hashtables and BitSets (the paper's
-  // motivating thread-safe classes), pre-populated so reads succeed.
-  std::vector<Object *> Population;
-  Population.reserve(SyncObjects);
-  for (uint64_t I = 0; I < SyncObjects; ++I) {
-    Object *Obj = nullptr;
-    switch (I % 3) {
-    case 0:
-      Obj = Vm.newInstance(Library.vectorClass());
-      for (int32_t E = 0; E < 4; ++E)
-        checkedCall(Library.vectorAddElement(),
-                    {Value::makeRef(Obj), Value::makeInt(E * 7)});
-      break;
-    case 1:
-      Obj = Vm.newInstance(Library.hashtableClass());
-      for (int32_t K = 0; K < 4; ++K)
-        checkedCall(Library.hashtablePut(),
-                    {Value::makeRef(Obj), Value::makeInt(K),
-                     Value::makeInt(K * 3)});
-      break;
-    case 2:
-      Obj = Vm.newInstance(Library.bitSetClass());
-      checkedCall(Library.bitSetSet(),
-                  {Value::makeRef(Obj), Value::makeInt(5)});
-      break;
-    }
-    Population.push_back(Obj);
-  }
-  Result.SynchronizedObjects = SyncObjects;
-  Result.ObjectsCreated = SyncObjects;
-
-  uint64_t PlainObjects = Profile.ObjectsCreated / Cfg.ScaleDivisor;
-  PlainObjects = PlainObjects > SyncObjects ? PlainObjects - SyncObjects : 0;
-  double PlainPerOp = SyncOps == 0 ? 0.0
-                                   : static_cast<double>(PlainObjects) /
-                                         static_cast<double>(SyncOps);
-  double PlainDebt = 0.0;
-  uint32_t WorkAccumulator = static_cast<uint32_t>(Cfg.Seed);
-
-  uint64_t OpsDone = 0;
-  while (OpsDone < SyncOps) {
-    size_t Index = sampleObjectIndex(Population.size(), Rng);
-    Object *Obj = Population[Index];
-    uint64_t Consumed = 0;
-
-    if (Rng.nextBool(Profile.LibraryFraction)) {
-      // One synchronized library call (depth 1).
-      switch (Index % 3) {
-      case 0:
-        checkedCall(Library.vectorElementAt(),
-                    {Value::makeRef(Obj),
-                     Value::makeInt(static_cast<int32_t>(Rng.nextBounded(4)))});
-        break;
-      case 1:
-        checkedCall(Library.hashtableGet(),
-                    {Value::makeRef(Obj),
-                     Value::makeInt(static_cast<int32_t>(Rng.nextBounded(4)))});
-        break;
-      case 2:
-        checkedCall(
-            Library.bitSetGet(),
-            {Value::makeRef(Obj),
-             Value::makeInt(static_cast<int32_t>(Rng.nextBounded(64)))});
-        break;
-      }
-      ++Result.DepthCounts[0];
-      Consumed = 1;
-      WorkAccumulator = replayWork(WorkAccumulator, Cfg.WorkPerSync);
-    } else {
-      uint32_t Depth = sampleSequenceDepth(Profile, Rng.nextDouble());
-      if (Depth > SyncOps - OpsDone)
-        Depth = static_cast<uint32_t>(SyncOps - OpsDone);
-      if (Depth == 0)
-        Depth = 1;
-      for (uint32_t D = 0; D < Depth; ++D) {
-        Vm.sync().lock(Obj, Thread);
-        ++Result.DepthCounts[D >= 3 ? 3 : D];
-        WorkAccumulator = replayWork(WorkAccumulator, Cfg.WorkPerSync);
-      }
-      for (uint32_t D = 0; D < Depth; ++D)
-        Vm.sync().unlock(Obj, Thread);
-      Consumed = Depth;
-    }
-    OpsDone += Consumed;
-
-    PlainDebt += PlainPerOp * static_cast<double>(Consumed);
-    while (PlainDebt >= 1.0) {
-      Vm.newInstance(PlainKlass);
-      ++Result.ObjectsCreated;
-      PlainDebt -= 1.0;
-    }
-  }
-
-  Result.SyncOperations = OpsDone;
-  Result.ElapsedNanos = Watch.elapsedNanos();
-  (void)WorkAccumulator;
-  return Result;
 }

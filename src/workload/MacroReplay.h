@@ -251,8 +251,9 @@ replayProfileContended(const BenchmarkProfile &Profile, P &Protocol,
 /// through interpreted calls to the thread-safe library classes (Vector /
 /// Hashtable / BitSet) on \p Vm, per the profile's LibraryFraction, with
 /// bare lock/unlock sequences for the rest.  Slower and closer to the
-/// paper's environment; used by the lock_census example and integration
-/// tests.
+/// paper's environment; only tests call it.  It is defined in
+/// workload/VmWorkloads.cpp, so a caller of replayProfile alone links no
+/// VM code.
 ReplayResult replayProfileOnVm(vm::VM &Vm, vm::NativeLibrary &Library,
                                const BenchmarkProfile &Profile,
                                const ThreadContext &Thread,

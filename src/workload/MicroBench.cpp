@@ -2,175 +2,10 @@
 
 #include "workload/MicroBench.h"
 
-#include "vm/Assembler.h"
-
 #include <atomic>
-#include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace thinlocks;
 using namespace thinlocks::workload;
-using namespace thinlocks::vm;
-
-namespace {
-
-// Locals layout shared by all (iters, obj) programs:
-//   0: iters (int arg)   1: obj (ref arg)   2: loop counter
-//   3: accumulated integer variable
-constexpr int32_t LocIters = 0;
-constexpr int32_t LocObj = 1;
-constexpr int32_t LocCounter = 2;
-constexpr int32_t LocAccum = 3;
-
-std::vector<Instruction> assembleNoSync() {
-  Assembler Asm;
-  Asm.iconst(0).istore(LocAccum);
-  Asm.countedLoop(LocCounter, LocIters,
-                  [](Assembler &A) { A.iinc(LocAccum, 1); });
-  return Asm.iload(LocAccum).iret().finish();
-}
-
-std::vector<Instruction> assembleSync() {
-  Assembler Asm;
-  Asm.iconst(0).istore(LocAccum);
-  Asm.countedLoop(LocCounter, LocIters, [](Assembler &A) {
-    A.synchronizedOn(LocObj,
-                     [](Assembler &B) { B.iinc(LocAccum, 1); });
-  });
-  return Asm.iload(LocAccum).iret().finish();
-}
-
-std::vector<Instruction> assembleNestedSync() {
-  Assembler Asm;
-  Asm.iconst(0).istore(LocAccum);
-  Asm.synchronizedOn(LocObj, [](Assembler &Outer) {
-    Outer.countedLoop(LocCounter, LocIters, [](Assembler &A) {
-      A.synchronizedOn(LocObj,
-                       [](Assembler &B) { B.iinc(LocAccum, 1); });
-    });
-  });
-  return Asm.iload(LocAccum).iret().finish();
-}
-
-std::vector<Instruction> assembleMixedSync() {
-  Assembler Asm;
-  Asm.iconst(0).istore(LocAccum);
-  Asm.countedLoop(LocCounter, LocIters, [](Assembler &A) {
-    A.synchronizedOn(LocObj, [](Assembler &B) {
-      B.synchronizedOn(LocObj, [](Assembler &C) {
-        C.synchronizedOn(LocObj,
-                         [](Assembler &D) { D.iinc(LocAccum, 1); });
-      });
-    });
-  });
-  return Asm.iload(LocAccum).iret().finish();
-}
-
-// Callee body for Call/CallSync: int bump(this, x) { return x + 1; }.
-// Locals: 0 = this, 1 = x.
-std::vector<Instruction> assembleBump() {
-  Assembler Asm;
-  return Asm.iload(1).iconst(1).iadd().iret().finish();
-}
-
-// Caller loop: accum = bump(obj, accum) each iteration.
-std::vector<Instruction> assembleCallLoop(uint32_t CalleeId) {
-  Assembler Asm;
-  Asm.iconst(0).istore(LocAccum);
-  Asm.countedLoop(LocCounter, LocIters, [CalleeId](Assembler &A) {
-    A.aload(LocObj).iload(LocAccum).invoke(CalleeId).istore(LocAccum);
-  });
-  return Asm.iload(LocAccum).iret().finish();
-}
-
-// NestedCallSync: obj is locked around the whole CallSync loop.
-std::vector<Instruction> assembleNestedCallLoop(uint32_t CalleeId) {
-  Assembler Asm;
-  Asm.iconst(0).istore(LocAccum);
-  Asm.synchronizedOn(LocObj, [CalleeId](Assembler &Outer) {
-    Outer.countedLoop(LocCounter, LocIters, [CalleeId](Assembler &A) {
-      A.aload(LocObj).iload(LocAccum).invoke(CalleeId).istore(LocAccum);
-    });
-  });
-  return Asm.iload(LocAccum).iret().finish();
-}
-
-} // namespace
-
-MicroPrograms workload::buildMicroPrograms(VM &Vm) {
-  MicroPrograms Programs;
-  Programs.BenchKlass = &Vm.defineClass(
-      "bench/Target", {FieldInfo{"counter", ValueKind::Int, 0},
-                       FieldInfo{"target", ValueKind::Ref, 0}});
-
-  MethodTraits Plain;
-  MethodTraits Sync;
-  Sync.IsSynchronized = true;
-
-  Klass &K = *Programs.BenchKlass;
-  // All loop programs take (iters:int, obj:ref) and use 4 locals.
-  Programs.NoSync = &Vm.defineMethod(K, "noSync", Plain, 2, 4,
-                                     assembleNoSync());
-  Programs.Sync = &Vm.defineMethod(K, "sync", Plain, 2, 4, assembleSync());
-  Programs.NestedSync =
-      &Vm.defineMethod(K, "nestedSync", Plain, 2, 4, assembleNestedSync());
-  Programs.MixedSync =
-      &Vm.defineMethod(K, "mixedSync", Plain, 2, 4, assembleMixedSync());
-
-  const Method &BumpPlain =
-      Vm.defineMethod(K, "bump", Plain, 2, 2, assembleBump());
-  const Method &BumpSync =
-      Vm.defineMethod(K, "bumpSync", Sync, 2, 2, assembleBump());
-
-  Programs.Call = &Vm.defineMethod(K, "call", Plain, 2, 4,
-                                   assembleCallLoop(BumpPlain.Id));
-  Programs.CallSync = &Vm.defineMethod(K, "callSync", Plain, 2, 4,
-                                       assembleCallLoop(BumpSync.Id));
-  Programs.NestedCallSync = &Vm.defineMethod(
-      K, "nestedCallSync", Plain, 2, 4, assembleNestedCallLoop(BumpSync.Id));
-
-  // Threads-n body: identical to Sync; separate method so per-thread
-  // frames never share bytecode-level state.
-  Programs.ThreadBody =
-      &Vm.defineMethod(K, "threadBody", Plain, 2, 4, assembleSync());
-  return Programs;
-}
-
-void workload::runMicroProgram(VM &Vm, const Method &M, int32_t Iterations,
-                               Object *Target,
-                               const ThreadContext &Thread) {
-  Value Args[2] = {Value::makeInt(Iterations), Value::makeRef(Target)};
-  RunResult Result = Vm.call(M, Args, Thread);
-  if (!Result.ok()) {
-    std::fprintf(stderr, "micro program '%s' trapped: %s\n",
-                 M.Name.c_str(), trapName(Result.TrapKind));
-    std::abort();
-  }
-  assert(Result.Result.isInt() &&
-         Result.Result.asInt() >= Iterations &&
-         "benchmark loop lost increments");
-}
-
-void workload::runVmThreadsBenchmark(VM &Vm, const MicroPrograms &Programs,
-                                     uint32_t NumThreads,
-                                     int32_t ItersPerThread,
-                                     Object *Target) {
-  std::vector<VM::VMThread> Threads;
-  Threads.reserve(NumThreads);
-  for (uint32_t T = 0; T < NumThreads; ++T)
-    Threads.push_back(Vm.spawn(*Programs.ThreadBody,
-                               {Value::makeInt(ItersPerThread),
-                                Value::makeRef(Target)}));
-  for (VM::VMThread &Thread : Threads) {
-    RunResult Result = Thread.join();
-    if (!Result.ok()) {
-      std::fprintf(stderr, "threads benchmark trapped: %s\n",
-                   trapName(Result.TrapKind));
-      std::abort();
-    }
-  }
-}
 
 namespace {
 std::atomic<uint64_t> Sink{0};

@@ -63,7 +63,7 @@ TEST_F(DeflationTest, QuiescentReleaseDeflates) {
   EXPECT_TRUE(lockword::isUnlocked(Obj->lockWord().load()));
   EXPECT_EQ(lockword::headerBitsOf(Obj->lockWord().load()), Header);
   EXPECT_TRUE(Fat->isRetired());
-  EXPECT_EQ(Stats.deflations(), 1u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 1u);
 }
 
 TEST_F(DeflationTest, ThinSpeedPathIsBackAfterDeflation) {
@@ -72,10 +72,10 @@ TEST_F(DeflationTest, ThinSpeedPathIsBackAfterDeflation) {
   Locks.unlock(Obj, Main); // Deflates.
 
   // Next acquisition is a plain thin fast path again.
-  uint64_t FatOpsBefore = Stats.fatPathAcquisitions();
+  uint64_t FatOpsBefore = Stats.snapshot().FatPath;
   Locks.lock(Obj, Main);
   EXPECT_FALSE(Locks.isInflated(Obj));
-  EXPECT_EQ(Stats.fatPathAcquisitions(), FatOpsBefore);
+  EXPECT_EQ(Stats.snapshot().FatPath, FatOpsBefore);
   Locks.unlock(Obj, Main);
 }
 
@@ -91,7 +91,7 @@ TEST_F(DeflationTest, ReinflationAllocatesAFreshMonitor) {
   EXPECT_TRUE(First->isRetired());
   EXPECT_FALSE(Second->isRetired());
   Locks.unlock(Obj, Main);
-  EXPECT_EQ(Stats.deflations(), 2u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 2u);
 }
 
 TEST_F(DeflationTest, NestedHoldsBlockDeflation) {
@@ -102,11 +102,11 @@ TEST_F(DeflationTest, NestedHoldsBlockDeflation) {
 
   Locks.unlock(Obj, Main); // Still held once: must NOT deflate.
   EXPECT_TRUE(Locks.isInflated(Obj));
-  EXPECT_EQ(Stats.deflations(), 0u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 0u);
 
   Locks.unlock(Obj, Main); // Quiescent now: deflates.
   EXPECT_FALSE(Locks.isInflated(Obj));
-  EXPECT_EQ(Stats.deflations(), 1u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 1u);
 }
 
 TEST_F(DeflationTest, WaitersBlockDeflation) {
@@ -128,7 +128,7 @@ TEST_F(DeflationTest, WaitersBlockDeflation) {
   Locks.lock(Obj, Main);
   Locks.unlock(Obj, Main);
   EXPECT_TRUE(Locks.isInflated(Obj));
-  EXPECT_EQ(Stats.deflations(), 0u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 0u);
 
   Locks.lock(Obj, Main);
   Locks.notify(Obj, Main);
@@ -136,7 +136,7 @@ TEST_F(DeflationTest, WaitersBlockDeflation) {
   Waiter.join();
   // The waiter's own final unlock found the monitor quiescent: deflated.
   EXPECT_FALSE(Locks.isInflated(Obj));
-  EXPECT_EQ(Stats.deflations(), 1u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 1u);
 }
 
 TEST_F(DeflationTest, QueuedEntrantBlocksDeflation) {
@@ -156,7 +156,7 @@ TEST_F(DeflationTest, QueuedEntrantBlocksDeflation) {
   Entrant.join();
   // ...but the entrant's own release was quiescent and deflated.
   EXPECT_FALSE(Locks.isInflated(Obj));
-  EXPECT_EQ(Stats.deflations(), 1u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 1u);
 }
 
 TEST_F(DeflationTest, DefaultPolicyNeverDeflates) {
@@ -166,7 +166,7 @@ TEST_F(DeflationTest, DefaultPolicyNeverDeflates) {
   Permanent.wait(Obj, Main, /*TimeoutNanos=*/100'000);
   Permanent.unlock(Obj, Main);
   EXPECT_TRUE(Permanent.isInflated(Obj)); // Paper discipline.
-  EXPECT_EQ(Stats.deflations(), 0u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 0u);
 }
 
 TEST_F(DeflationTest, TryLockSurvivesDeflationCycles) {
@@ -180,7 +180,7 @@ TEST_F(DeflationTest, TryLockSurvivesDeflationCycles) {
     EXPECT_TRUE(Locks.tryLock(Obj, Main)); // Thin again.
     Locks.unlock(Obj, Main);
   }
-  EXPECT_EQ(Stats.deflations(), 10u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 10u);
 }
 
 TEST_F(DeflationTest, MutualExclusionSurvivesThrash) {
@@ -205,7 +205,8 @@ TEST_F(DeflationTest, MutualExclusionSurvivesThrash) {
   for (auto &W : Workers)
     W.join();
   EXPECT_EQ(Shared, static_cast<uint64_t>(NumThreads) * PerThread);
-  EXPECT_EQ(Stats.totalAcquisitions(), Stats.totalReleases());
+  LockStats::Snapshot S = Stats.snapshot();
+  EXPECT_EQ(S.Acquisitions, S.Releases);
   // Quiescent end state: the last release deflated (or the object ended
   // thin) — either way nobody owns it.
   EXPECT_FALSE(Locks.holdsLock(Obj, Main));
@@ -222,5 +223,5 @@ TEST_F(DeflationTest, HeaderBitsSurviveManyCycles) {
     Locks.unlock(Obj, Main);
     EXPECT_EQ(lockword::headerBitsOf(Obj->lockWord().load()), Header);
   }
-  EXPECT_EQ(Stats.deflations(), 25u);
+  EXPECT_EQ(Stats.snapshot().Deflations, 25u);
 }

@@ -106,13 +106,13 @@ TEST_F(ExhaustionTest, CountOverflowBoundary255_256_257) {
   ASSERT_TRUE(lockword::isThin(Word));
   EXPECT_EQ(lockword::countOf(Word), lockword::MaxCount);
   EXPECT_EQ(Locks.lockDepth(Obj, Main), 256u);
-  EXPECT_EQ(Stats.overflowInflations(), 0u);
+  EXPECT_EQ(Stats.snapshot().OverflowInflations, 0u);
 
   // Hold 257: no room in 8 bits — inflate, transferring all 257 holds.
   Locks.lock(Obj, Main);
   EXPECT_TRUE(Locks.isInflated(Obj));
   EXPECT_EQ(Locks.lockDepth(Obj, Main), 257u);
-  EXPECT_EQ(Stats.overflowInflations(), 1u);
+  EXPECT_EQ(Stats.snapshot().OverflowInflations, 1u);
 
   // Recursive unlock all the way down, through the fat lock.
   for (uint32_t Hold = 257; Hold >= 1; --Hold) {
@@ -173,7 +173,7 @@ TEST_F(SmallTableTest, ExhaustionDegradesToSharedEmergencyMonitor) {
         Monitors.emergencyIndex())
       ++EmergencyCount;
   EXPECT_EQ(EmergencyCount, 3u);
-  EXPECT_EQ(Stats.emergencyInflations(), 3u);
+  EXPECT_EQ(Stats.snapshot().EmergencyInflations, 3u);
   EXPECT_EQ(Monitors.exhaustionEvents(), 3u);
   EXPECT_EQ(Monitors.liveMonitorCount(), 3u);
 
@@ -360,8 +360,8 @@ TEST_F(ExhaustionTest, TryLockForTimesOutWithoutFalseDeadlock) {
   EXPECT_EQ(Locks.tryLockFor(Obj, Main, 30'000'000, &Report),
             TimedLockStatus::TimedOut);
   EXPECT_FALSE(Report.hasCycle());
-  EXPECT_GE(Stats.timedOutAcquisitions(), 1u);
-  EXPECT_EQ(Stats.deadlocksDetected(), 0u);
+  EXPECT_GE(Stats.snapshot().TimedOutAcquisitions, 1u);
+  EXPECT_EQ(Stats.snapshot().DeadlocksDetected, 0u);
 
   Release.store(true);
   Holder.join();
@@ -417,7 +417,7 @@ TEST_F(ExhaustionTest, TryLockForConfirmsTwoThreadCycle) {
   }
   EXPECT_TRUE(SawA);
   EXPECT_TRUE(SawB);
-  EXPECT_GE(Stats.deadlocksDetected(), 1u);
+  EXPECT_GE(Stats.snapshot().DeadlocksDetected, 1u);
 
   // Break the cycle; everything drains and the system recovers.
   Locks.unlock(A, Main);
@@ -465,7 +465,7 @@ TEST_F(ExhaustionTest, TryLockForConfirmsTwoThreadCycleThroughInflatedMonitors) 
   }
   EXPECT_TRUE(SawA);
   EXPECT_TRUE(SawB);
-  EXPECT_GE(Stats.deadlocksDetected(), 1u);
+  EXPECT_GE(Stats.snapshot().DeadlocksDetected, 1u);
 
   Locks.unlock(A, Main);
   T2.join();

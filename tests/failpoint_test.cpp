@@ -86,10 +86,11 @@ TEST_F(FailPointTest, NamesAreStableAndRoundTripThroughSpecs) {
 
   for (unsigned I = 0; I < fp::NumIds; ++I) {
     fp::Id Id = static_cast<fp::Id>(I);
-    std::string Error;
-    EXPECT_TRUE(fp::armFromSpec(std::string(fp::name(Id)) + "=always",
-                                &Error))
-        << Error;
+    std::vector<std::string> Errors;
+    EXPECT_EQ(fp::armFromSpecCollect(std::string(fp::name(Id)) + "=always",
+                                     &Errors),
+              1u);
+    EXPECT_TRUE(Errors.empty()) << fp::name(Id);
     EXPECT_TRUE(fp::evaluate(Id)) << fp::name(Id);
   }
 }
@@ -136,12 +137,13 @@ TEST_F(FailPointTest, DisarmStopsFiringAndClearsArmedMask) {
 }
 
 TEST_F(FailPointTest, SpecParsesMultipleEntriesAndModes) {
-  std::string Error;
-  ASSERT_TRUE(fp::armFromSpec("thinlock.initial-cas=always,"
-                              "spinwait.preempt=times:2,"
-                              "monitortable.exhausted=oneIn:3",
-                              &Error))
-      << Error;
+  std::vector<std::string> Errors;
+  ASSERT_EQ(fp::armFromSpecCollect("thinlock.initial-cas=always,"
+                                   "spinwait.preempt=times:2,"
+                                   "monitortable.exhausted=oneIn:3",
+                                   &Errors),
+            3u);
+  EXPECT_TRUE(Errors.empty());
   EXPECT_TRUE(fp::evaluate(fp::Id::ThinLockInitialCas));
   EXPECT_TRUE(fp::evaluate(fp::Id::SpinWaitPreempt));
   EXPECT_TRUE(fp::evaluate(fp::Id::SpinWaitPreempt));
@@ -153,41 +155,40 @@ TEST_F(FailPointTest, SpecParsesMultipleEntriesAndModes) {
 
 TEST_F(FailPointTest, SpecOffEntryDisarms) {
   fp::arm(fp::Id::SpinWaitPreempt, fp::Mode::Always);
-  std::string Error;
-  ASSERT_TRUE(fp::armFromSpec("spinwait.preempt=off", &Error)) << Error;
+  std::vector<std::string> Errors;
+  ASSERT_EQ(fp::armFromSpecCollect("spinwait.preempt=off", &Errors), 1u);
+  EXPECT_TRUE(Errors.empty());
   EXPECT_FALSE(fp::evaluate(fp::Id::SpinWaitPreempt));
 }
 
 TEST_F(FailPointTest, MalformedSpecsReportErrors) {
-  std::string Error;
-  EXPECT_FALSE(fp::armFromSpec("thinlock.initial-cas", &Error));
-  EXPECT_FALSE(Error.empty());
+  for (const char *Bad :
+       {"thinlock.initial-cas", "no.such.failpoint=always",
+        "thinlock.initial-cas=sometimes", "spinwait.preempt=times:banana"}) {
+    std::vector<std::string> Errors;
+    EXPECT_EQ(fp::armFromSpecCollect(Bad, &Errors), 0u) << Bad;
+    ASSERT_EQ(Errors.size(), 1u) << Bad;
+    EXPECT_FALSE(Errors[0].empty()) << Bad;
+  }
 
-  EXPECT_FALSE(fp::armFromSpec("no.such.failpoint=always", &Error));
-  EXPECT_FALSE(Error.empty());
-
-  EXPECT_FALSE(fp::armFromSpec("thinlock.initial-cas=sometimes", &Error));
-  EXPECT_FALSE(Error.empty());
-
-  EXPECT_FALSE(fp::armFromSpec("spinwait.preempt=times:banana", &Error));
-  EXPECT_FALSE(Error.empty());
-
-  // Null Error pointer must be tolerated.
-  EXPECT_FALSE(fp::armFromSpec("garbage"));
+  // Null Errors pointer must be tolerated.
+  EXPECT_EQ(fp::armFromSpecCollect("garbage", nullptr), 0u);
 }
 
 TEST_F(FailPointTest, ValidPrefixOfPartlyMalformedSpecStillApplies) {
-  std::string Error;
-  EXPECT_FALSE(
-      fp::armFromSpec("thinlock.initial-cas=always,bogus=always", &Error));
+  std::vector<std::string> Errors;
+  EXPECT_EQ(fp::armFromSpecCollect("thinlock.initial-cas=always,bogus=always",
+                                   &Errors),
+            1u);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_NE(Errors[0].find("bogus"), std::string::npos);
   EXPECT_TRUE(fp::evaluate(fp::Id::ThinLockInitialCas));
 }
 
 TEST_F(FailPointTest, CollectAppliesValidClausesAroundBadOnes) {
-  // armFromSpecCollect is the startup-hardening variant behind
-  // THINLOCKS_FAILPOINTS env parsing: it applies every valid clause and
-  // reports *all* bad ones (armFromSpec stops at the first), so the
-  // fatal startup diagnostic can list everything wrong with the spec.
+  // armFromSpecCollect is the parser behind THINLOCKS_FAILPOINTS: it
+  // applies every valid clause and reports *all* bad ones, so the fatal
+  // startup diagnostic can list everything wrong with the spec.
   std::vector<std::string> Errors;
   size_t Applied = fp::armFromSpecCollect(
       "thinlock.initial-cas=always,bogus=always,"
@@ -255,16 +256,16 @@ TEST_F(FailPointLockTest, InitialCasFailureRecoversViaSlowPath) {
   EXPECT_TRUE(Locks.holdsLock(Obj, Main));
   EXPECT_GE(fp::hitCount(fp::Id::ThinLockInitialCas), 1u);
   EXPECT_TRUE(Locks.isInflated(Obj));
-  EXPECT_EQ(Stats.contentionInflations(), 1u);
+  EXPECT_EQ(Stats.snapshot().ContentionInflations, 1u);
   Locks.unlock(Obj, Main);
   EXPECT_FALSE(Locks.holdsLock(Obj, Main));
 
   // Disarmed, the fast path is back and fresh objects stay thin.
   fp::disarm(fp::Id::ThinLockInitialCas);
-  uint64_t FastBefore = Stats.fastPathAcquisitions();
+  uint64_t FastBefore = Stats.snapshot().FastPath;
   Object *Obj2 = newObject();
   Locks.lock(Obj2, Main);
-  EXPECT_EQ(Stats.fastPathAcquisitions(), FastBefore + 1);
+  EXPECT_EQ(Stats.snapshot().FastPath, FastBefore + 1);
   EXPECT_FALSE(Locks.isInflated(Obj2));
   Locks.unlock(Obj2, Main);
 }
@@ -335,7 +336,7 @@ TEST_F(FailPointLockTest, InjectedExhaustionDegradesToEmergencyMonitor) {
   EXPECT_TRUE(Locks.isInflated(Obj));
   EXPECT_EQ(lockword::monitorIndexOf(Obj->lockWord().load()),
             Monitors.emergencyIndex());
-  EXPECT_EQ(Stats.emergencyInflations(), 1u);
+  EXPECT_EQ(Stats.snapshot().EmergencyInflations, 1u);
   EXPECT_TRUE(Locks.holdsLock(Obj, Main));
   EXPECT_EQ(Locks.lockDepth(Obj, Main), 1u);
   Locks.unlock(Obj, Main);

@@ -521,9 +521,9 @@ TEST(PolicyE2ETest, SpeculativeDeflationReturnsTheNextLockToTheFastPath) {
   // The scan's deflation left the word thin, unlocked and with its
   // header bits, so the next acquisition is the paper's one CAS.
   EXPECT_EQ(Obj->lockWord().load(), Header);
-  uint64_t FastBefore = Stats.fastPathAcquisitions();
+  uint64_t FastBefore = Stats.snapshot().FastPath;
   Locks.lock(Obj, Me);
-  EXPECT_EQ(Stats.fastPathAcquisitions(), FastBefore + 1);
+  EXPECT_EQ(Stats.snapshot().FastPath, FastBefore + 1);
   EXPECT_EQ(Locks.lockDepth(Obj, Me), 1u);
   Locks.unlock(Obj, Me);
   Registry.detach(Me);

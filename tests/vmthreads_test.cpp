@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <thread>
 
@@ -268,9 +269,37 @@ void contendFromOutside(VM &Vm, const MicroPrograms &Programs,
   ASSERT_TRUE(Worker.join().ok());
 }
 
+/// One Table 2 bytecode program and the exact Figure 3 buckets its
+/// monitor operations land in when it runs \c Iters iterations alone.
+struct ProgramCensus {
+  const char *Name;
+  const vm::Method *MicroPrograms::*Program;
+  std::array<uint64_t, LockStats::NumDepthBuckets> Buckets;
+};
+
+constexpr int32_t Iters = 100;
+
+const ProgramCensus ProgramCensuses[] = {
+    {"NoSync", &MicroPrograms::NoSync, {0, 0, 0, 0}},
+    {"Call", &MicroPrograms::Call, {0, 0, 0, 0}},
+    {"Sync", &MicroPrograms::Sync, {Iters, 0, 0, 0}},
+    {"CallSync", &MicroPrograms::CallSync, {Iters, 0, 0, 0}},
+    // The object is locked once outside the loop, so every iteration
+    // nests one level deeper.
+    {"NestedSync", &MicroPrograms::NestedSync, {1, Iters, 0, 0}},
+    {"NestedCallSync", &MicroPrograms::NestedCallSync, {1, Iters, 0, 0}},
+    {"MixedSync", &MicroPrograms::MixedSync, {Iters, Iters, Iters, 0}},
+};
+
+/// Names the case in test listings (the default prints its bytes).
+void PrintTo(const ProgramCensus &C, std::ostream *OS) { *OS << C.Name; }
+
+class VmThinLockCensus : public ::testing::TestWithParam<ProgramCensus> {};
+
 } // namespace
 
-TEST(VmThinLockIntegration, LockStatsFlowThroughTheInterpreter) {
+TEST_P(VmThinLockCensus, LockStatsFlowThroughTheInterpreter) {
+  const ProgramCensus &C = GetParam();
   LockStats Stats;
   VM::Config Cfg;
   Cfg.Sync.Stats = &Stats;
@@ -279,15 +308,20 @@ TEST(VmThinLockIntegration, LockStatsFlowThroughTheInterpreter) {
   ScopedThreadAttachment Main(Vm.threads(), "main");
   Object *Target = Vm.newInstance(*Programs.BenchKlass);
 
-  runMicroProgram(Vm, *Programs.Sync, 100, Target, Main.context());
-  EXPECT_EQ(Stats.totalAcquisitions(), 100u);
-  EXPECT_EQ(Stats.depthBucket(0), 100u); // All first locks.
-
-  runMicroProgram(Vm, *Programs.NestedSync, 100, Target, Main.context());
-  // NestedSync: 1 outer + 100 inner (depth 2).
-  EXPECT_EQ(Stats.totalAcquisitions(), 201u);
-  EXPECT_EQ(Stats.depthBucket(1), 100u);
+  runMicroProgram(Vm, *(Programs.*C.Program), Iters, Target,
+                  Main.context());
+  LockStats::Snapshot S = Stats.snapshot();
+  for (unsigned B = 0; B < LockStats::NumDepthBuckets; ++B)
+    EXPECT_EQ(S.DepthBuckets[B], C.Buckets[B]) << "bucket " << B;
+  EXPECT_EQ(S.Releases, S.Acquisitions);
+  EXPECT_EQ(S.inflations(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Table2, VmThinLockCensus,
+                         ::testing::ValuesIn(ProgramCensuses),
+                         [](const ::testing::TestParamInfo<ProgramCensus> &I) {
+                           return std::string(I.param.Name);
+                         });
 
 TEST(VmThinLockIntegration, VmThreadsContentionInflatesTarget) {
   LockStats Stats;
@@ -298,7 +332,7 @@ TEST(VmThinLockIntegration, VmThreadsContentionInflatesTarget) {
   Object *Target = Vm.newInstance(*Programs.BenchKlass);
 
   ASSERT_NO_FATAL_FAILURE(contendFromOutside(Vm, Programs, Target));
-  EXPECT_GE(Stats.contentionInflations(), 1u);
+  EXPECT_GE(Stats.snapshot().ContentionInflations, 1u);
   EXPECT_TRUE(lockword::isFat(Target->lockWord().load()));
 }
 
@@ -314,8 +348,8 @@ TEST(VmThinLockIntegration, DeflatingVmReturnsContendedTargetToThin) {
   Object *Target = Vm.newInstance(*Programs.BenchKlass);
 
   ASSERT_NO_FATAL_FAILURE(contendFromOutside(Vm, Programs, Target));
-  EXPECT_GE(Stats.contentionInflations(), 1u);
-  EXPECT_GE(Stats.deflations(), 1u);
+  EXPECT_GE(Stats.snapshot().ContentionInflations, 1u);
+  EXPECT_GE(Stats.snapshot().Deflations, 1u);
   EXPECT_TRUE(lockword::isThin(Target->lockWord().load()));
 }
 

@@ -238,9 +238,10 @@ TEST(MacroReplay, ThinLockReplayLeavesEverythingUnlocked) {
   ScopedThreadAttachment Main(Registry);
   const BenchmarkProfile *P = findProfile("wingdis");
   replayProfile(*P, Locks, TheHeap, Main.context(), quickConfig());
-  EXPECT_EQ(Stats.totalAcquisitions(), Stats.totalReleases());
+  LockStats::Snapshot S = Stats.snapshot();
+  EXPECT_EQ(S.Acquisitions, S.Releases);
   // Single-threaded replay: no contention, no inflation.
-  EXPECT_EQ(Stats.inflations(), 0u);
+  EXPECT_EQ(S.inflations(), 0u);
   EXPECT_EQ(Monitors.liveMonitorCount(), 0u);
 }
 
@@ -300,8 +301,9 @@ TEST(MicroKernels, MultiSyncTouchesAllObjects) {
   uint64_t Count =
       runNativeMultiSync(Locks, Objects, Main.context(), 100);
   EXPECT_EQ(Count, 1000u);
-  EXPECT_EQ(Stats.totalAcquisitions(), 1000u);
-  EXPECT_EQ(Stats.fastPathAcquisitions(), 1000u);
+  LockStats::Snapshot S = Stats.snapshot();
+  EXPECT_EQ(S.Acquisitions, 1000u);
+  EXPECT_EQ(S.FastPath, 1000u);
 }
 
 TEST(MicroKernels, ThreadsKernelKeepsTheInvariant) {
