@@ -28,6 +28,7 @@
 #include "heap/Heap.h"
 #include "threads/ThreadRegistry.h"
 #include "vm/NativeLibrary.h"
+#include "vm/VM.h"
 #include "workload/MicroBench.h"
 
 #include "BenchContext.h"

@@ -19,12 +19,13 @@
 //                  profiler and speculatively deflates the quiescent
 //                  monitors of cold ones.
 //
-// The binary is its own referee: quantile monotonicity, the accounting
-// identity offered == completed + shed, typed-error bookkeeping, trace
-// validity, and — under chaos — that the ladder escalated, every phase
-// ran, and admission *recovered* (final level Normal, post-chaos
-// admits).  Any violated check exits non-zero, which is what makes it
-// usable from ctest and bench/run_benches.sh (BENCH_SOAK=1).
+// The binary is its own referee: quantile monotonicity, dispatch p50 at
+// most session p50, the accounting identity offered == completed + shed,
+// typed-error bookkeeping, trace validity, and — under chaos — that the
+// ladder escalated, every phase ran, and admission *recovered* (final
+// level Normal, post-chaos admits).  Any violated check exits non-zero,
+// which is what makes it usable from ctest and bench/run_benches.sh
+// (BENCH_SOAK=1).
 //
 // The harness is protocol-generic: --protocol NAME (default ThinLock)
 // soaks any registered protocol; the name lands in the SLO snapshot, the
@@ -243,6 +244,8 @@ int main(int Argc, char **Argv) {
   check(Slo.Session.monotone(), "session quantiles not monotone");
   check(Slo.Dispatch.monotone(), "dispatch quantiles not monotone");
   check(Slo.Wake.monotone(), "wake quantiles not monotone");
+  check(Slo.Dispatch.P50 <= Slo.Session.P50,
+        "dispatch p50 above session p50 (dispatch is part of a session)");
   check(Slo.SessionsOffered ==
             Slo.SessionsCompleted + Slo.SessionsShed,
         "accounting identity offered == completed + shed violated");

@@ -59,11 +59,36 @@ std::vector<ChaosPhase> load::buildChaosSchedule(uint64_t Seed) {
   };
 }
 
+void TimerLead::observe(uint64_t LatenessNanos) {
+  if (LatenessNanos > LeadNanos)
+    LeadNanos = std::min(CapNanos, LeadNanos + StepNanos);
+  else if (LatenessNanos < LeadNanos)
+    LeadNanos -= std::min(LeadNanos, StepNanos);
+}
+
+void TimerLead::waitUntil(uint64_t InstantNanos) {
+  uint64_t Now = monotonicNanos();
+  if (InstantNanos > Now && InstantNanos - Now > LeadNanos) {
+    uint64_t Deadline = InstantNanos - LeadNanos;
+    std::this_thread::sleep_for(std::chrono::nanoseconds(Deadline - Now));
+    Now = monotonicNanos();
+    observe(Now > Deadline ? Now - Deadline : 0);
+  }
+  while (Now < InstantNanos) {
+    std::this_thread::yield();
+    Now = monotonicNanos();
+  }
+}
+
 namespace {
 
 /// Bounded arrival queue; overflow sheds (the backpressure of last
 /// resort when even admission control lags the arrival process).
 constexpr size_t QueueLimit = 512;
+/// A worker's TimerLead is capped at this share of the mean gap between
+/// arrivals: one arrival spins at most its claimer's lead, so the spin
+/// costs at most this share of one CPU however late the host's timers.
+constexpr double LeadCapShareOfGap = 1.0 / 16;
 constexpr uint64_t TickNanos = 10'000'000; // 10ms controller cadence.
 /// Worst-tail fraction exported as Chrome "session" spans.
 constexpr double WorstFraction = 0.01;
@@ -117,6 +142,11 @@ public:
         Workload(Protocol->sync(), TheHeap, Registry, Config.HotObjects,
                  Config.ZipfTheta),
         Collector(Registry), Schedule(Config.Seed) {
+    // The mean gap 1e9 / ArrivalsPerSecond scales the schedule and caps
+    // each worker's TimerLead.
+    if (!(Config.ArrivalsPerSecond > 0))
+      fatalError("soak: ArrivalsPerSecond must be positive, got %g",
+                 Config.ArrivalsPerSecond);
     if (Config.Chaos && failpoint::compiledIn())
       Chaos = buildChaosSchedule(ChaosSeed);
     ChaosArmed.assign(Chaos.size(), false);
@@ -290,13 +320,16 @@ void SoakRun::drawLocked() {
 void SoakRun::workerLoop(unsigned Index) {
 #ifdef __linux__
   // A claimed arrival starts on this thread's own timer; the default
-  // 50 us timer slack would start it up to that long after its instant.
+  // 50 us timer slack would add up to that much to the lateness its
+  // TimerLead must learn and spin away.
   prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
 #endif
   ScopedThreadAttachment Attach(Registry,
                                 "soak-worker-" + std::to_string(Index));
   WorkerState &W = Workers[Index];
   SplitMix64 Rng(Config.Seed ^ (0x9e3779b97f4a7c15ull * (Index + 1)));
+  TimerLead Lead(static_cast<uint64_t>(1e9 / Config.ArrivalsPerSecond *
+                                       LeadCapShareOfGap));
   for (;;) {
     Arrival A;
     bool Claimed = false;
@@ -329,10 +362,7 @@ void SoakRun::workerLoop(unsigned Index) {
     if (Claimed) {
       // The claimer keeps the arrival clock: its own timer is the one
       // wake-up between the instant and the session.
-      for (uint64_t Now = monotonicNanos(); Now < A.ArrivalNanos;
-           Now = monotonicNanos())
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds(A.ArrivalNanos - Now));
+      Lead.waitUntil(A.ArrivalNanos);
       LockGuard Guard(Mu);
       bool Serve = dispatchLocked(A, offerLocked(A), /*Claimed=*/true);
       if (--Claims == 0 && ScheduleDone)

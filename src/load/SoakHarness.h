@@ -12,13 +12,16 @@
 ///
 /// The workers keep the arrival clock themselves; no generator thread
 /// hands arrivals over.  An idle worker takes the oldest queued arrival
-/// or else claims the next one of the seeded schedule, sleeps to its
-/// instant on its own timer (1 ns timer slack on Linux), and offers it
-/// to admission control and serves it itself, so a session costs one
-/// wake-up.  Arrivals already due when drawn form the queued backlog.
-/// When every worker is busy at an instant, that arrival is admitted
-/// when the first worker frees up.  The time from instant to start is
-/// reported as the dispatch delay.
+/// or else claims the next one of the seeded schedule, waits for its
+/// instant, and offers it to admission control and serves it itself, so
+/// a session costs one wake-up.  The wait is a TimerLead: one sleep on
+/// the worker's own timer (1 ns timer slack on Linux) to a learned lead
+/// before the instant, then a yielding spin to the instant, so the
+/// timer's lateness is spent before the instant instead of after it.
+/// Arrivals already due when drawn form the queued backlog.  When every
+/// worker is busy at an instant, that arrival is admitted when the
+/// first worker frees up.  The time from instant to start is reported
+/// as the dispatch delay.
 ///
 /// Load-shedding: an AdmissionController ticks on a fixed cadence,
 /// sampling MonitorTable/ThreadRegistry occupancy and the typed
@@ -68,6 +71,39 @@ struct ChaosPhase {
 
 /// The seed of the chaos schedule a chaos run arms.
 constexpr uint64_t ChaosSeed = 7;
+
+/// How a worker that claimed an arrival waits for its instant.  A timed
+/// sleep wakes late by tens of microseconds even with 1 ns timer slack,
+/// so the worker sleeps only until lead() before the instant and spins
+/// the rest.  lead() is the running median of the worker's own timer
+/// lateness, kept by the frugal streaming median (Ma, Muthukrishnan and
+/// Sandler, 2013): each observed lateness moves it one StepNanos toward
+/// that lateness, and it stays within [0, the cap it was built with].
+/// The cap bounds what the spin can cost.  Each worker keeps its own.
+class TimerLead {
+public:
+  /// How far one observation moves lead().
+  static constexpr uint64_t StepNanos = 1000;
+
+  explicit TimerLead(uint64_t CapNanos) : CapNanos(CapNanos) {}
+
+  uint64_t lead() const { return LeadNanos; }
+
+  /// Moves lead() one step toward a sleep's \p LatenessNanos, the time
+  /// the sleep ended past the deadline it was asked for.
+  void observe(uint64_t LatenessNanos);
+
+  /// \returns once monotonicNanos() reaches \p InstantNanos, never
+  /// earlier.  A gap longer than lead() is slept down to lead(), and
+  /// that sleep's lateness is observed; the rest is spun with
+  /// std::this_thread::yield(), so a gap no longer than lead() sleeps
+  /// not at all and leaves lead() unchanged.
+  void waitUntil(uint64_t InstantNanos);
+
+private:
+  uint64_t CapNanos;
+  uint64_t LeadNanos = 0;
+};
 
 /// Harness configuration.  Defaults are the 1-CPU CI smoke profile;
 /// real soaks raise DurationSeconds and ArrivalsPerSecond.

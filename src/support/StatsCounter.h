@@ -19,9 +19,7 @@
 /// Counters never synchronize anything — all accesses are relaxed — so
 /// they must not perturb the memory-ordering behaviour under measurement.
 /// value() is exact once writers are quiescent and a monotonic
-/// approximation mid-run; reset() must only race with readers, not
-/// writers (an in-flight exclusive-stripe add can overwrite the zeroing,
-/// exactly as a racing relaxed store always could).
+/// approximation mid-run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,11 +80,6 @@ public:
     for (const Stripe &S : Stripes)
       Sum += S.Count.load(std::memory_order_relaxed);
     return Sum;
-  }
-
-  void reset() {
-    for (Stripe &S : Stripes)
-      S.Count.store(0, std::memory_order_relaxed);
   }
 
 private:

@@ -25,13 +25,19 @@
 #include "heap/Heap.h"
 #include "support/Compiler.h"
 #include "threads/ThreadRegistry.h"
-#include "vm/VM.h"
 
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 namespace thinlocks {
+
+namespace vm {
+class VM;
+class Klass;
+struct Method;
+} // namespace vm
+
 namespace workload {
 
 //===----------------------------------------------------------------------===//

@@ -3,10 +3,11 @@
 // Unit coverage for src/load/: the Zipfian popularity sampler, the
 // admission-control degradation ladder (driven with synthetic
 // PressureSignals — no real tables needed), the chaos schedule's
-// determinism, the session shapes, and short end-to-end runSoak()
-// sanity runs, including the benchmark's adaptive configuration and one
-// against a deliberately tiny MonitorTable so genuine (not injected)
-// exhaustion feeds the ladder.
+// determinism, the claimer's TimerLead (fed synthetic lateness streams),
+// the session shapes, and short end-to-end runSoak() sanity runs,
+// including the benchmark's adaptive configuration and one against a
+// deliberately tiny MonitorTable so genuine (not injected) exhaustion
+// feeds the ladder.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include "obs/SloSnapshot.h"
 #include "support/Histogram.h"
 #include "support/SplitMix64.h"
+#include "support/Timer.h"
 #include "threads/ThreadRegistry.h"
 
 #include <gtest/gtest.h>
@@ -497,6 +499,86 @@ TEST(SloSnapshot, WorstSessionsTraceValidates) {
   std::string Error;
   EXPECT_TRUE(obs::validateChromeTraceJson(Json, &Error)) << Error;
   EXPECT_NE(Json.find("\"cat\":\"session\""), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// TimerLead: how a claimer waits for its arrival's instant
+//===----------------------------------------------------------------------===//
+
+TEST(TimerLead, SettlesWithinOneStepOfTheStreamMedian) {
+  // A skewed lateness stream (ns) like a host timer's: median 60 us,
+  // with a long tail.  From below (a new worker) and from the cap, the
+  // lead settles at the median and stays within one step of it.
+  const uint64_t Stream[] = {53'000, 85'000, 40'000, 258'000, 60'000};
+  const uint64_t Median = 60'000;
+  const uint64_t Cap = 208'000;
+  TimerLead FromZero(Cap);
+  TimerLead FromCap(Cap);
+  while (FromCap.lead() < Cap)
+    FromCap.observe(Cap + 1);
+  for (TimerLead *Lead : {&FromZero, &FromCap}) {
+    for (int Round = 0; Round < 200; ++Round)
+      for (uint64_t Lateness : Stream)
+        Lead->observe(Lateness);
+    for (int Round = 0; Round < 100; ++Round)
+      for (uint64_t Lateness : Stream) {
+        Lead->observe(Lateness);
+        EXPECT_LE(Lead->lead(), Median + TimerLead::StepNanos);
+        EXPECT_GE(Lead->lead(), Median - TimerLead::StepNanos);
+      }
+  }
+}
+
+TEST(TimerLead, StaysWithinZeroAndTheCap) {
+  // A cap that is no multiple of the step: the lead still never passes
+  // it, a stream above the cap saturates at it, and a stream of zeros
+  // walks it back to 0 without wrapping below.
+  const uint64_t Cap = 2'500;
+  TimerLead Lead(Cap);
+  for (int I = 0; I < 10; ++I) {
+    Lead.observe(0);
+    EXPECT_EQ(Lead.lead(), 0u);
+  }
+  for (int I = 0; I < 10; ++I) {
+    Lead.observe(1'000'000'000);
+    EXPECT_LE(Lead.lead(), Cap);
+  }
+  EXPECT_EQ(Lead.lead(), Cap);
+  for (int I = 0; I < 10; ++I) {
+    Lead.observe(0);
+    EXPECT_LE(Lead.lead(), Cap);
+  }
+  EXPECT_EQ(Lead.lead(), 0u);
+
+  TimerLead Capless(0);
+  Capless.observe(1'000'000);
+  EXPECT_EQ(Capless.lead(), 0u);
+}
+
+TEST(TimerLead, GapNoLongerThanTheLeadSpinsWithoutSleeping) {
+  // A sleep would observe its lateness and move the lead; a spin does
+  // not.  An instant already past returns at once.
+  const uint64_t Cap = 200'000;
+  TimerLead Lead(Cap);
+  while (Lead.lead() < Cap)
+    Lead.observe(Cap + 1);
+  uint64_t Instant = monotonicNanos() + Cap / 4;
+  Lead.waitUntil(Instant);
+  EXPECT_GE(monotonicNanos(), Instant);
+  EXPECT_EQ(Lead.lead(), Cap);
+  Lead.waitUntil(monotonicNanos() - 1);
+  EXPECT_EQ(Lead.lead(), Cap);
+}
+
+TEST(TimerLead, LongerGapSleepsAndLearnsItsLateness) {
+  // From a lead of 0 the worker sleeps to the instant itself; the sleep
+  // ends past its deadline, so the lead takes one step up, and the
+  // wait still returns no earlier than the instant.
+  TimerLead Lead(/*CapNanos=*/200'000);
+  uint64_t Instant = monotonicNanos() + 2'000'000;
+  Lead.waitUntil(Instant);
+  EXPECT_GE(monotonicNanos(), Instant);
+  EXPECT_EQ(Lead.lead(), TimerLead::StepNanos);
 }
 
 //===----------------------------------------------------------------------===//

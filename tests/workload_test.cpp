@@ -9,6 +9,7 @@
 #include "core/ProtocolRegistry.h"
 #include "core/ThinLock.h"
 #include "vm/NativeLibrary.h"
+#include "vm/VM.h"
 
 #include <gtest/gtest.h>
 
