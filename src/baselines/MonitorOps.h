@@ -57,12 +57,9 @@ public:
   }
 
   bool unlockChecked(Object *Obj, const ThreadContext &Thread) {
-    auto M = self().resolveMonitor(Obj, Lookup::Existing);
-    if (!M.Lock)
-      return false;
-    bool Ok = M.Lock->unlock(Thread) != FatLock::ReleaseResult::NotOwner;
-    self().releaseMonitor(M);
-    return Ok;
+    return onExisting(Obj, false, [&](FatLock &Lock) {
+      return Lock.unlock(Thread) != FatLock::ReleaseResult::NotOwner;
+    });
   }
 
   bool tryLock(Object *Obj, const ThreadContext &Thread) {
@@ -96,27 +93,21 @@ public:
 
   WaitStatus wait(Object *Obj, const ThreadContext &Thread,
                   int64_t TimeoutNanos = -1) {
-    FatLock::WaitResult Result{};
-    if (!withOwnedMonitor(Obj, Thread, [&](FatLock &Lock) {
-          Result = Lock.wait(Thread, TimeoutNanos);
-        }))
-      return WaitStatus::NotOwner;
-    return Result == FatLock::WaitResult::Notified ? WaitStatus::Notified
-                                                   : WaitStatus::TimedOut;
+    return onExisting(Obj, WaitStatus::NotOwner, [&](FatLock &Lock) {
+      return Lock.wait(Thread, TimeoutNanos);
+    });
   }
 
   NotifyStatus notify(Object *Obj, const ThreadContext &Thread) {
-    return withOwnedMonitor(Obj, Thread,
-                            [&](FatLock &Lock) { Lock.notify(Thread); })
-               ? NotifyStatus::Ok
-               : NotifyStatus::NotOwner;
+    return onExisting(Obj, NotifyStatus::NotOwner, [&](FatLock &Lock) {
+      return Lock.notify(Thread, /*All=*/false);
+    });
   }
 
   NotifyStatus notifyAll(Object *Obj, const ThreadContext &Thread) {
-    return withOwnedMonitor(Obj, Thread,
-                            [&](FatLock &Lock) { Lock.notifyAll(Thread); })
-               ? NotifyStatus::Ok
-               : NotifyStatus::NotOwner;
+    return onExisting(Obj, NotifyStatus::NotOwner, [&](FatLock &Lock) {
+      return Lock.notify(Thread, /*All=*/true);
+    });
   }
 
 private:
@@ -141,18 +132,18 @@ private:
     return Result == FatLock::TimedResult::Acquired;
   }
 
-  /// Runs \p Op on \p Obj's monitor if \p Thread owns it.  \returns false
-  /// (IllegalMonitorState) if it does not.
-  template <typename Fn>
-  bool withOwnedMonitor(Object *Obj, const ThreadContext &Thread, Fn &&Op) {
+  /// The operations that need a monitor to exist (unlock, wait,
+  /// notify, notifyAll): runs \p Op on \p Obj's monitor, whose FatLock
+  /// call judges ownership, or \returns \p NoMonitor when \p Obj has
+  /// none — then \p Thread cannot own it.
+  template <typename Result, typename Fn>
+  Result onExisting(Object *Obj, Result NoMonitor, Fn &&Op) {
     auto M = self().resolveMonitor(Obj, Lookup::Existing);
     if (!M.Lock)
-      return false;
-    bool Owner = M.Lock->heldBy(Thread);
-    if (Owner)
-      Op(*M.Lock);
+      return NoMonitor;
+    Result R = Op(*M.Lock);
     self().releaseMonitor(M);
-    return Owner;
+    return R;
   }
 };
 

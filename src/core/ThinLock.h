@@ -94,14 +94,10 @@ namespace thinlocks {
 /// burst vs. inflate/deflate thrashing under repeated contention.
 enum class DeflationPolicy : uint8_t { Never, WhenQuiescent };
 
-/// Tuning for the contention escalation ladder (pause -> yield -> park;
-/// see SpinPolicy) and the deadlock watchdog layered on top of it.
+/// Tuning for the deadlock watchdog layered on the contention escalation
+/// ladder (pause -> yield -> park; see SpinWait, whose one ladder every
+/// slow path escalates on).
 struct ContentionOptions {
-  /// The spin/yield/park ladder used while contending on a thin word.
-  /// Every slow path (the contended-acquire loop behind lock() and
-  /// tryLockFor(), tryLock's fat-Retired retry) escalates on this one
-  /// policy.
-  SpinPolicy Spin = DefaultSpinPolicy;
   /// On a confirmed cycle in lock(): terminate with the formatted report
   /// (true), or record it in LockStats and keep waiting (false — for
   /// systems that prefer a hung thread to a dead process).
@@ -121,7 +117,7 @@ public:
   /// \param Stats optional instrumentation sink; null disables recording.
   /// \param Deflation whether fat locks retire at quiescence (the paper's
   /// discipline is Never).
-  /// \param Options contention-ladder and deadlock-watchdog tuning.
+  /// \param Options deadlock-watchdog tuning.
   explicit ThinLockImpl(MonitorTable &Monitors, LockStats *Stats = nullptr,
                         DeflationPolicy Deflation = DeflationPolicy::Never,
                         ContentionOptions Options = ContentionOptions())
@@ -208,8 +204,9 @@ public:
     uint32_t Shifted = Thread.shiftedIndex();
     if (lockword::isFat(Value)) {
       FatLock *Fat = Monitors.resolve(Value);
-      switch (Fat->unlock(Thread,
-                          Deflation == DeflationPolicy::WhenQuiescent)) {
+      bool MayRetire = Deflation == DeflationPolicy::WhenQuiescent &&
+                       Monitors.mayRetire(Value);
+      switch (Fat->unlock(Thread, MayRetire)) {
       case FatLock::ReleaseResult::NotOwner:
         return false;
       case FatLock::ReleaseResult::Released:
@@ -248,7 +245,7 @@ public:
   bool tryLock(Object *Obj, const ThreadContext &Thread) {
     std::atomic<uint32_t> &Word = Obj->lockWord();
     uint32_t Shifted = Thread.shiftedIndex();
-    SpinWait Spinner(Options.Spin);
+    SpinWait Spinner;
     for (;;) {
       uint32_t Value = Word.load(std::memory_order_relaxed);
       if (lockword::isFat(Value)) {
@@ -358,8 +355,6 @@ public:
     FatLock *Fat = nullptr;
     if (lockword::isFat(Value)) {
       Fat = Monitors.resolve(Value);
-      if (!Fat->heldBy(Thread))
-        return WaitStatus::NotOwner;
     } else {
       if (!lockword::isThinOwnedBy(Value, Thread.shiftedIndex()))
         return WaitStatus::NotOwner;
@@ -370,14 +365,14 @@ public:
     }
     const bool Tracing = obs::tracingEnabled();
     const uint64_t TraceT0 = Tracing ? obs::monotonicNanos() : 0;
-    bool Notified =
-        Fat->wait(Thread, TimeoutNanos) == FatLock::WaitResult::Notified;
-    if (TL_UNLIKELY(Tracing)) {
+    WaitStatus Status = Fat->wait(Thread, TimeoutNanos);
+    if (TL_UNLIKELY(Tracing) && Status != WaitStatus::NotOwner) {
       uint64_t Now = obs::monotonicNanos();
       recordEvent(Obj, Thread, obs::EventKind::Wait,
-                  Now >= TraceT0 ? Now - TraceT0 : 0, Notified ? 1 : 0);
+                  Now >= TraceT0 ? Now - TraceT0 : 0,
+                  Status == WaitStatus::Notified ? 1 : 0);
     }
-    return Notified ? WaitStatus::Notified : WaitStatus::TimedOut;
+    return Status;
   }
 
   /// Java Object.notify().  On a thin lock held by the caller this is a
@@ -609,7 +604,7 @@ private:
                    DeadlockReport *Report) {
     std::atomic<uint32_t> &Word = Obj->lockWord();
     uint32_t Shifted = Thread.shiftedIndex();
-    SpinWait Spinner(Options.Spin);
+    SpinWait Spinner;
     BlockedOnScope Blocked(Thread, Obj);
     const auto ParkClamp =
         Deadline.value_or(std::chrono::steady_clock::time_point::max());
@@ -749,7 +744,8 @@ private:
     // A fresh monitor is free with an empty queue, so this takes it at
     // once; the shared emergency one may queue behind another object's
     // holder, or merge with this thread's own holds.  Neither can be
-    // retired: the fresh one is unpublished, the emergency one pinned.
+    // retired: the fresh one is unpublished, and the emergency one never
+    // retires (MonitorTable::mayRetire).
     FatLock *Fat = Monitors.get(Index);
     [[maybe_unused]] FatLock::TimedResult Result =
         Fat->lock(Thread, std::nullopt, Holds);
@@ -779,19 +775,14 @@ private:
                           bool All) {
     uint32_t Value = Obj->lockWord().load(std::memory_order_relaxed);
     if (lockword::isFat(Value)) {
-      FatLock *Fat = Monitors.resolve(Value);
-      if (!Fat->heldBy(Thread))
-        return NotifyStatus::NotOwner;
-      uint32_t Morphed;
-      if (All)
-        Morphed = Fat->notifyAll(Thread);
-      else
-        Morphed = Fat->notify(Thread) ? 1 : 0;
-      if (obs::tracingEnabled())
+      uint32_t Morphed = 0;
+      NotifyStatus Status =
+          Monitors.resolve(Value)->notify(Thread, All, &Morphed);
+      if (obs::tracingEnabled() && Status == NotifyStatus::Ok)
         recordEvent(Obj, Thread,
                     All ? obs::EventKind::NotifyAll : obs::EventKind::Notify,
                     0, static_cast<uint16_t>(Morphed));
-      return NotifyStatus::Ok;
+      return Status;
     }
     // Thin lock: if we own it there can be no waiters, so notify is a
     // legal no-op; otherwise it is an IllegalMonitorState.

@@ -9,75 +9,47 @@
 
 using namespace thinlocks;
 
-void FatLock::pushEntry(EntryNode *Node) {
-  (EntryTail ? EntryTail->Next : EntryHead) = Node;
-  EntryTail = Node;
-  ++EntryLen;
-}
-
-void FatLock::removeEntry(EntryNode *Node) {
-  EntryNode *Prev = nullptr;
-  for (EntryNode *Cur = EntryHead; Cur; Prev = Cur, Cur = Cur->Next) {
-    if (Cur != Node)
-      continue;
-    (Prev ? Prev->Next : EntryHead) = Cur->Next;
-    if (EntryTail == Cur)
-      EntryTail = Prev;
-    Cur->Next = nullptr;
-    --EntryLen;
-    return;
-  }
-  assert(false && "removeEntry: node not queued");
-}
-
-Parker *FatLock::entryHandoffTarget() const {
-  return EntryHead ? EntryHead->Pk : nullptr;
-}
-
 void FatLock::recordWakeLatency(const Parker *Pk) {
   if (LockStats *Stats = StatsSink.load(std::memory_order_relaxed))
     if (uint64_t Nanos = Pk->lastBlockedWakeNanos())
       Stats->recordWakeLatency(Nanos);
 }
 
-void FatLock::grantTo(EntryNode *Node, uint16_t Index) {
+void FatLock::grantTo(Waiter *Node, uint16_t Index) {
   assert(claimable(Node) && "granting out of FIFO order");
-  removeEntry(Node);
+  EntryQueue.popFront();
   Owner = Index;
   recordWakeLatency(Node->Pk);
 }
 
 bool FatLock::acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
                           std::optional<int64_t> TimeoutNanos) {
-  if (Owner == 0 && EntryHead == nullptr) {
+  if (Owner == 0 && EntryQueue.empty()) {
     // Uncontended: no deadline needed (computing one up front would tax
     // every post-inflation acquisition with a clock read).
     Owner = Thread.index();
     return true;
   }
-  if (TimeoutNanos && *TimeoutNanos <= 0) {
-    // One attempt that never queues (a non-positive timeout never means
-    // "wait forever"); standing down for a non-empty queue keeps entry
-    // FIFO.
-    ++Counters.Timeouts;
+  // One attempt that never queues (a non-positive timeout never means
+  // "wait forever"); standing down for a non-empty queue keeps entry
+  // FIFO.
+  if (TimeoutNanos && *TimeoutNanos <= 0)
     return false;
-  }
-  ++Counters.ContendedAcquisitions;
-  EntryNode Node;
+  Waiter Node;
   Node.Pk = Thread.parker();
-  pushEntry(&Node);
+  EntryQueue.pushBack(&Node);
   std::optional<Clock::time_point> Deadline;
   if (TimeoutNanos)
     Deadline = Clock::now() + std::chrono::nanoseconds(*TimeoutNanos);
   return awaitGrant(Guard, Node, Thread.index(), Deadline);
 }
 
-bool FatLock::awaitGrant(UniqueLock &Guard, EntryNode &Node, uint16_t Index,
+bool FatLock::awaitGrant(UniqueLock &Guard, Waiter &Node, uint16_t Index,
                          std::optional<Clock::time_point> Deadline) {
   while (!claimable(&Node)) {
     if (Deadline && Clock::now() >= *Deadline) {
-      ++Counters.Timeouts;
-      removeEntry(&Node);
+      [[maybe_unused]] bool Queued = EntryQueue.remove(&Node);
+      assert(Queued && "timed-out entrant not in the entry queue");
       // If the monitor is free we may have just consumed (or be about
       // to consume) the releaser's handoff; pass it to the new head so
       // the wake is not lost with our departure.
@@ -110,7 +82,6 @@ FatLock::TimedResult FatLock::lock(const ThreadContext &Thread,
   if (Retired)
     return TimedResult::Retired;
   if (Owner == Thread.index()) {
-    ++Counters.Acquisitions;
     Hold += Holds;
     return TimedResult::Acquired;
   }
@@ -118,7 +89,6 @@ FatLock::TimedResult FatLock::lock(const ThreadContext &Thread,
   // either acquire or dequeue ourselves.
   if (!acquireSlow(Guard, Thread, TimeoutNanos))
     return TimedResult::TimedOut;
-  ++Counters.Acquisitions;
   Hold = Holds;
   return TimedResult::Acquired;
 }
@@ -126,11 +96,10 @@ FatLock::TimedResult FatLock::lock(const ThreadContext &Thread,
 FatLock::ReleaseResult FatLock::unlock(const ThreadContext &Thread,
                                        bool MayRetire) {
   UniqueLock Guard(Mu);
-  if (Owner != Thread.index())
+  if (!ownedBy(Thread))
     return ReleaseResult::NotOwner;
   assert(Hold > 0 && "owner with zero hold count");
-  if (MayRetire && Hold == 1 && !Pinned && EntryHead == nullptr &&
-      ThreadsInWait == 0) {
+  if (MayRetire && Hold == 1 && EntryQueue.empty() && WaitSet.empty()) {
     // Fully quiescent: nobody is queued and nobody is waiting.  Retire
     // instead of releasing; late arrivals that already resolved this
     // monitor bounce out of lock() and re-read the object's lock word.
@@ -160,8 +129,7 @@ bool FatLock::isRetired() const {
 
 bool FatLock::retireIfQuiescent() {
   LockGuard Guard(Mu);
-  if (Retired || Pinned || Owner != 0 || EntryHead != nullptr ||
-      ThreadsInWait != 0)
+  if (Retired || Owner != 0 || !EntryQueue.empty() || !WaitSet.empty())
     return false;
   // Owner == 0 makes this mutually exclusive with unlock() (which
   // requires ownership), and an empty entry queue means no handoff
@@ -171,44 +139,16 @@ bool FatLock::retireIfQuiescent() {
   return true;
 }
 
-void FatLock::pin() {
-  LockGuard Guard(Mu);
-  Pinned = true;
-}
-
-bool FatLock::isPinned() const {
-  LockGuard Guard(Mu);
-  return Pinned;
-}
-
-void FatLock::removeWaiter(WaitNode *Node) {
-  WaitNode *Prev = nullptr;
-  for (WaitNode *Cur = WaitHead; Cur; Prev = Cur, Cur = Cur->Next) {
-    if (Cur != Node)
-      continue;
-    (Prev ? Prev->Next : WaitHead) = Cur->Next;
-    if (WaitTail == Cur)
-      WaitTail = Prev;
-    Cur->Next = nullptr;
-    --WaitLen;
-    return;
-  }
-}
-
-FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
-                                  int64_t TimeoutNanos) {
+WaitStatus FatLock::wait(const ThreadContext &Thread, int64_t TimeoutNanos) {
   UniqueLock Guard(Mu);
-  assert(Owner == Thread.index() && "wait by non-owner");
-  // From here until reacquisition completes we are a user the
-  // quiescence check must see, even while absent from the wait set and
-  // the entry queue (the notify -> re-queue window).
-  ++ThreadsInWait;
-
-  WaitNode Node;
-  Node.Entry.Pk = Thread.parker();
-  (WaitTail ? WaitTail->Next : WaitHead) = &Node;
-  WaitTail = &Node;
-  ++WaitLen;
+  if (!ownedBy(Thread))
+    return WaitStatus::NotOwner;
+  // From here until reacquisition completes we are in the wait set, in
+  // the entry queue or the owner whenever Mu is free, which is what
+  // keeps the monitor from retiring under us.
+  Waiter Node;
+  Node.Pk = Thread.parker();
+  WaitSet.pushBack(&Node);
   uint32_t SavedHold = Hold;
   std::optional<Clock::time_point> Deadline;
   if (TimeoutNanos >= 0)
@@ -226,8 +166,8 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
   while (!Node.Notified) {
     if (Deadline && (Reason == Parker::WakeReason::TimedOut ||
                      Clock::now() >= *Deadline)) {
-      removeWaiter(&Node);
-      ++Counters.Timeouts;
+      [[maybe_unused]] bool Queued = WaitSet.remove(&Node);
+      assert(Queued && "timed-out waiter not in the wait set");
       break;
     }
     Guard.unlock();
@@ -237,8 +177,7 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
     }
     // A wake racing this window leaves a sticky token; stale tokens and
     // spurious wakes just re-run the check.
-    Reason = Deadline ? Node.Entry.Pk->parkUntil(*Deadline)
-                      : Node.Entry.Pk->park();
+    Reason = Deadline ? Node.Pk->parkUntil(*Deadline) : Node.Pk->park();
     Guard.lock();
   }
   // A wait that expired before its first park still owes the head its
@@ -248,59 +187,44 @@ FatLock::WaitResult FatLock::wait(const ThreadContext &Thread,
   // Phase 2: reacquire, unbounded like any lock().  A notified thread is
   // already queued and keeps sleeping on the same Parker until the
   // handoff that grants it; a timed-out one queues like any entrant.
-  ++Counters.Acquisitions;
-  if (!Node.Notified) {
+  if (Node.Notified)
+    awaitGrant(Guard, Node, Thread.index(), std::nullopt);
+  else
     acquireSlow(Guard, Thread, std::nullopt);
-  } else {
-    if (!claimable(&Node.Entry))
-      ++Counters.ContendedAcquisitions;
-    awaitGrant(Guard, Node.Entry, Thread.index(), std::nullopt);
-  }
   Hold = SavedHold;
-  assert(ThreadsInWait > 0 && "wait bookkeeping out of balance");
-  --ThreadsInWait;
-  return Node.Notified ? WaitResult::Notified : WaitResult::TimedOut;
+  return Node.Notified ? WaitStatus::Notified : WaitStatus::TimedOut;
 }
 
-bool FatLock::notify([[maybe_unused]] const ThreadContext &Thread) {
+NotifyStatus FatLock::notify(const ThreadContext &Thread, bool All,
+                             uint32_t *Morphed) {
   LockGuard Guard(Mu);
-  assert(Owner == Thread.index() && "notify by non-owner");
-  if (!WaitHead)
-    return false;
-  // Wait morphing: move the longest waiter from the wait set to the
-  // entry-queue tail without waking it.  The notifier still holds the
-  // monitor, so the waiter could not acquire anyway; it sleeps through
-  // until the handoff that grants it, costing one block instead of two.
-  WaitNode *Node = WaitHead;
-  removeWaiter(Node);
-  Node->Notified = true;
-  pushEntry(&Node->Entry);
-  return true;
-}
-
-uint32_t FatLock::notifyAll([[maybe_unused]] const ThreadContext &Thread) {
-  LockGuard Guard(Mu);
-  assert(Owner == Thread.index() && "notifyAll by non-owner");
-  // Morph the whole wait set onto the entry queue in FIFO order — no
-  // thundering herd: each waiter sleeps through until the release that
-  // makes it the claimable head, so a broadcast of N waiters costs zero
-  // wakes here and exactly one block per waiter overall.  (Prewaking the
-  // morphed set was tried and measured worse on both wall and CPU time:
-  // the waiters wake before their turn, re-park, and the broadcast pays
-  // N futex wakes up front for nothing.)
+  if (!ownedBy(Thread))
+    return NotifyStatus::NotOwner;
+  // Wait morphing: move the longest waiter (or, for notifyAll, the whole
+  // wait set in FIFO order) to the entry-queue tail without waking it.
+  // The notifier still holds the monitor, so a waiter could not acquire
+  // anyway; it sleeps through until the release that makes it the
+  // claimable head, costing one block instead of two, and a broadcast of
+  // N waiters costs zero wakes here.  (Prewaking the morphed set was
+  // tried and measured worse on both wall and CPU time: the waiters wake
+  // before their turn, re-park, and the broadcast pays N futex wakes up
+  // front for nothing.)
   uint32_t Moved = 0;
-  while (WaitNode *Node = WaitHead) {
-    removeWaiter(Node);
+  while (Waiter *Node = WaitSet.popFront()) {
     Node->Notified = true;
-    pushEntry(&Node->Entry);
+    EntryQueue.pushBack(Node);
     ++Moved;
+    if (!All)
+      break;
   }
-  return Moved;
+  if (Morphed)
+    *Morphed = Moved;
+  return NotifyStatus::Ok;
 }
 
 bool FatLock::heldBy(const ThreadContext &Thread) const {
   LockGuard Guard(Mu);
-  return Owner == Thread.index() && Thread.isValid();
+  return ownedBy(Thread);
 }
 
 uint16_t FatLock::ownerIndex() const {
@@ -315,15 +239,10 @@ uint32_t FatLock::holdCount() const {
 
 uint32_t FatLock::entryQueueLength() const {
   LockGuard Guard(Mu);
-  return EntryLen;
+  return EntryQueue.size();
 }
 
 uint32_t FatLock::waitSetSize() const {
   LockGuard Guard(Mu);
-  return WaitLen;
-}
-
-FatLockStats FatLock::stats() const {
-  LockGuard Guard(Mu);
-  return Counters;
+  return WaitSet.size();
 }

@@ -28,13 +28,10 @@ MonitorTable::MonitorTable(uint32_t RequestedCapacity)
 
   // The emergency monitor occupies the top index from birth so that a lock
   // word minted during exhaustion resolves through the same wait-free path
-  // as any other, and is pinned so the deflation extension can never
-  // retire a monitor that an unknown number of objects share.
+  // as any other (mayRetire() keeps deflation off it).
   LockGuard Guard(Mu);
-  Emergency = new FatLock();
-  Emergency->pin();
   Segment *Seg = segmentFor(Capacity);
-  (*Seg)[Capacity & (SegmentSize - 1)].store(Emergency,
+  (*Seg)[Capacity & (SegmentSize - 1)].store(new FatLock(),
                                              std::memory_order_release);
 }
 
@@ -204,7 +201,8 @@ void MonitorTable::finishDeflation(Object *Obj, uint32_t StaleWord) {
 
 bool MonitorTable::deflateIfQuiescent(Object *Obj) {
   uint32_t Value = Obj->lockWord().load(std::memory_order_acquire);
-  if (!lockword::isFat(Value) || !resolve(Value)->retireIfQuiescent())
+  if (!lockword::isFat(Value) || !mayRetire(Value) ||
+      !resolve(Value)->retireIfQuiescent())
     return false;
   finishDeflation(Obj, Value);
   return true;

@@ -28,6 +28,7 @@
 #ifndef THINLOCKS_FATLOCK_MONITORTABLE_H
 #define THINLOCKS_FATLOCK_MONITORTABLE_H
 
+#include "core/LockWord.h"
 #include "fatlock/FatLock.h"
 #include "support/Mutex.h"
 
@@ -102,11 +103,19 @@ public:
   /// terminating, in every build mode.
   FatLock *resolve(uint32_t LockWord) const;
 
-  /// \returns the shared last-resort monitor every post-exhaustion
-  /// inflation maps to.  Always allocated, pinned (never retired by
-  /// deflation).
+  /// \returns the index of the shared last-resort monitor every
+  /// post-exhaustion inflation maps to.  Always allocated, and never
+  /// retired (see mayRetire()).
   uint32_t emergencyIndex() const { return Capacity; }
-  FatLock *emergencyMonitor() const { return Emergency; }
+
+  /// \returns whether the monitor that \p FatWord names may ever retire:
+  /// every monitor but the emergency one, which an unknown number of
+  /// lock words may name, so deflation must not recycle it.  Both
+  /// retirement sites ask: ThinLockImpl::unlockChecked before passing
+  /// MayRetire to FatLock::unlock, and deflateIfQuiescent().
+  bool mayRetire(uint32_t FatWord) const {
+    return lockword::monitorIndexOf(FatWord) != emergencyIndex();
+  }
 
   /// \returns the configured capacity (largest index in use).
   uint32_t capacity() const { return Capacity; }
@@ -144,9 +153,10 @@ public:
   void finishDeflation(Object *Obj, uint32_t StaleWord);
 
   /// Deflation by a third party that owns nothing (the adaptive engine's
-  /// speculative scan): if \p Obj's lock word is fat and its monitor is
-  /// quiescent (FatLock::retireIfQuiescent, which refuses the pinned
-  /// emergency monitor), retires the monitor and runs finishDeflation().
+  /// speculative scan): if \p Obj's lock word is fat, its monitor may
+  /// retire (not the emergency monitor) and is quiescent
+  /// (FatLock::retireIfQuiescent), retires the monitor and runs
+  /// finishDeflation().
   /// \returns whether \p Obj went back to thin.
   bool deflateIfQuiescent(Object *Obj);
 
@@ -193,7 +203,6 @@ private:
   std::vector<std::unique_ptr<Segment>> SegmentStorage TL_GUARDED_BY(Mu);
   std::array<AllocShard, NumAllocShards> Shards;
   uint32_t Capacity;
-  FatLock *Emergency = nullptr;
   uint32_t NextIndex TL_GUARDED_BY(Mu) = 1;
   std::atomic<uint32_t> LiveCount{0};
   std::atomic<uint64_t> ExhaustionEvents{0};

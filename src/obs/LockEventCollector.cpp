@@ -213,7 +213,7 @@ LockEventCollector::formatTopLocks(size_t N,
     if (Classes)
       ClassName = Classes->classAt(E.ClassIndex).Name;
     else
-      ClassName = "#" + std::to_string(E.ClassIndex);
+      ClassName.append("#").append(std::to_string(E.ClassIndex));
     Table.addRow({Addr, ClassName,
                   TableFormatter::formatWithCommas(E.ContendedAcquires),
                   TableFormatter::formatWithCommas(E.Inflations),

@@ -22,19 +22,13 @@ size_t ParkingLot::bucketIndexOf(const void *Key) {
   return (Addr * UINT64_C(0x9E3779B97F4A7C15) >> 58) % NumBuckets;
 }
 
-void ParkingLot::unlink(Bucket &B, WaitNode *Node) {
-  WaitNode *Prev = nullptr;
-  for (WaitNode *Cur = B.Head; Cur; Prev = Cur, Cur = Cur->Next) {
-    if (Cur != Node)
-      continue;
-    (Prev ? Prev->Next : B.Head) = Cur->Next;
-    if (B.Tail == Cur)
-      B.Tail = Prev;
-    Cur->Next = nullptr;
-    Cur->Queued = false;
-    return;
-  }
-  tlUnreachable("unlink: node not in bucket");
+Parker *ParkingLot::takeFirst(Bucket &B, const void *Key) {
+  WaitNode *Node =
+      B.Queue.removeFirst([Key](const WaitNode &N) { return N.Key == Key; });
+  if (!Node)
+    return nullptr;
+  Node->Queued = false;
+  return Node->Pk;
 }
 
 ParkingLot::ParkResult
@@ -50,8 +44,7 @@ ParkingLot::parkImpl(const void *Key, Parker &Pk, bool (*Validate)(void *),
     if (!Validate(Ctx))
       return ParkResult::Invalid;
     Node.Queued = true;
-    (B.Tail ? B.Tail->Next : B.Head) = &Node;
-    B.Tail = &Node;
+    B.Queue.pushBack(&Node);
   }
   for (;;) {
     Parker::WakeReason R = HasDeadline ? Pk.parkUntil(Deadline) : Pk.park();
@@ -73,14 +66,7 @@ ParkingLot::parkImpl(const void *Key, Parker &Pk, bool (*Validate)(void *),
         // next node must be *unlinked* here, not merely unparked — an
         // unparked-but-still-queued waiter with no deadline would
         // classify the token as spurious and re-sleep forever.
-        Parker *Next = nullptr;
-        for (WaitNode *Cur = B.Head; Cur; Cur = Cur->Next) {
-          if (Cur->Key != Key)
-            continue;
-          Next = Cur->Pk;
-          unlink(B, Cur);
-          break;
-        }
+        Parker *Next = takeFirst(B, Key);
         G.unlock();
         if (Next)
           Next->unpark();
@@ -93,7 +79,9 @@ ParkingLot::parkImpl(const void *Key, Parker &Pk, bool (*Validate)(void *),
     }
     if (HasDeadline && (R == Parker::WakeReason::TimedOut ||
                         std::chrono::steady_clock::now() >= Deadline)) {
-      unlink(B, &Node);
+      if (!B.Queue.remove(&Node))
+        tlUnreachable("parkImpl: queued node not in its bucket");
+      Node.Queued = false;
       return ParkResult::TimedOut;
     }
     // Still queued with time to spare: the wake was spurious or the
@@ -107,13 +95,7 @@ size_t ParkingLot::unparkOne(const void *Key) {
   Parker *Target = nullptr;
   {
     LockGuard G(B.Mu);
-    for (WaitNode *Cur = B.Head; Cur; Cur = Cur->Next) {
-      if (Cur->Key != Key)
-        continue;
-      Target = Cur->Pk;
-      unlink(B, Cur);
-      break;
-    }
+    Target = takeFirst(B, Key);
   }
   // Unpark after dropping the bucket mutex: the wakee's first action is
   // to take that mutex, and waking it while we still hold it would
@@ -132,15 +114,13 @@ size_t ParkingLot::unparkAll(const void *Key) {
   std::vector<Parker *> Targets;
   {
     LockGuard G(B.Mu);
-    WaitNode *Cur = B.Head;
-    while (Cur) {
-      WaitNode *Next = Cur->Next;
-      if (Cur->Key == Key) {
-        Targets.push_back(Cur->Pk);
-        unlink(B, Cur);
-      }
-      Cur = Next;
-    }
+    B.Queue.removeAll([&](WaitNode &N) {
+      if (N.Key != Key)
+        return false;
+      Targets.push_back(N.Pk);
+      N.Queued = false;
+      return true;
+    });
   }
   for (Parker *Target : Targets)
     Target->unpark();
@@ -150,8 +130,5 @@ size_t ParkingLot::unparkAll(const void *Key) {
 size_t ParkingLot::queuedOn(const void *Key) {
   Bucket &B = bucketFor(Key);
   LockGuard G(B.Mu);
-  size_t N = 0;
-  for (WaitNode *Cur = B.Head; Cur; Cur = Cur->Next)
-    N += Cur->Key == Key;
-  return N;
+  return B.Queue.countIf([Key](const WaitNode &N) { return N.Key == Key; });
 }

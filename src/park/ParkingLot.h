@@ -35,6 +35,7 @@
 #ifndef THINLOCKS_PARK_PARKINGLOT_H
 #define THINLOCKS_PARK_PARKINGLOT_H
 
+#include "park/IntrusiveFifo.h"
 #include "park/Parker.h"
 #include "support/Mutex.h"
 
@@ -115,7 +116,7 @@ private:
   /// One parked thread, stack-allocated inside parkImpl and linked into
   /// its bucket's FIFO.  All fields are guarded by the bucket mutex
   /// (stack nodes cannot carry a per-instance TL_GUARDED_BY; the
-  /// REQUIRES annotation on unlink and the LockGuard scopes in
+  /// REQUIRES annotation on takeFirst and the LockGuard scopes in
   /// ParkingLot.cpp enforce it).
   struct WaitNode {
     Parker *Pk;
@@ -126,8 +127,7 @@ private:
 
   struct alignas(64) Bucket {
     Mutex Mu;
-    WaitNode *Head TL_GUARDED_BY(Mu) = nullptr;
-    WaitNode *Tail TL_GUARDED_BY(Mu) = nullptr;
+    IntrusiveFifo<WaitNode> Queue TL_GUARDED_BY(Mu);
   };
 
   ParkResult parkImpl(const void *Key, Parker &Pk, bool (*Validate)(void *),
@@ -135,8 +135,10 @@ private:
                       std::chrono::steady_clock::time_point Deadline);
 
   Bucket &bucketFor(const void *Key) { return Buckets[bucketIndexOf(Key)]; }
-  /// Unlinks \p Node from \p B (\p Node must be queued).
-  static void unlink(Bucket &B, WaitNode *Node) TL_REQUIRES(B.Mu);
+  /// Dequeues the FIFO-first thread parked on \p Key in \p B and
+  /// \returns its Parker for the caller to unpark once B.Mu is dropped,
+  /// or null when none is parked there.
+  static Parker *takeFirst(Bucket &B, const void *Key) TL_REQUIRES(B.Mu);
 
   Bucket Buckets[NumBuckets];
 };

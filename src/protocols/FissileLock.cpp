@@ -72,7 +72,7 @@ void FissileLock::acquireSlow(FissileCell &Cell, const ThreadContext &Thread) {
   // the park early, and the bounded deadline caps the cost of the
   // store-buffer race between "store 0" and "read Sleepers" on the
   // release side — a missed wake is one park quantum, never lost.
-  SpinWait Spin(DefaultSpinPolicy);
+  SpinWait Spin;
   for (;;) {
     uint32_t Expected = 0;
     if (Cell.Word.compare_exchange_weak(Expected, Tid,
@@ -123,12 +123,8 @@ void FissileLock::releaseCell(FissileCell &Cell) {
   WaitNode *Grantee = nullptr;
   if (Cell.MorphedCount > 0) {
     LockGuard Guard(Cell.WaitMu);
-    Grantee = Cell.MorphedHead;
+    Grantee = Cell.Morphed.popFront();
     if (Grantee) {
-      Cell.MorphedHead = Grantee->Next;
-      if (!Cell.MorphedHead)
-        Cell.MorphedTail = nullptr;
-      Grantee->Next = nullptr;
       Grantee->Where = WaitNode::State::Granted;
       --Cell.MorphedCount;
     }
@@ -164,9 +160,18 @@ void FissileLock::unlock(Object *Obj, const ThreadContext &Thread) {
   assert(Ok && "unlock of a monitor the thread does not own");
 }
 
-bool FissileLock::unlockChecked(Object *Obj, const ThreadContext &Thread) {
+FissileLock::FissileCell *
+FissileLock::ownedCell(const Object *Obj, const ThreadContext &Thread) const {
   FissileCell *Cell = Cells.find(Obj);
-  if (!Cell || Cell->Word.load(std::memory_order_relaxed) != Thread.index())
+  if (!Cell || !Thread.isValid() ||
+      Cell->Word.load(std::memory_order_relaxed) != Thread.index())
+    return nullptr;
+  return Cell;
+}
+
+bool FissileLock::unlockChecked(Object *Obj, const ThreadContext &Thread) {
+  FissileCell *Cell = ownedCell(Obj, Thread);
+  if (!Cell)
     return false;
   if (--Cell->Depth > 0)
     return true;
@@ -205,7 +210,7 @@ TimedLockStatus FissileLock::tryLockFor(Object *Obj,
   FissileCell *Cell = &Cells.findOrCreate(Obj);
   const uint32_t Tid = Thread.index();
   const auto Deadline = deadlineAfter(TimeoutNanos);
-  SpinWait Spin(DefaultSpinPolicy);
+  SpinWait Spin;
   for (;;) {
     uint32_t Expected = 0;
     if (Cell->Word.compare_exchange_weak(Expected, Tid,
@@ -232,19 +237,15 @@ TimedLockStatus FissileLock::tryLockFor(Object *Obj,
 }
 
 bool FissileLock::holdsLock(Object *Obj, const ThreadContext &Thread) const {
-  FissileCell *Cell = Cells.find(Obj);
-  return Cell &&
-         Cell->Word.load(std::memory_order_acquire) == Thread.index();
+  return ownedCell(Obj, Thread) != nullptr;
 }
 
 uint32_t FissileLock::lockDepth(Object *Obj,
                                 const ThreadContext &Thread) const {
-  FissileCell *Cell = Cells.find(Obj);
   // Depth is owner-only state: reading it is safe exactly when the
   // calling thread is the owner (then nobody else writes it).
-  if (!Cell || Cell->Word.load(std::memory_order_acquire) != Thread.index())
-    return 0;
-  return Cell->Depth;
+  FissileCell *Cell = ownedCell(Obj, Thread);
+  return Cell ? Cell->Depth : 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -253,8 +254,8 @@ uint32_t FissileLock::lockDepth(Object *Obj,
 
 WaitStatus FissileLock::wait(Object *Obj, const ThreadContext &Thread,
                              int64_t TimeoutNanos) {
-  FissileCell *Cell = Cells.find(Obj);
-  if (!Cell || Cell->Word.load(std::memory_order_relaxed) != Thread.index())
+  FissileCell *Cell = ownedCell(Obj, Thread);
+  if (!Cell)
     return WaitStatus::NotOwner;
 
   // Join the wait set, then fully release the monitor (saving the
@@ -264,11 +265,7 @@ WaitStatus FissileLock::wait(Object *Obj, const ThreadContext &Thread,
   {
     LockGuard Guard(Cell->WaitMu);
     Node.Where = WaitNode::State::InWaitSet;
-    if (Cell->WaitTail)
-      Cell->WaitTail->Next = &Node;
-    else
-      Cell->WaitHead = &Node;
-    Cell->WaitTail = &Node;
+    Cell->WaitSet.pushBack(&Node);
   }
   const uint32_t SavedDepth = Cell->Depth;
   Cell->Depth = 0;
@@ -286,16 +283,8 @@ WaitStatus FissileLock::wait(Object *Obj, const ThreadContext &Thread,
         break;
       if (HasDeadline && std::chrono::steady_clock::now() >= Deadline) {
         if (Node.Where == WaitNode::State::InWaitSet) {
-          // Self-unlink: walk the singly linked wait list.
-          WaitNode **Link = &Cell->WaitHead;
-          WaitNode *Prev = nullptr;
-          while (*Link != &Node) {
-            Prev = *Link;
-            Link = &(*Link)->Next;
-          }
-          *Link = Node.Next;
-          if (Cell->WaitTail == &Node)
-            Cell->WaitTail = Prev;
+          [[maybe_unused]] bool Queued = Cell->WaitSet.remove(&Node);
+          assert(Queued && "timed-out waiter not in the wait set");
           Node.Where = WaitNode::State::Removed;
           TimedOut = true;
           break;
@@ -318,40 +307,33 @@ WaitStatus FissileLock::wait(Object *Obj, const ThreadContext &Thread,
   return TimedOut ? WaitStatus::TimedOut : WaitStatus::Notified;
 }
 
-void FissileLock::morphOneLocked(FissileCell &Cell) {
-  WaitNode *Node = Cell.WaitHead;
-  assert(Node && "morph from an empty wait set");
-  Cell.WaitHead = Node->Next;
-  if (!Cell.WaitHead)
-    Cell.WaitTail = nullptr;
-  Node->Next = nullptr;
+bool FissileLock::morphOneLocked(FissileCell &Cell) {
+  WaitNode *Node = Cell.WaitSet.popFront();
+  if (!Node)
+    return false;
   Node->Where = WaitNode::State::Morphed;
-  if (Cell.MorphedTail)
-    Cell.MorphedTail->Next = Node;
-  else
-    Cell.MorphedHead = Node;
-  Cell.MorphedTail = Node;
+  Cell.Morphed.pushBack(Node);
   ++Cell.MorphedCount;
   Morphs.increment();
+  return true;
 }
 
 NotifyStatus FissileLock::notify(Object *Obj, const ThreadContext &Thread) {
-  FissileCell *Cell = Cells.find(Obj);
-  if (!Cell || Cell->Word.load(std::memory_order_relaxed) != Thread.index())
+  FissileCell *Cell = ownedCell(Obj, Thread);
+  if (!Cell)
     return NotifyStatus::NotOwner;
   LockGuard Guard(Cell->WaitMu);
-  if (Cell->WaitHead)
-    morphOneLocked(*Cell);
+  morphOneLocked(*Cell);
   return NotifyStatus::Ok;
 }
 
 NotifyStatus FissileLock::notifyAll(Object *Obj, const ThreadContext &Thread) {
-  FissileCell *Cell = Cells.find(Obj);
-  if (!Cell || Cell->Word.load(std::memory_order_relaxed) != Thread.index())
+  FissileCell *Cell = ownedCell(Obj, Thread);
+  if (!Cell)
     return NotifyStatus::NotOwner;
   LockGuard Guard(Cell->WaitMu);
-  while (Cell->WaitHead)
-    morphOneLocked(*Cell);
+  while (morphOneLocked(*Cell)) {
+  }
   return NotifyStatus::Ok;
 }
 
@@ -374,10 +356,5 @@ size_t FissileLock::waitSetSize(const Object *Obj) const {
   if (!Cell)
     return 0;
   LockGuard Guard(Cell->WaitMu);
-  size_t Count = 0;
-  for (WaitNode *Node = Cell->WaitHead; Node; Node = Node->Next)
-    ++Count;
-  for (WaitNode *Node = Cell->MorphedHead; Node; Node = Node->Next)
-    ++Count;
-  return Count;
+  return Cell->WaitSet.size() + Cell->Morphed.size();
 }

@@ -45,6 +45,7 @@
 #include "baselines/ObjectTable.h"
 #include "core/LockProtocol.h"
 #include "heap/Object.h"
+#include "park/IntrusiveFifo.h"
 #include "park/Parker.h"
 #include "support/Compiler.h"
 #include "support/Mutex.h"
@@ -138,10 +139,9 @@ private:
     /// the uncontended release skip the ParkingLot entirely.
     std::atomic<uint32_t> Sleepers{0};
     mutable Mutex WaitMu;
-    WaitNode *WaitHead TL_GUARDED_BY(WaitMu) = nullptr;
-    WaitNode *WaitTail TL_GUARDED_BY(WaitMu) = nullptr;
-    WaitNode *MorphedHead TL_GUARDED_BY(WaitMu) = nullptr;
-    WaitNode *MorphedTail TL_GUARDED_BY(WaitMu) = nullptr;
+    IntrusiveFifo<WaitNode> WaitSet TL_GUARDED_BY(WaitMu);
+    /// Notified waiters, granted one per final release.
+    IntrusiveFifo<WaitNode> Morphed TL_GUARDED_BY(WaitMu);
   };
 
   /// The guarded fast-path cores (tools/lint/fastpath_guard.py budgets
@@ -159,7 +159,12 @@ private:
   /// word, and wakes the lot.  Caller must own the cell at depth 0.
   void releaseCell(FissileCell &Cell);
 
-  void morphOneLocked(FissileCell &Cell) TL_REQUIRES(Cell.WaitMu);
+  /// Moves the longest waiter, if any, from the wait set to Morphed.
+  /// \returns false when the wait set is empty.
+  bool morphOneLocked(FissileCell &Cell) TL_REQUIRES(Cell.WaitMu);
+  /// \returns \p Obj's cell if \p Thread owns it, else null; an
+  /// unattached context (index 0) owns nothing, even a free cell.
+  FissileCell *ownedCell(const Object *Obj, const ThreadContext &Thread) const;
 
   ObjectTable<FissileCell> Cells;
   StatsCounter FastAcquires;

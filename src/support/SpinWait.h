@@ -19,9 +19,11 @@
 ///            which to run watchdog checks (see ThinLockImpl's deadlock
 ///            detection).
 ///
-/// The rung boundaries and park interval are configurable via SpinPolicy;
-/// the defaults preserve the pause/yield behaviour the benchmarks were
-/// tuned on and add parking only after ~a dozen failed rounds.
+/// Every contention path (ThinLockImpl's contended acquire and tryLock's
+/// fat-Retired retry, FissileLock's queue head and tryLockFor) climbs
+/// this one ladder; its rungs are the constants below, which preserve the
+/// pause/yield behaviour the benchmarks were tuned on and add parking
+/// only after ~a dozen failed rounds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,38 +53,26 @@ inline void cpuRelax() {
 #endif
 }
 
-/// Tunable rung boundaries for the SpinWait escalation ladder.
-struct SpinPolicy {
-  /// Number of doubling rounds of pure pause-spinning before every
-  /// further round also yields the processor.
-  unsigned YieldThresholdRound = 4;
-  /// Rounds before every further round also parks (sleeps).  Must be
-  /// >= YieldThresholdRound.
-  unsigned ParkThresholdRound = 12;
-  /// Cap on the per-round pause count (truncation of the exponential).
-  unsigned MaxPausesPerRound = 64;
-  /// First park interval; doubles per parking round up to MaxParkNanos.
-  uint64_t MinParkNanos = 50 * 1000;        // 50us
-  uint64_t MaxParkNanos = 2 * 1000 * 1000;  // 2ms
-};
-
-/// The one default ladder every thin-lock contention path escalates on
-/// (lockSlow, tryLock's fat-Retired retry, tryLockFor).  Tuning the
-/// ladder means editing this policy, not hunting per-call-site copies.
-inline constexpr SpinPolicy DefaultSpinPolicy{};
-
 /// Truncated exponential backoff with yield and park escalation.  Call
-/// spinOnce() each time the guarded condition is observed false.
+/// nextRound() each time the guarded condition is observed false.
 class SpinWait {
-  SpinPolicy Policy;
   unsigned Round = 0;
   uint64_t Spins = 0;
   uint64_t Yields = 0;
   uint64_t Parks = 0;
 
 public:
-  SpinWait() = default;
-  explicit SpinWait(const SpinPolicy &Policy) : Policy(Policy) {}
+  /// Number of doubling rounds of pure pause-spinning before every
+  /// further round also yields the processor.
+  static constexpr unsigned YieldThresholdRound = 4;
+  /// Rounds before every further round also parks (sleeps).
+  static constexpr unsigned ParkThresholdRound = 12;
+  static_assert(ParkThresholdRound >= YieldThresholdRound);
+  /// Cap on the per-round pause count (truncation of the exponential).
+  static constexpr unsigned MaxPausesPerRound = 64;
+  /// First park interval; doubles per parking round up to MaxParkNanos.
+  static constexpr uint64_t MinParkNanos = 50 * 1000;       // 50us
+  static constexpr uint64_t MaxParkNanos = 2 * 1000 * 1000; // 2ms
 
   /// Runs the pause/yield portion of one backoff round and advances the
   /// ladder.  \returns 0 while on the pause/yield rungs, or the length
@@ -99,23 +89,22 @@ public:
       ++Yields;
     }
     unsigned Pauses = 1u << (Round < 6 ? Round : 6);
-    if (Pauses > Policy.MaxPausesPerRound)
-      Pauses = Policy.MaxPausesPerRound;
+    if (Pauses > MaxPausesPerRound)
+      Pauses = MaxPausesPerRound;
     for (unsigned I = 0; I < Pauses; ++I)
       cpuRelax();
     Spins += Pauses;
     uint64_t ParkNanos = 0;
-    if (Round >= Policy.ParkThresholdRound) {
-      ParkNanos = Policy.MinParkNanos;
-      unsigned Doublings = Round - Policy.ParkThresholdRound;
+    if (Round >= ParkThresholdRound) {
+      ParkNanos = MinParkNanos;
+      unsigned Doublings = Round - ParkThresholdRound;
       // Saturate instead of shifting past 63 bits.
-      for (unsigned I = 0; I < Doublings && ParkNanos < Policy.MaxParkNanos;
-           ++I)
+      for (unsigned I = 0; I < Doublings && ParkNanos < MaxParkNanos; ++I)
         ParkNanos *= 2;
-      if (ParkNanos > Policy.MaxParkNanos)
-        ParkNanos = Policy.MaxParkNanos;
+      if (ParkNanos > MaxParkNanos)
+        ParkNanos = MaxParkNanos;
       ++Parks;
-    } else if (Round >= Policy.YieldThresholdRound) {
+    } else if (Round >= YieldThresholdRound) {
       std::this_thread::yield();
       ++Yields;
     }
@@ -123,18 +112,9 @@ public:
     return ParkNanos;
   }
 
-  /// Performs one backoff step, sleeping out the park rung in place.
-  void spinOnce() {
-    if (uint64_t ParkNanos = nextRound())
-      std::this_thread::sleep_for(std::chrono::nanoseconds(ParkNanos));
-  }
-
-  /// Resets the policy after a successful acquisition.
-  void reset() { Round = 0; }
-
   /// \returns true once the ladder has escalated to its park rung — the
   /// natural cadence for callers to run deadlock / watchdog checks.
-  bool isParking() const { return Round > Policy.ParkThresholdRound; }
+  bool isParking() const { return Round > ParkThresholdRound; }
 
   /// \returns the total pause iterations executed (for tests/stats).
   uint64_t totalSpins() const { return Spins; }

@@ -153,9 +153,8 @@ TEST(MonitorTableExhaustion, AllocateReturnsZeroWhenFull) {
   EXPECT_EQ(Table.liveMonitorCount(), 7u);
 
   EXPECT_EQ(Table.emergencyIndex(), 8u);
-  ASSERT_NE(Table.emergencyMonitor(), nullptr);
-  EXPECT_TRUE(Table.emergencyMonitor()->isPinned());
-  EXPECT_EQ(Table.get(Table.emergencyIndex()), Table.emergencyMonitor());
+  EXPECT_NE(Table.get(Table.emergencyIndex()), nullptr);
+  EXPECT_FALSE(Table.mayRetire(lockword::makeFat(Table.emergencyIndex(), 0)));
 }
 
 TEST_F(SmallTableTest, ExhaustionDegradesToSharedEmergencyMonitor) {
@@ -477,18 +476,15 @@ TEST_F(ExhaustionTest, TryLockForConfirmsTwoThreadCycleThroughInflatedMonitors) 
 TEST(DeadlockWatchdogDeathTest, BlockedLockAbortsWithCycleReport) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The default policy: a confirmed cycle in plain lock() is fatal and
-  // the report names the cycle.  Aggressive spin tuning makes the
-  // watchdog fire within milliseconds instead of seconds.
+  // the report names the cycle.  A short park period makes the watchdog
+  // fire within milliseconds instead of seconds: eight parks of the
+  // default ladder sleep about 7 ms.
   EXPECT_DEATH(
       ([] {
         Heap TheHeap;
         ThreadRegistry Registry;
         MonitorTable Monitors;
         ContentionOptions Options;
-        Options.Spin.YieldThresholdRound = 0;
-        Options.Spin.ParkThresholdRound = 0;
-        Options.Spin.MinParkNanos = 1'000;
-        Options.Spin.MaxParkNanos = 100'000;
         Options.WatchdogParkPeriod = 8;
         Options.AbortOnDeadlock = true;
         ThinLockManager Locks{Monitors, nullptr, DeflationPolicy::Never,

@@ -275,9 +275,9 @@ TEST_F(FailPointLockTest, SpinWaitPreemptInjectsDelayedYields) {
     GTEST_SKIP() << "requires -DTHINLOCKS_FAILPOINTS=ON";
   fp::arm(fp::Id::SpinWaitPreempt, fp::Mode::Times, 3);
 
-  SpinWait Spinner{SpinPolicy()};
+  SpinWait Spinner;
   for (int I = 0; I < 8; ++I)
-    Spinner.spinOnce();
+    Spinner.nextRound();
   EXPECT_EQ(fp::hitCount(fp::Id::SpinWaitPreempt), 3u);
   // Each injected preemption is accounted as a yield.
   EXPECT_GE(Spinner.totalYields(), 3u);

@@ -22,6 +22,14 @@ protected:
 
   void SetUp() override { Main = Registry.attach("main"); }
   void TearDown() override { Registry.detach(Main); }
+
+  /// Notifies as \p Thread, which must own Lock; \returns how many
+  /// waiters moved to the entry queue.
+  uint32_t morph(const ThreadContext &Thread, bool All) {
+    uint32_t Morphed = 0;
+    EXPECT_EQ(Lock.notify(Thread, All, &Morphed), NotifyStatus::Ok);
+    return Morphed;
+  }
 };
 
 } // namespace
@@ -100,8 +108,6 @@ TEST_F(FatLockTest, MutualExclusionUnderContention) {
   for (auto &W : Workers)
     W.join();
   EXPECT_EQ(Shared, static_cast<uint64_t>(NumThreads) * PerThread);
-  FatLockStats Stats = Lock.stats();
-  EXPECT_EQ(Stats.Acquisitions, static_cast<uint64_t>(NumThreads) * PerThread);
 }
 
 TEST_F(FatLockTest, EntryIsFifo) {
@@ -154,8 +160,7 @@ TEST_F(FatLockTest, WaitReleasesAllHoldsAndRestoresThem) {
     Lock.lock(Attachment.context());
     EXPECT_EQ(Lock.holdCount(), 3u);
     WaiterReady.store(true);
-    FatLock::WaitResult Result = Lock.wait(Attachment.context());
-    EXPECT_EQ(Result, FatLock::WaitResult::Notified);
+    EXPECT_EQ(Lock.wait(Attachment.context()), WaitStatus::Notified);
     // All three holds restored after reacquisition.
     EXPECT_EQ(Lock.holdCount(), 3u);
     EXPECT_TRUE(Lock.heldBy(Attachment.context()));
@@ -170,7 +175,7 @@ TEST_F(FatLockTest, WaitReleasesAllHoldsAndRestoresThem) {
   // While the waiter sleeps, the monitor must be free to acquire.
   Lock.lock(Main);
   SawUnowned.store(true);
-  EXPECT_TRUE(Lock.notify(Main));
+  EXPECT_EQ(morph(Main, /*All=*/false), 1u);
   Lock.unlock(Main);
 
   Waiter.join();
@@ -180,15 +185,14 @@ TEST_F(FatLockTest, WaitReleasesAllHoldsAndRestoresThem) {
 TEST_F(FatLockTest, TimedWaitTimesOut) {
   Lock.lock(Main);
   auto Start = std::chrono::steady_clock::now();
-  FatLock::WaitResult Result =
-      Lock.wait(Main, /*TimeoutNanos=*/20'000'000); // 20ms
+  WaitStatus Result = Lock.wait(Main, /*TimeoutNanos=*/20'000'000); // 20ms
   auto Elapsed = std::chrono::steady_clock::now() - Start;
-  EXPECT_EQ(Result, FatLock::WaitResult::TimedOut);
+  EXPECT_EQ(Result, WaitStatus::TimedOut);
   EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(Elapsed)
                 .count(),
             15);
   EXPECT_TRUE(Lock.heldBy(Main)); // Reacquired after timeout.
-  EXPECT_EQ(Lock.stats().Timeouts, 1u);
+  EXPECT_EQ(Lock.waitSetSize(), 0u);
   Lock.unlock(Main);
 }
 
@@ -206,8 +210,7 @@ TEST_F(FatLockTest, ExpiredWaitStillHandsMonitorToQueuedEntrant) {
   });
   while (Lock.entryQueueLength() == 0)
     std::this_thread::yield();
-  EXPECT_EQ(Lock.wait(Main, /*TimeoutNanos=*/0),
-            FatLock::WaitResult::TimedOut);
+  EXPECT_EQ(Lock.wait(Main, /*TimeoutNanos=*/0), WaitStatus::TimedOut);
   EXPECT_TRUE(EntrantAcquired.load()); // FIFO: the entrant went first.
   EXPECT_TRUE(Lock.heldBy(Main));
   Lock.unlock(Main);
@@ -216,9 +219,55 @@ TEST_F(FatLockTest, ExpiredWaitStillHandsMonitorToQueuedEntrant) {
 
 TEST_F(FatLockTest, NotifyWithoutWaitersReturnsFalse) {
   Lock.lock(Main);
-  EXPECT_FALSE(Lock.notify(Main));
-  EXPECT_EQ(Lock.notifyAll(Main), 0u);
+  EXPECT_EQ(morph(Main, /*All=*/false), 0u);
+  EXPECT_EQ(morph(Main, /*All=*/true), 0u);
   Lock.unlock(Main);
+}
+
+TEST_F(FatLockTest, WaitAndNotifyByNonOwnerReturnNotOwnerAndChangeNothing) {
+  // A waiter in the wait set, Main the owner, an entrant queued behind.
+  std::thread Waiter([&] {
+    ScopedThreadAttachment Attachment(Registry, "waiter");
+    Lock.lock(Attachment.context());
+    EXPECT_EQ(Lock.wait(Attachment.context()), WaitStatus::Notified);
+    Lock.unlock(Attachment.context());
+  });
+  while (Lock.waitSetSize() == 0)
+    std::this_thread::yield();
+  Lock.lock(Main);
+  std::thread Entrant([&] {
+    ScopedThreadAttachment Attachment(Registry, "entrant");
+    Lock.lock(Attachment.context());
+    Lock.unlock(Attachment.context());
+  });
+  while (Lock.entryQueueLength() == 0)
+    std::this_thread::yield();
+
+  auto ExpectUnchanged = [&] {
+    EXPECT_EQ(Lock.ownerIndex(), Main.index());
+    EXPECT_EQ(Lock.holdCount(), 1u);
+    EXPECT_EQ(Lock.waitSetSize(), 1u);
+    EXPECT_EQ(Lock.entryQueueLength(), 1u);
+  };
+  ScopedThreadAttachment Other(Registry, "other");
+  // An unattached context (index 0) is a non-owner too.
+  for (const ThreadContext &NonOwner : {Other.context(), ThreadContext()}) {
+    EXPECT_EQ(Lock.wait(NonOwner, /*TimeoutNanos=*/0), WaitStatus::NotOwner);
+    EXPECT_EQ(Lock.wait(NonOwner), WaitStatus::NotOwner);
+    ExpectUnchanged();
+    uint32_t Morphed = 7;
+    EXPECT_EQ(Lock.notify(NonOwner, /*All=*/false, &Morphed),
+              NotifyStatus::NotOwner);
+    EXPECT_EQ(Lock.notify(NonOwner, /*All=*/true, &Morphed),
+              NotifyStatus::NotOwner);
+    EXPECT_EQ(Morphed, 7u);
+    ExpectUnchanged();
+  }
+
+  EXPECT_EQ(morph(Main, /*All=*/true), 1u);
+  Lock.unlock(Main);
+  Waiter.join();
+  Entrant.join();
 }
 
 TEST_F(FatLockTest, NotifyWakesExactlyOneInFifoOrder) {
@@ -248,7 +297,7 @@ TEST_F(FatLockTest, NotifyWakesExactlyOneInFifoOrder) {
 
   for (int T = 0; T < NumWaiters; ++T) {
     Lock.lock(Main);
-    EXPECT_TRUE(Lock.notify(Main));
+    EXPECT_EQ(morph(Main, /*All=*/false), 1u);
     Lock.unlock(Main);
     // Wait for the woken thread to finish before the next notify.
     while (true) {
@@ -273,8 +322,7 @@ TEST_F(FatLockTest, NotifyAllWakesEveryWaiter) {
     Waiters.emplace_back([&] {
       ScopedThreadAttachment Attachment(Registry);
       Lock.lock(Attachment.context());
-      FatLock::WaitResult Result = Lock.wait(Attachment.context());
-      EXPECT_EQ(Result, FatLock::WaitResult::Notified);
+      EXPECT_EQ(Lock.wait(Attachment.context()), WaitStatus::Notified);
       Woken.fetch_add(1);
       Lock.unlock(Attachment.context());
     });
@@ -282,7 +330,7 @@ TEST_F(FatLockTest, NotifyAllWakesEveryWaiter) {
   while (Lock.waitSetSize() != NumWaiters)
     std::this_thread::yield();
   Lock.lock(Main);
-  EXPECT_EQ(Lock.notifyAll(Main), static_cast<uint32_t>(NumWaiters));
+  EXPECT_EQ(morph(Main, /*All=*/true), static_cast<uint32_t>(NumWaiters));
   Lock.unlock(Main);
   for (auto &W : Waiters)
     W.join();
@@ -299,20 +347,25 @@ TEST_F(FatLockTest, LockWithCountTransfersNesting) {
   EXPECT_FALSE(Lock.heldBy(Main));
 }
 
-TEST_F(FatLockTest, StatsCountContention) {
+TEST_F(FatLockTest, ContendedEntrantQueuesThenTakesTheHandoff) {
   Lock.lock(Main);
-  std::thread Other([this] {
+  std::atomic<uint16_t> Acquired{0};
+  std::thread Other([&] {
     ScopedThreadAttachment Attachment(Registry);
     Lock.lock(Attachment.context());
+    Acquired.store(Lock.ownerIndex());
     Lock.unlock(Attachment.context());
   });
   while (Lock.entryQueueLength() == 0)
     std::this_thread::yield();
+  EXPECT_EQ(Lock.entryQueueLength(), 1u);
+  EXPECT_EQ(Lock.ownerIndex(), Main.index());
   Lock.unlock(Main);
   Other.join();
-  FatLockStats Stats = Lock.stats();
-  EXPECT_EQ(Stats.Acquisitions, 2u);
-  EXPECT_EQ(Stats.ContendedAcquisitions, 1u);
+  EXPECT_NE(Acquired.load(), 0);
+  EXPECT_NE(Acquired.load(), Main.index());
+  EXPECT_EQ(Lock.entryQueueLength(), 0u);
+  EXPECT_EQ(Lock.ownerIndex(), 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -369,7 +422,6 @@ TEST_F(FatLockTest, LockIfLiveForNonPositiveTimeoutMakesOneAttempt) {
     EXPECT_EQ(Lock.entryQueueLength(), 0u);
   }
   Other.release();
-  EXPECT_EQ(Lock.stats().Timeouts, 2u);
   EXPECT_FALSE(Lock.heldBy(Main));
 }
 
@@ -386,9 +438,6 @@ TEST_F(FatLockTest, LockIfLiveForGivesUpAtItsDeadlineAndDequeues) {
   // Nothing was stranded: the next entrant finds the monitor free.
   EXPECT_EQ(Lock.lock(Main, 0), FatLock::TimedResult::Acquired);
   Lock.unlock(Main);
-  FatLockStats Stats = Lock.stats();
-  EXPECT_EQ(Stats.Timeouts, 1u);
-  EXPECT_EQ(Stats.Acquisitions, 2u); // The holder's and the one attempt.
 }
 
 TEST_F(FatLockTest, LockIfLiveForAcquiresOnHandoffBeforeItsDeadline) {
@@ -404,9 +453,6 @@ TEST_F(FatLockTest, LockIfLiveForAcquiresOnHandoffBeforeItsDeadline) {
   EXPECT_TRUE(Lock.heldBy(Main));
   EXPECT_EQ(Lock.holdCount(), 1u);
   Lock.unlock(Main);
-  FatLockStats Stats = Lock.stats();
-  EXPECT_EQ(Stats.ContendedAcquisitions, 1u);
-  EXPECT_EQ(Stats.Timeouts, 0u);
 }
 
 TEST_F(FatLockTest, ReleaseRetiresOnlyTheLastHoldOfAQuiescentMonitor) {
@@ -431,18 +477,6 @@ TEST_F(FatLockTest, ReleaseRetiresOnlyTheLastHoldOfAQuiescentMonitor) {
   EXPECT_FALSE(Lock.retireIfQuiescent());
 }
 
-TEST_F(FatLockTest, PinnedMonitorIsNeverRetired) {
-  Lock.pin();
-  EXPECT_TRUE(Lock.isPinned());
-  Lock.lock(Main);
-  EXPECT_EQ(Lock.unlock(Main, /*MayRetire=*/true),
-            FatLock::ReleaseResult::Released);
-  EXPECT_FALSE(Lock.retireIfQuiescent());
-  EXPECT_FALSE(Lock.isRetired());
-  EXPECT_EQ(Lock.lock(Main, 0), FatLock::TimedResult::Acquired);
-  Lock.unlock(Main);
-}
-
 TEST_F(FatLockTest, RetireIfQuiescentRefusesOwnersAndWaiters) {
   Lock.lock(Main);
   EXPECT_FALSE(Lock.retireIfQuiescent()); // Owned.
@@ -454,15 +488,14 @@ TEST_F(FatLockTest, RetireIfQuiescentRefusesOwnersAndWaiters) {
   std::thread Waiter([&] {
     ScopedThreadAttachment Attachment(Registry, "waiter");
     Lock.lock(Attachment.context());
-    Notified.store(Lock.wait(Attachment.context()) ==
-                   FatLock::WaitResult::Notified);
+    Notified.store(Lock.wait(Attachment.context()) == WaitStatus::Notified);
     Lock.unlock(Attachment.context());
   });
   while (Lock.waitSetSize() == 0)
     std::this_thread::yield();
   EXPECT_FALSE(Lock.retireIfQuiescent());
   Lock.lock(Main);
-  EXPECT_TRUE(Lock.notify(Main));
+  EXPECT_EQ(morph(Main, /*All=*/false), 1u);
   Lock.unlock(Main);
   Waiter.join();
   EXPECT_TRUE(Notified.load());
@@ -499,14 +532,12 @@ TEST_F(FatLockTest, LockMergingCountCreditsOrMergesHolds) {
   for (int I = 0; I < 3; ++I)
     Lock.unlock(Main);
   EXPECT_FALSE(Lock.heldBy(Main));
-  EXPECT_EQ(Lock.stats().ContendedAcquisitions, 1u);
 }
 
 TEST_F(FatLockTest, RetiredMonitorAnswersRetiredToEveryFormOfLock) {
   Lock.lock(Main);
   ASSERT_EQ(Lock.unlock(Main, /*MayRetire=*/true),
             FatLock::ReleaseResult::RetiredNow);
-  uint64_t AcquisitionsBefore = Lock.stats().Acquisitions;
   EXPECT_EQ(Lock.lock(Main), FatLock::TimedResult::Retired);
   EXPECT_EQ(Lock.lock(Main, /*TimeoutNanos=*/1'000'000),
             FatLock::TimedResult::Retired);
@@ -514,10 +545,9 @@ TEST_F(FatLockTest, RetiredMonitorAnswersRetiredToEveryFormOfLock) {
             FatLock::TimedResult::Retired);
   EXPECT_EQ(Lock.lock(Main, std::nullopt, /*Holds=*/3),
             FatLock::TimedResult::Retired);
-  // None of them took the monitor or counted an acquisition.
+  // None of them took the monitor.
   EXPECT_EQ(Lock.ownerIndex(), 0);
   EXPECT_EQ(Lock.holdCount(), 0u);
-  EXPECT_EQ(Lock.stats().Acquisitions, AcquisitionsBefore);
   EXPECT_EQ(Lock.unlock(Main), FatLock::ReleaseResult::NotOwner);
 }
 
@@ -536,10 +566,7 @@ TEST_F(FatLockTest, ZeroTimeoutBehindAQueueIsRefusedWithoutQueueing) {
 
     EXPECT_EQ(Lock.lock(Main, /*TimeoutNanos=*/0),
               FatLock::TimedResult::TimedOut);
-    EXPECT_EQ(Lock.entryQueueLength(), 1u);
-    FatLockStats Stats = Lock.stats();
-    EXPECT_EQ(Stats.ContendedAcquisitions, 1u); // The waiter's only.
-    EXPECT_EQ(Stats.Timeouts, 1u);
+    EXPECT_EQ(Lock.entryQueueLength(), 1u); // The waiter's only.
 
     // The holder's release grants the queued waiter, not the refused
     // caller.
@@ -551,5 +578,4 @@ TEST_F(FatLockTest, ZeroTimeoutBehindAQueueIsRefusedWithoutQueueing) {
   EXPECT_EQ(Lock.lock(Main, /*TimeoutNanos=*/0),
             FatLock::TimedResult::Acquired);
   Lock.unlock(Main);
-  EXPECT_EQ(Lock.stats().Acquisitions, 3u);
 }

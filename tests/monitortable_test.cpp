@@ -2,6 +2,7 @@
 
 #include "fatlock/MonitorTable.h"
 #include "core/LockWord.h"
+#include "core/ThinLock.h"
 #include "heap/Heap.h"
 #include "park/ParkingLot.h"
 #include "threads/ThreadRegistry.h"
@@ -165,7 +166,7 @@ TEST(MonitorTable, ConcurrentExhaustionIsExactWithPartialBlocks) {
   EXPECT_EQ(Failures.load(),
             static_cast<uint64_t>(NumThreads) * PerThread - (Capacity - 1));
   // The emergency monitor is untouched by exhaustion accounting.
-  EXPECT_NE(Table.emergencyMonitor(), nullptr);
+  EXPECT_NE(Table.get(Table.emergencyIndex()), nullptr);
   EXPECT_EQ(Table.emergencyIndex(), Capacity);
 }
 
@@ -238,11 +239,12 @@ TEST_F(MonitorTableDeflationTest, DeflateIfQuiescentRefusesThinPinnedOwned) {
   EXPECT_FALSE(Table.deflateIfQuiescent(Obj));
   EXPECT_EQ(Obj->lockWord().load(), Header);
 
-  // The emergency monitor is pinned: many words may name it.
+  // The emergency monitor never retires: many words may name it.
   uint32_t Shared = publishFat(Table.emergencyIndex());
+  EXPECT_FALSE(Table.mayRetire(Shared));
   EXPECT_FALSE(Table.deflateIfQuiescent(Obj));
   EXPECT_EQ(Obj->lockWord().load(), Shared);
-  EXPECT_FALSE(Table.emergencyMonitor()->isRetired());
+  EXPECT_FALSE(Table.get(Table.emergencyIndex())->isRetired());
 
   // An owned monitor is in use.
   uint32_t Index = Table.allocate();
@@ -259,4 +261,34 @@ TEST_F(MonitorTableDeflationTest, DeflateIfQuiescentRefusesThinPinnedOwned) {
   EXPECT_TRUE(Table.get(Index)->isRetired());
   EXPECT_EQ(Obj->lockWord().load(), Header);
   EXPECT_EQ(Table.retirementEvents(), 1u);
+}
+
+TEST_F(MonitorTableDeflationTest, EmergencyMonitorOutlivesItsLastHold) {
+  // One allocatable index, already taken: the next inflation lands on
+  // the shared emergency monitor.
+  MonitorTable Small(/*Capacity=*/2);
+  ASSERT_NE(Small.allocate(), 0u);
+  ThinLockManager Locks(Small, nullptr, DeflationPolicy::WhenQuiescent);
+  Locks.lock(Obj, Main);
+  FatLock *Fat = Locks.inflate(Obj, Main);
+  uint32_t Word = Obj->lockWord().load();
+  ASSERT_TRUE(lockword::isFat(Word));
+  ASSERT_EQ(lockword::monitorIndexOf(Word), Small.emergencyIndex());
+  ASSERT_EQ(Fat, Small.get(Small.emergencyIndex()));
+
+  // Releasing the last hold under WhenQuiescent keeps the word fat and
+  // the monitor live...
+  Locks.unlock(Obj, Main);
+  EXPECT_EQ(Obj->lockWord().load(), Word);
+  EXPECT_FALSE(Fat->isRetired());
+  EXPECT_EQ(Fat->ownerIndex(), 0);
+  // ...and the third-party scan leaves it too.
+  EXPECT_FALSE(Small.deflateIfQuiescent(Obj));
+  EXPECT_EQ(Obj->lockWord().load(), Word);
+  EXPECT_FALSE(Fat->isRetired());
+  EXPECT_EQ(Small.retirementEvents(), 0u);
+
+  Locks.lock(Obj, Main);
+  EXPECT_EQ(Locks.lockDepth(Obj, Main), 1u);
+  Locks.unlock(Obj, Main);
 }

@@ -1,15 +1,16 @@
 //===- tests/park_test.cpp - Waiting-substrate tests ----------------------===//
 //
-// Covers the two halves of the waiting substrate: Parker token semantics
-// (sticky unpark, timed park, spurious-wake tolerance, wake-latency
-// stamps) and ParkingLot queueing (bucket hashing and deliberate
-// collisions, FIFO wake order, self-removal on timeout, concurrent
-// park/unpark stress — the suite the tsan preset is pointed at), plus
-// the `park.spurious` failpoint and FIFO fairness of the Parker-based
-// FatLock wait set and entry queue.
+// Covers the waiting substrate: the IntrusiveFifo every queue of blocked
+// threads is built on, Parker token semantics (sticky unpark, timed
+// park, spurious-wake tolerance, wake-latency stamps) and ParkingLot
+// queueing (bucket hashing and deliberate collisions, FIFO wake order,
+// self-removal on timeout, concurrent park/unpark stress — the suite the
+// tsan preset is pointed at), plus the `park.spurious` failpoint and
+// FIFO fairness of the Parker-based FatLock wait set and entry queue.
 //
 //===----------------------------------------------------------------------===//
 
+#include "park/IntrusiveFifo.h"
 #include "park/Parker.h"
 #include "park/ParkingLot.h"
 
@@ -54,6 +55,128 @@ std::vector<const void *> collidingKeys(size_t N) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// IntrusiveFifo
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct FifoNode {
+  int Id = 0;
+  FifoNode *Next = nullptr;
+};
+
+/// Pops \p Fifo empty and \returns the ids, front to back.
+std::vector<int> drain(IntrusiveFifo<FifoNode> &Fifo) {
+  std::vector<int> Ids;
+  while (FifoNode *N = Fifo.popFront())
+    Ids.push_back(N->Id);
+  return Ids;
+}
+
+} // namespace
+
+TEST(IntrusiveFifoTest, PopsInPushOrder) {
+  FifoNode Nodes[4] = {{1}, {2}, {3}, {4}};
+  IntrusiveFifo<FifoNode> Fifo;
+  EXPECT_TRUE(Fifo.empty());
+  EXPECT_EQ(Fifo.popFront(), nullptr);
+  for (FifoNode &N : Nodes) {
+    Fifo.pushBack(&N);
+    EXPECT_EQ(Fifo.size(), static_cast<uint32_t>(N.Id));
+  }
+  EXPECT_EQ(Fifo.front(), &Nodes[0]);
+  EXPECT_EQ(Fifo.popFront(), &Nodes[0]);
+  EXPECT_EQ(Fifo.size(), 3u);
+  // A popped node pushed again goes to the tail.
+  Fifo.pushBack(&Nodes[0]);
+  EXPECT_EQ(Fifo.size(), 4u);
+  EXPECT_EQ(drain(Fifo), (std::vector<int>{2, 3, 4, 1}));
+  EXPECT_TRUE(Fifo.empty());
+  EXPECT_EQ(Fifo.size(), 0u);
+}
+
+TEST(IntrusiveFifoTest, RemovesHeadMiddleTailAndOnlyNode) {
+  FifoNode Nodes[5] = {{1}, {2}, {3}, {4}, {5}};
+  IntrusiveFifo<FifoNode> Fifo;
+  for (FifoNode &N : Nodes)
+    Fifo.pushBack(&N);
+  EXPECT_TRUE(Fifo.remove(&Nodes[0])); // Head.
+  EXPECT_EQ(Fifo.size(), 4u);
+  EXPECT_EQ(Fifo.front(), &Nodes[1]);
+  EXPECT_TRUE(Fifo.remove(&Nodes[2])); // Middle.
+  EXPECT_EQ(Fifo.size(), 3u);
+  EXPECT_TRUE(Fifo.remove(&Nodes[4])); // Tail.
+  EXPECT_EQ(Fifo.size(), 2u);
+  // A node that is not queued changes nothing.
+  EXPECT_FALSE(Fifo.remove(&Nodes[4]));
+  EXPECT_EQ(Fifo.size(), 2u);
+  // The tail moved back to node 4: a push lands behind it.
+  Fifo.pushBack(&Nodes[0]);
+  EXPECT_EQ(Fifo.size(), 3u);
+  EXPECT_EQ(drain(Fifo), (std::vector<int>{2, 4, 1}));
+
+  Fifo.pushBack(&Nodes[2]);
+  EXPECT_TRUE(Fifo.remove(&Nodes[2])); // The only node.
+  EXPECT_TRUE(Fifo.empty());
+  EXPECT_EQ(Fifo.size(), 0u);
+  EXPECT_EQ(Fifo.front(), nullptr);
+  Fifo.pushBack(&Nodes[3]);
+  EXPECT_EQ(Fifo.size(), 1u);
+  EXPECT_EQ(drain(Fifo), (std::vector<int>{4}));
+}
+
+TEST(IntrusiveFifoTest, RemoveAllUnlinksEveryMatchInOneWalk) {
+  // The ParkingLot::unparkAll pattern: a bucket holds several keys, and
+  // waking one key takes all of its waiters in FIFO order.  Here the
+  // matches include the head, adjacent runs and the tail.
+  FifoNode Nodes[7] = {{1}, {2}, {3}, {4}, {5}, {6}, {7}};
+  IntrusiveFifo<FifoNode> Fifo;
+  for (FifoNode &N : Nodes)
+    Fifo.pushBack(&N);
+  std::vector<int> Taken;
+  EXPECT_EQ(Fifo.removeAll([&](const FifoNode &N) {
+              if (N.Id % 3 == 0)
+                return false;
+              Taken.push_back(N.Id);
+              return true;
+            }),
+            5u);
+  EXPECT_EQ(Taken, (std::vector<int>{1, 2, 4, 5, 7}));
+  EXPECT_EQ(Fifo.size(), 2u);
+  // The survivors keep their order, and the last one is the tail.
+  Fifo.pushBack(&Nodes[0]);
+  EXPECT_EQ(Fifo.size(), 3u);
+  EXPECT_EQ(drain(Fifo), (std::vector<int>{3, 6, 1}));
+
+  for (FifoNode &N : Nodes)
+    Fifo.pushBack(&N);
+  EXPECT_EQ(Fifo.removeAll([](const FifoNode &) { return true; }), 7u);
+  EXPECT_TRUE(Fifo.empty());
+  EXPECT_EQ(Fifo.size(), 0u);
+  EXPECT_EQ(Fifo.removeAll([](const FifoNode &) { return true; }), 0u);
+  Fifo.pushBack(&Nodes[1]);
+  EXPECT_EQ(drain(Fifo), (std::vector<int>{2}));
+}
+
+TEST(IntrusiveFifoTest, RemoveFirstTakesOnlyTheEarliestMatch) {
+  FifoNode Nodes[4] = {{1}, {2}, {3}, {4}};
+  IntrusiveFifo<FifoNode> Fifo;
+  for (FifoNode &N : Nodes)
+    Fifo.pushBack(&N);
+  auto Even = [](const FifoNode &N) { return N.Id % 2 == 0; };
+  EXPECT_EQ(Fifo.countIf(Even), 2u);
+  EXPECT_EQ(Fifo.removeFirst(Even), &Nodes[1]);
+  EXPECT_EQ(Fifo.size(), 3u);
+  EXPECT_EQ(Fifo.countIf(Even), 1u);
+  EXPECT_EQ(Fifo.removeFirst(Even), &Nodes[3]); // The tail.
+  EXPECT_EQ(Fifo.size(), 2u);
+  EXPECT_EQ(Fifo.removeFirst(Even), nullptr);
+  EXPECT_EQ(Fifo.size(), 2u);
+  Fifo.pushBack(&Nodes[1]);
+  EXPECT_EQ(drain(Fifo), (std::vector<int>{1, 3, 2}));
+}
 
 //===----------------------------------------------------------------------===//
 // Parker
@@ -335,7 +458,7 @@ TEST_F(SubstrateFatLockTest, WaitSetWakesInStrictFifoOrder) {
   }
   for (int I = 0; I < NumWaiters; ++I) {
     Lock.lock(Main);
-    EXPECT_TRUE(Lock.notify(Main));
+    EXPECT_EQ(Lock.notify(Main, /*All=*/false), NotifyStatus::Ok);
     Lock.unlock(Main);
     waitFor([&] { return WakeSeq[I].load() != 0; });
     EXPECT_EQ(WakeSeq[I].load(), I + 1) << "notify broke wait-set FIFO";
@@ -394,7 +517,7 @@ TEST_F(SubstrateFatLockTest, TimedEntrantTimeoutHandsWakeToNewHead) {
   Lock.unlock(Main);
   Second.join();
   EXPECT_TRUE(SecondAcquired.load());
-  EXPECT_EQ(Lock.stats().Timeouts, 1u);
+  EXPECT_EQ(Lock.entryQueueLength(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -448,8 +571,7 @@ TEST_F(ParkSpuriousTest, WaitNotifySurvivesSpuriousInjection) {
     ScopedThreadAttachment Attachment(Registry, "waiter");
     for (int R = 0; R < Rounds; ++R) {
       Lock.lock(Attachment.context());
-      EXPECT_EQ(Lock.wait(Attachment.context()),
-                FatLock::WaitResult::Notified);
+      EXPECT_EQ(Lock.wait(Attachment.context()), WaitStatus::Notified);
       Notified.fetch_add(1);
       Lock.unlock(Attachment.context());
     }
@@ -457,7 +579,7 @@ TEST_F(ParkSpuriousTest, WaitNotifySurvivesSpuriousInjection) {
   for (int R = 0; R < Rounds; ++R) {
     waitFor([&] { return Lock.waitSetSize() == 1; });
     Lock.lock(Main);
-    EXPECT_TRUE(Lock.notify(Main));
+    EXPECT_EQ(Lock.notify(Main, /*All=*/false), NotifyStatus::Ok);
     Lock.unlock(Main);
     waitFor([&] { return Notified.load() == R + 1; });
   }

@@ -28,7 +28,7 @@ Lock.cpp.o:
 0000000000000000 0000000000000019 T thinlocks::Lock::~Lock()
 0000000000000000 0000000000000019 T thinlocks::Lock::~Lock()
 0000000000000000 0000000000000040 T thinlocks::Lock::lock(thinlocks::Object*)
-0000000000000000 0000000000000020 T thinlocks::Lock::isPinned() const
+0000000000000000 0000000000000020 T thinlocks::Lock::isSealed() const
 0000000000000000 0000000000000010 t thinlocks::(anonymous namespace)::unused(int, int)
 0000000000000000 0000000000000030 W std::vector<thinlocks::Object*, std::allocator<thinlocks::Object*> >::size() const
 0000000000000000 0000000000000008 V DW.ref.__gxx_personality_v0
@@ -48,7 +48,7 @@ SHIPPED_BINARY = """
 """
 
 TEST_BINARY = """
-0000000000401000 0000000000000020 T thinlocks::Lock::isPinned() const
+0000000000401000 0000000000000020 T thinlocks::Lock::isSealed() const
 0000000000401020 0000000000000040 T thinlocks::Lock::lock(thinlocks::Object*)
 0000000000401070 0000000000000030 W std::vector<thinlocks::Object*, std::allocator<thinlocks::Object*> >::size() const
 0000000000402000 0000000000000050 T thinlocks::util::format(int)
@@ -91,7 +91,7 @@ class Classification(unittest.TestCase):
             "thinlocks::Lock::lock(thinlocks::Object*)",
             "thinlocks::Lock::~Lock()"])
         self.assertEqual(lock["tests"][2], [
-            "thinlocks::Lock::isPinned() const",
+            "thinlocks::Lock::isSealed() const",
             "std::vector<thinlocks::Object*, std::allocator<thinlocks::Object*>"
             " >::size() const"])
         self.assertEqual(lock["nothing"][2], [
@@ -133,7 +133,7 @@ class Report(unittest.TestCase):
             "  Lock.cpp",
             "    std::vector<thinlocks::Object*, std::allocator<"
             "thinlocks::Object*> >::size() const",
-            "    thinlocks::Lock::isPinned() const",
+            "    thinlocks::Lock::isSealed() const",
             "  Util.cpp",
             "    std::vector<thinlocks::Object*, std::allocator<"
             "thinlocks::Object*> >::size() const",

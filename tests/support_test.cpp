@@ -413,15 +413,15 @@ TEST(Timer, MedianElapsedRunsBodyExactly) {
 TEST(SpinWait, BackoffGrowsThenYields) {
   SpinWait Spinner;
   for (int I = 0; I < 10; ++I)
-    Spinner.spinOnce();
+    Spinner.nextRound();
   EXPECT_GT(Spinner.totalSpins(), 10u);
   EXPECT_GT(Spinner.totalYields(), 0u);
 }
 
 TEST(SpinWait, NoYieldInEarlyRounds) {
   SpinWait Spinner;
-  for (unsigned I = 0; I < DefaultSpinPolicy.YieldThresholdRound; ++I)
-    Spinner.spinOnce();
+  for (unsigned I = 0; I < SpinWait::YieldThresholdRound; ++I)
+    Spinner.nextRound();
   EXPECT_EQ(Spinner.totalYields(), 0u);
 }
 
@@ -434,7 +434,7 @@ namespace {
 /// spinner poised at its first park round.
 SpinWait spinnerAtParkRung() {
   SpinWait Spinner;
-  for (unsigned I = 0; I < DefaultSpinPolicy.ParkThresholdRound; ++I)
+  for (unsigned I = 0; I < SpinWait::ParkThresholdRound; ++I)
     EXPECT_EQ(Spinner.nextRound(), 0u) << "parked early at round " << I;
   return Spinner;
 }
@@ -443,14 +443,14 @@ SpinWait spinnerAtParkRung() {
 
 TEST(SpinWait, FirstParkLastsMinParkNanos) {
   SpinWait Spinner = spinnerAtParkRung();
-  EXPECT_EQ(Spinner.nextRound(), DefaultSpinPolicy.MinParkNanos);
+  EXPECT_EQ(Spinner.nextRound(), SpinWait::MinParkNanos);
 }
 
 TEST(SpinWait, ParkDoublesEachRound) {
   SpinWait Spinner = spinnerAtParkRung();
   unsigned Rounds = 0;
-  for (uint64_t Expected = DefaultSpinPolicy.MinParkNanos;
-       Expected < DefaultSpinPolicy.MaxParkNanos; Expected *= 2, ++Rounds)
+  for (uint64_t Expected = SpinWait::MinParkNanos;
+       Expected < SpinWait::MaxParkNanos; Expected *= 2, ++Rounds)
     EXPECT_EQ(Spinner.nextRound(), Expected) << "park round " << Rounds;
   // 50us doubles five times (to 1.6ms) before the next doubling passes
   // the 2ms cap.
@@ -462,37 +462,34 @@ TEST(SpinWait, ParkSaturatesAtMaxParkNanos) {
   uint64_t Park = 0;
   for (int I = 0; I < 6; ++I)
     Park = Spinner.nextRound();
-  EXPECT_LT(Park, DefaultSpinPolicy.MaxParkNanos);
+  EXPECT_LT(Park, SpinWait::MaxParkNanos);
   // Far past 64 doublings: still the cap, never a shifted-out zero.
   for (int I = 0; I < 100; ++I)
-    EXPECT_EQ(Spinner.nextRound(), DefaultSpinPolicy.MaxParkNanos)
+    EXPECT_EQ(Spinner.nextRound(), SpinWait::MaxParkNanos)
         << "park round " << 6 + I;
 }
 
 TEST(SpinWait, IsParkingTurnsTrueAfterFirstParkRound) {
   SpinWait Spinner;
-  for (unsigned I = 0; I < DefaultSpinPolicy.ParkThresholdRound; ++I) {
+  for (unsigned I = 0; I < SpinWait::ParkThresholdRound; ++I) {
     Spinner.nextRound();
     EXPECT_FALSE(Spinner.isParking()) << "after round " << I;
   }
   Spinner.nextRound();
   EXPECT_TRUE(Spinner.isParking());
-  Spinner.reset();
-  EXPECT_FALSE(Spinner.isParking());
-  EXPECT_EQ(Spinner.nextRound(), 0u);
 }
 
 TEST(SpinWait, TotalParksAndYieldsCountRounds) {
   SpinWait Spinner = spinnerAtParkRung();
   EXPECT_EQ(Spinner.totalParks(), 0u);
-  EXPECT_EQ(Spinner.totalYields(), DefaultSpinPolicy.ParkThresholdRound -
-                                       DefaultSpinPolicy.YieldThresholdRound);
+  EXPECT_EQ(Spinner.totalYields(), SpinWait::ParkThresholdRound -
+                                       SpinWait::YieldThresholdRound);
   for (int I = 0; I < 5; ++I)
     Spinner.nextRound();
   EXPECT_EQ(Spinner.totalParks(), 5u);
   // A park round does not also yield.
-  EXPECT_EQ(Spinner.totalYields(), DefaultSpinPolicy.ParkThresholdRound -
-                                       DefaultSpinPolicy.YieldThresholdRound);
+  EXPECT_EQ(Spinner.totalYields(), SpinWait::ParkThresholdRound -
+                                       SpinWait::YieldThresholdRound);
 }
 
 //===----------------------------------------------------------------------===//
