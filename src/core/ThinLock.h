@@ -548,8 +548,9 @@ private:
     }
   }
 
-  /// Fat-lock contention in lock(): the bounded wait slice after which
-  /// the watchdog walks the owner graph and the thread re-queues.
+  /// Fat-lock contention in lock(): the wait slice after which the
+  /// watchdog walks the owner graph, the waiter keeping its place in the
+  /// monitor's entry queue.
   static constexpr int64_t WatchdogSliceNanos = 1'000'000'000;
 
   /// The cycle check of a blocked acquire: walks the owner graph from
@@ -587,8 +588,8 @@ private:
 
   /// The contended-acquire loop (§2.3.4: spin until the owner lets go,
   /// take the word, inflate), shared by lock() and tryLockFor().
-  ///  - Without \p Deadline (lock()): fat waits run in WatchdogSliceNanos
-  ///    slices with a watchdog tick after each, thin waits tick every
+  ///  - Without \p Deadline (lock()): fat waits tick the watchdog every
+  ///    WatchdogSliceNanos while queued, thin waits tick every
   ///    WatchdogParkPeriod parks, and winning the word always inflates —
   ///    we only got here because another thread held it.
   ///  - With \p Deadline (tryLockFor()): every wait is bounded by the time
@@ -619,15 +620,20 @@ private:
 
       if (lockword::isFat(Value)) {
         FatLock *Fat = Monitors.resolve(Value);
-        int64_t Slice = WatchdogSliceNanos;
+        FatLock::TimedResult Result;
         if (Deadline) {
-          Slice = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      *Deadline - std::chrono::steady_clock::now())
-                      .count();
-          if (Slice <= 0)
+          int64_t Left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             *Deadline - std::chrono::steady_clock::now())
+                             .count();
+          if (Left <= 0)
             return checkDeadlock(Obj, Thread, /*Watchdog=*/false, Report);
+          Result = Fat->lock(Thread, Left);
+        } else {
+          Result = Fat->lockTicking(Thread, WatchdogSliceNanos, [&] {
+            checkDeadlock(Obj, Thread, /*Watchdog=*/true, nullptr);
+          });
         }
-        switch (Fat->lock(Thread, Slice)) {
+        switch (Result) {
         case FatLock::TimedResult::Acquired:
           Policy::afterAcquireFence();
           if (TL_UNLIKELY(Tracing))
@@ -644,11 +650,8 @@ private:
           // deflater has yet to store the fresh thin word), re-read.
           backoffOnWord(Obj, Thread, Spinner, Value, ParkClamp);
           continue;
-        case FatLock::TimedResult::TimedOut:
-          if (Deadline)
-            return checkDeadlock(Obj, Thread, /*Watchdog=*/false, Report);
-          checkDeadlock(Obj, Thread, /*Watchdog=*/true, nullptr);
-          continue;
+        case FatLock::TimedResult::TimedOut: // Only a bounded wait expires.
+          return checkDeadlock(Obj, Thread, /*Watchdog=*/false, Report);
         }
       }
 

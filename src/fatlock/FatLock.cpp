@@ -23,7 +23,8 @@ void FatLock::grantTo(Waiter *Node, uint16_t Index) {
 }
 
 bool FatLock::acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
-                          std::optional<int64_t> TimeoutNanos) {
+                          std::optional<int64_t> TimeoutNanos,
+                          const Tick *Ticker) {
   if (Owner == 0 && EntryQueue.empty()) {
     // Uncontended: no deadline needed (computing one up front would tax
     // every post-inflation acquisition with a clock read).
@@ -41,11 +42,16 @@ bool FatLock::acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
   std::optional<Clock::time_point> Deadline;
   if (TimeoutNanos)
     Deadline = Clock::now() + std::chrono::nanoseconds(*TimeoutNanos);
-  return awaitGrant(Guard, Node, Thread.index(), Deadline);
+  return awaitGrant(Guard, Node, Thread.index(), Deadline, Ticker);
 }
 
 bool FatLock::awaitGrant(UniqueLock &Guard, Waiter &Node, uint16_t Index,
-                         std::optional<Clock::time_point> Deadline) {
+                         std::optional<Clock::time_point> Deadline,
+                         const Tick *Ticker) {
+  assert(!(Deadline && Ticker) && "a ticking wait has no deadline");
+  std::optional<Clock::time_point> NextTick;
+  if (Ticker)
+    NextTick = Clock::now() + std::chrono::nanoseconds(Ticker->PeriodNanos);
   while (!claimable(&Node)) {
     if (Deadline && Clock::now() >= *Deadline) {
       [[maybe_unused]] bool Queued = EntryQueue.remove(&Node);
@@ -60,11 +66,21 @@ bool FatLock::awaitGrant(UniqueLock &Guard, Waiter &Node, uint16_t Index,
       }
       return false;
     }
+    if (NextTick && Clock::now() >= *NextTick) {
+      // The node keeps its place while the tick runs.  The mutex is
+      // dropped because the tick may read monitors, this one included;
+      // a handoff meanwhile leaves a sticky token for the next park.
+      Guard.unlock();
+      Ticker->Run(Ticker->Context);
+      Guard.lock();
+      NextTick = Clock::now() + std::chrono::nanoseconds(Ticker->PeriodNanos);
+      continue;
+    }
     // Park outside the mutex; a releaser that hands off in this window
     // leaves a sticky token, so the park below returns immediately.
     Guard.unlock();
-    if (Deadline)
-      Node.Pk->parkUntil(*Deadline);
+    if (Deadline || NextTick)
+      Node.Pk->parkUntil(Deadline ? *Deadline : *NextTick);
     else
       Node.Pk->park();
     Guard.lock();
@@ -73,9 +89,9 @@ bool FatLock::awaitGrant(UniqueLock &Guard, Waiter &Node, uint16_t Index,
   return true;
 }
 
-FatLock::TimedResult FatLock::lock(const ThreadContext &Thread,
-                                   std::optional<int64_t> TimeoutNanos,
-                                   uint32_t Holds) {
+FatLock::TimedResult FatLock::lockImpl(const ThreadContext &Thread,
+                                       std::optional<int64_t> TimeoutNanos,
+                                       uint32_t Holds, const Tick *Ticker) {
   assert(Thread.isValid() && "locking with an unattached thread");
   assert(Holds > 0 && "an acquisition takes at least one hold");
   UniqueLock Guard(Mu);
@@ -87,7 +103,7 @@ FatLock::TimedResult FatLock::lock(const ThreadContext &Thread,
   }
   // Being queued blocks retirement, so the monitor stays live until we
   // either acquire or dequeue ourselves.
-  if (!acquireSlow(Guard, Thread, TimeoutNanos))
+  if (!acquireSlow(Guard, Thread, TimeoutNanos, Ticker))
     return TimedResult::TimedOut;
   Hold = Holds;
   return TimedResult::Acquired;
@@ -188,9 +204,9 @@ WaitStatus FatLock::wait(const ThreadContext &Thread, int64_t TimeoutNanos) {
   // already queued and keeps sleeping on the same Parker until the
   // handoff that grants it; a timed-out one queues like any entrant.
   if (Node.Notified)
-    awaitGrant(Guard, Node, Thread.index(), std::nullopt);
+    awaitGrant(Guard, Node, Thread.index(), std::nullopt, nullptr);
   else
-    acquireSlow(Guard, Thread, std::nullopt);
+    acquireSlow(Guard, Thread, std::nullopt, nullptr);
   Hold = SavedHold;
   return Node.Notified ? WaitStatus::Notified : WaitStatus::TimedOut;
 }

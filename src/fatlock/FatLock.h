@@ -20,13 +20,14 @@
 /// regardless of queue depth.  Entry order is FIFO: the queue head has
 /// exclusive claim on a free monitor, and lock()'s non-queueing takes
 /// (the uncontended one and a non-positive timeout's one attempt) stand
-/// down whenever the queue is non-empty — no barging.  One exception:
-/// a bounded lock() that times out leaves the queue, so a caller that
-/// waits in slices (ThinLockImpl's watchdog) re-queues at the tail.
+/// down whenever the queue is non-empty — no barging.  Only a bounded
+/// lock() gives up its place, when it times out.  A waiter that must act
+/// while it waits (ThinLockImpl's deadlock watchdog) waits through
+/// lockTicking() instead, whose tick runs while its node stays queued.
 ///
-/// The surface is two calls, lock() and unlock(); every protocol built
-/// on FatLock (ThinLock, JDK111, IBM112, EagerMonitor) enters and leaves
-/// through them.
+/// The surface is two calls, lock() (or lockTicking()) and unlock();
+/// every protocol built on FatLock (ThinLock, JDK111, IBM112,
+/// EagerMonitor) enters and leaves through them.
 ///
 /// notify *morphs* waiters instead of waking them: the wait node is
 /// moved from the wait set onto the entry-queue tail and the thread is
@@ -51,6 +52,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 
 namespace thinlocks {
 
@@ -90,7 +92,24 @@ public:
   /// queued it cannot be stranded.
   TimedResult lock(const ThreadContext &Thread,
                    std::optional<int64_t> TimeoutNanos = std::nullopt,
-                   uint32_t Holds = 1) TL_EXCLUDES(Mu);
+                   uint32_t Holds = 1) TL_EXCLUDES(Mu) {
+    return lockImpl(Thread, TimeoutNanos, Holds, nullptr);
+  }
+
+  /// lock() of one hold without a deadline, for a waiter that must act
+  /// while it waits: after every \p TickNanos spent in the entry queue,
+  /// \p OnTick runs with the monitor's mutex released (so it may read
+  /// this monitor and others) and the waiter still queued in its place.
+  /// A tick that returns keeps waiting; only the grant (or Retired, if
+  /// the monitor retired before the call queued) ends the call.
+  template <typename TickFn>
+  TimedResult lockTicking(const ThreadContext &Thread, int64_t TickNanos,
+                          TickFn &&OnTick) TL_EXCLUDES(Mu) {
+    using Fn = std::remove_reference_t<TickFn>;
+    const Tick Ticker{TickNanos,
+                      [](void *Ctx) { (*static_cast<Fn *>(Ctx))(); }, &OnTick};
+    return lockImpl(Thread, std::nullopt, 1, &Ticker);
+  }
 
   /// Releases one hold; the monitor is freed when the count reaches zero
   /// and handed to the entry-queue head.  With \p MayRetire, releasing
@@ -190,6 +209,19 @@ private:
 
   using Clock = std::chrono::steady_clock;
 
+  /// lockTicking()'s callback, type-erased: Run(Context) every
+  /// PeriodNanos of an entry wait.
+  struct Tick {
+    int64_t PeriodNanos;
+    void (*Run)(void *Context);
+    void *Context;
+  };
+
+  /// lock() and lockTicking(); \p Ticker (null for lock()) comes only
+  /// without a timeout.
+  TimedResult lockImpl(const ThreadContext &Thread,
+                       std::optional<int64_t> TimeoutNanos, uint32_t Holds,
+                       const Tick *Ticker) TL_EXCLUDES(Mu);
   // The entry path of every non-recursive acquire: takes a monitor that
   // is free with an empty queue at once, without reading the clock;
   // refuses a non-positive \p TimeoutNanos otherwise; else queues and
@@ -197,13 +229,17 @@ private:
   // unbounded).  \returns false on refusal or timeout.  Guard holds Mu
   // on entry and on return.
   bool acquireSlow(UniqueLock &Guard, const ThreadContext &Thread,
-                   std::optional<int64_t> TimeoutNanos) TL_REQUIRES(Mu);
+                   std::optional<int64_t> TimeoutNanos, const Tick *Ticker)
+      TL_REQUIRES(Mu);
   // The one entry-queue wait: parks until the queued \p Node is the
   // claimable head and grants it the monitor, or, once \p Deadline has
   // passed, dequeues \p Node, passes on any handoff it absorbed, and
-  // \returns false.  Guard is dropped around each park.
+  // \returns false.  A \p Ticker runs once per period waited, with
+  // Guard dropped and \p Node still queued.  Guard is dropped around
+  // each park.
   bool awaitGrant(UniqueLock &Guard, Waiter &Node, uint16_t Index,
-                  std::optional<Clock::time_point> Deadline) TL_REQUIRES(Mu);
+                  std::optional<Clock::time_point> Deadline,
+                  const Tick *Ticker) TL_REQUIRES(Mu);
   void recordWakeLatency(const Parker *Pk);
 
   mutable Mutex Mu;

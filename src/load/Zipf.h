@@ -29,7 +29,9 @@
 /// every draw's cut-point load, then both lines of every draw's window,
 /// and only then counts, so the misses of different draws overlap.  It
 /// returns the ranks, and leaves the PRNG in the state, that the same
-/// number of sample() calls would.
+/// number of sample() calls would.  A RankStream hands out the ranks of
+/// one PRNG in order, resolving them RankStream::Refill at a time with
+/// sampleBatch(), for a caller that draws a few ranks at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -162,6 +164,49 @@ private:
   std::vector<double> Cdf;
   std::vector<uint32_t> Cut;
   double Scale = 1; // M, the number of buckets.
+};
+
+/// The ranks one PRNG draws from one ZipfSampler, handed out in order.
+/// The stream owns the PRNG and draws Refill ranks ahead with one
+/// sampleBatch(), so the table misses of many draws overlap.  Contract:
+/// the ranks next() hands out, and the PRNG rng() hands back, are
+/// exactly those of one sample() call per rank handed out.
+class RankStream {
+public:
+  /// Ranks drawn ahead by each sampleBatch() call.
+  static constexpr size_t Refill = 64;
+
+  /// \p Sampler must outlive the stream.
+  RankStream(const ZipfSampler &Sampler, uint64_t Seed)
+      : Sampler(&Sampler), Rng(Seed) {}
+
+  const ZipfSampler &sampler() const { return *Sampler; }
+
+  /// \returns the next rank in stream order.
+  size_t next() {
+    if (Next == Refill) {
+      Sampler->sampleBatch(Rng, Ranks, Refill);
+      Next = 0;
+    }
+    return Ranks[Next++];
+  }
+
+  /// \returns the PRNG in the state one sample() per rank handed out
+  /// would have left it: the ranks drawn ahead and not yet handed out
+  /// are dropped, and the PRNG is rewound past their draws.  Every draw
+  /// that is not a rank goes through here; ranks drawn after it come
+  /// from the PRNG's later outputs.
+  SplitMix64 &rng() {
+    Rng.rewind(Refill - Next);
+    Next = Refill;
+    return Rng;
+  }
+
+private:
+  const ZipfSampler *Sampler;
+  SplitMix64 Rng;
+  size_t Next = Refill; ///< Ranks[Next] is the next rank; Refill = none.
+  size_t Ranks[Refill] = {};
 };
 
 } // namespace load

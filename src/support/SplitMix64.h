@@ -17,14 +17,17 @@ namespace thinlocks {
 
 /// A tiny, fast, deterministic 64-bit PRNG.
 class SplitMix64 {
+  /// What every next() adds to the state.
+  static constexpr uint64_t Gamma = 0x9e3779b97f4a7c15ull;
+
   uint64_t State;
 
 public:
-  explicit SplitMix64(uint64_t Seed = 0x9e3779b97f4a7c15ull) : State(Seed) {}
+  explicit SplitMix64(uint64_t Seed = Gamma) : State(Seed) {}
 
   /// \returns the next raw 64-bit value.
   uint64_t next() {
-    State += 0x9e3779b97f4a7c15ull;
+    State += Gamma;
     uint64_t Z = State;
     Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
     Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
@@ -46,6 +49,11 @@ public:
 
   /// \returns true with probability \p P.
   bool nextBool(double P) { return nextDouble() < P; }
+
+  /// Steps back over the last \p Count outputs, so that the next \p Count
+  /// next() calls repeat them.  Exact: the state is a counter that each
+  /// output advances by Gamma, modulo 2^64.
+  void rewind(uint64_t Count) { State -= Count * Gamma; }
 };
 
 } // namespace thinlocks

@@ -2,7 +2,6 @@
 
 #include "txn/ConflictPolicy.h"
 
-#include "support/Compiler.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -65,25 +64,13 @@ namespace {
 /// to a scan for a free index.
 constexpr unsigned DrawAttemptsPerSlot = 64;
 
-/// Ranks drawTxnAccess draws up front in one ZipfSampler::sampleBatch,
-/// so their table misses overlap.  Exactness: a fallback scan comes only
-/// after a slot's 64 rejected draws, so no scan's nextBounded consumes
-/// one of the first 64 PRNG outputs, and every slot makes at least one
-/// draw, so every pre-drawn rank is used.  Attempts take the pre-drawn
-/// ranks in order, so the ranks and the final PRNG state are those of
-/// one sample() per attempt.
-constexpr size_t PreDrawnRanks = 16;
-static_assert(PreDrawnRanks < DrawAttemptsPerSlot,
-              "a pre-drawn rank must never stand in for a scan's draw");
-
 } // namespace
 
-void drawTxnAccess(const load::ZipfSampler &Popularity, SplitMix64 &Rng,
-                   uint32_t ReadTarget, uint32_t WriteTarget,
-                   TxnAccess &Access) {
+void drawTxnAccess(load::RankStream &Ranks, uint32_t ReadTarget,
+                   uint32_t WriteTarget, TxnAccess &Access) {
   Access.Reads.clear();
   Access.Writes.clear();
-  const size_t Universe = Popularity.universe();
+  const size_t Universe = Ranks.sampler().universe();
   // Writes first: a universe smaller than the combined targets sheds
   // reads before writes, so update pressure survives the degenerate
   // corners (N == 1 becomes one blind write).
@@ -96,20 +83,17 @@ void drawTxnAccess(const load::ZipfSampler &Popularity, SplitMix64 &Rng,
            std::find(Access.Reads.begin(), Access.Reads.end(), Idx) !=
                Access.Reads.end();
   };
-  size_t Ranks[PreDrawnRanks]; // Unzeroed; sampleBatch fills what is read.
-  const size_t PreDrawn = std::min(Total, PreDrawnRanks);
-  Popularity.sampleBatch(Rng, Ranks, PreDrawn);
-  size_t NextRank = 0;
   auto drawDistinct = [&]() -> size_t {
     for (unsigned Attempt = 0; Attempt < DrawAttemptsPerSlot; ++Attempt) {
-      size_t Idx = NextRank < PreDrawn ? Ranks[NextRank++]
-                                       : Popularity.sample(Rng);
+      size_t Idx = Ranks.next();
       if (!taken(Idx))
         return Idx;
     }
     // Tiny, skewed universes can make rejection sampling slow; Total <=
-    // Universe guarantees a free index exists, so scan for it.
-    size_t Start = Rng.nextBounded(Universe);
+    // Universe guarantees a free index exists, so scan for it.  The
+    // scan's start is the one draw that is not a rank, so it comes from
+    // the PRNG rewound past the ranks the stream drew ahead.
+    size_t Start = Ranks.rng().nextBounded(Universe);
     for (size_t I = 0; I < Universe; ++I) {
       size_t Idx = (Start + I) % Universe;
       if (!taken(Idx))
@@ -366,14 +350,6 @@ public:
                     const TxnAccess &Access, TxnScratch &Scratch) override {
     Scratch.Acquired.clear();
     Scratch.ReadVersions.clear();
-
-    // Start the misses on every line the attempt touches at once instead
-    // of one per access.  An object's lock word and record share its one
-    // line: reads only read it, and the commit window writes each write's.
-    for (size_t Idx : Access.Reads)
-      TL_PREFETCH(Table.object(Idx), /*ForWrite=*/0);
-    for (size_t Idx : Access.Writes)
-      TL_PREFETCH(Table.object(Idx), /*ForWrite=*/1);
 
     // Read phase: lock-free seqlock reads.  A stable snapshot is an
     // even version observed unchanged around the value load; the

@@ -53,7 +53,6 @@
 #include "core/SyncBackend.h"
 #include "heap/Object.h"
 #include "load/Zipf.h"
-#include "support/SplitMix64.h"
 
 #include <atomic>
 #include <cstdint>
@@ -182,14 +181,13 @@ inline WaitDieDecision waitDieDecide(uint64_t MyTs, uint64_t HolderTs) {
 }
 
 /// Draws one transaction's access sets: up to \p WriteTarget writes and
-/// \p ReadTarget reads, all indices distinct, drawn from \p Popularity
-/// (writes first, so a tiny universe sheds reads before writes — a
-/// 1-object universe degenerates to a single blind write).  Zipfian
-/// draws that collide are redrawn; a bounded fallback scan guarantees
-/// termination on tiny universes.
-void drawTxnAccess(const load::ZipfSampler &Popularity, SplitMix64 &Rng,
-                   uint32_t ReadTarget, uint32_t WriteTarget,
-                   TxnAccess &Access);
+/// \p ReadTarget reads, all indices distinct, taken from \p Ranks in
+/// stream order (writes first, so a tiny universe sheds reads before
+/// writes — a 1-object universe degenerates to a single blind write).
+/// Zipfian draws that collide are redrawn; a bounded fallback scan
+/// guarantees termination on tiny universes.
+void drawTxnAccess(load::RankStream &Ranks, uint32_t ReadTarget,
+                   uint32_t WriteTarget, TxnAccess &Access);
 
 //===----------------------------------------------------------------------===//
 // OCC commit-window primitives (Silo-style).  Free functions so the

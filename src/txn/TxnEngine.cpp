@@ -3,6 +3,7 @@
 #include "txn/TxnEngine.h"
 
 #include "core/ProtocolRegistry.h"
+#include "support/Compiler.h"
 #include "support/Fatal.h"
 #include "support/Timer.h"
 
@@ -16,6 +17,16 @@ namespace {
 
 /// The TxnObj slots that hold an object's record.
 constexpr uint32_t RecordSlots = sizeof(TxnCell) / sizeof(uint64_t);
+
+/// Starts the misses on every line \p Access touches.  An object's lock
+/// word and record share its one line: reads only read it, and every
+/// policy's commit writes each write's.
+void prefetchLines(const TxnTable &Table, const TxnAccess &Access) {
+  for (size_t Idx : Access.Reads)
+    TL_PREFETCH(Table.object(Idx), /*ForWrite=*/0);
+  for (size_t Idx : Access.Writes)
+    TL_PREFETCH(Table.object(Idx), /*ForWrite=*/1);
+}
 
 } // namespace
 
@@ -83,12 +94,24 @@ TxnEngine::~TxnEngine() = default;
 
 TxnStats TxnEngine::runWorker(const ThreadContext &Thread, unsigned WorkerId) {
   TxnStats Stats;
-  TxnAccess Access;
   TxnScratch Scratch;
-  SplitMix64 Rng(Params.Seed + 0x9e3779b97f4a7c15ull * (WorkerId + 1));
+  load::RankStream Ranks(Popularity,
+                         Params.Seed + 0x9e3779b97f4a7c15ull * (WorkerId + 1));
+  // A two-stage pipeline: transaction T + 1 is drawn, and its lines
+  // requested, before T executes, so those misses overlap T's commit.
+  // Draws stay in transaction order, so the schedule is the one drawn
+  // one transaction at a time.
+  TxnAccess Buffers[2];
+  auto drawAhead = [&](TxnAccess &Access) {
+    drawTxnAccess(Ranks, Params.ReadSetSize, Params.WriteSetSize, Access);
+    prefetchLines(Table, Access);
+  };
+  if (Params.TxnsPerThread > 0)
+    drawAhead(Buffers[0]);
   for (uint64_t T = 0; T < Params.TxnsPerThread; ++T) {
-    drawTxnAccess(Popularity, Rng, Params.ReadSetSize, Params.WriteSetSize,
-                  Access);
+    const TxnAccess &Access = Buffers[T % 2];
+    if (T + 1 < Params.TxnsPerThread)
+      drawAhead(Buffers[(T + 1) % 2]);
     // Timestamps start at 1 so 0 stays the "unstamped" sentinel.  Only
     // wait-die reads them, so only its engines pay the shared counter.
     uint64_t Ts = Table.OwnerTs

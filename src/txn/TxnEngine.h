@@ -102,7 +102,10 @@ public:
   /// Runs one worker's full transaction quota on the calling thread
   /// (\p Thread must be attached to the engine's registry).  Exposed so
   /// the hygiene tests can own the threads and audit each worker's
-  /// index before detaching.
+  /// index before detaching.  The worker draws its access sets from one
+  /// RankStream seeded from Params.Seed and \p WorkerId, each one
+  /// transaction ahead, and prefetches the drawn set's object lines
+  /// while the current transaction runs.
   TxnStats runWorker(const ThreadContext &Thread, unsigned WorkerId);
 
   /// Σ per-object commit counts (each committed write bumps its

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -473,6 +474,45 @@ TEST_F(ExhaustionTest, TryLockForConfirmsTwoThreadCycleThroughInflatedMonitors) 
   Locks.unlock(B, Main);
 }
 
+TEST_F(ExhaustionTest, LockWaitersKeepTheirFatLockPlacesAcrossWatchdogSlices) {
+  // lock() on an inflated monitor ticks the deadlock watchdog once per
+  // WatchdogSliceNanos (1 s) of waiting.  A waiter keeps its place in
+  // the entry queue through every tick: behind a 2.5 s hold, B queues
+  // at t = 0 and C at t = 0.5 s, and B enters first although its wait
+  // spans two ticks.
+  Object *A = newObject();
+  Locks.lock(A, Main);
+  Locks.inflate(A, Main);
+  FatLock *Fat = Monitors.resolve(A->lockWord().load());
+  std::mutex OrderMutex;
+  std::vector<char> Order;
+  auto startWaiter = [&](char Name) {
+    return std::thread([&, Name] {
+      ScopedThreadAttachment Attachment(Registry, "waiter");
+      Locks.lock(A, Attachment.context());
+      {
+        std::lock_guard<std::mutex> Guard(OrderMutex);
+        Order.push_back(Name);
+      }
+      Locks.unlock(A, Attachment.context());
+    });
+  };
+  const auto Start = std::chrono::steady_clock::now();
+  std::thread B = startWaiter('B');
+  while (Fat->entryQueueLength() != 1)
+    std::this_thread::yield();
+  std::this_thread::sleep_until(Start + std::chrono::milliseconds(500));
+  std::thread C = startWaiter('C');
+  while (Fat->entryQueueLength() != 2)
+    std::this_thread::yield();
+  std::this_thread::sleep_until(Start + std::chrono::milliseconds(2500));
+  EXPECT_EQ(Fat->entryQueueLength(), 2u);
+  Locks.unlock(A, Main);
+  B.join();
+  C.join();
+  EXPECT_EQ(Order, (std::vector<char>{'B', 'C'}));
+}
+
 TEST(DeadlockWatchdogDeathTest, BlockedLockAbortsWithCycleReport) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The default policy: a confirmed cycle in plain lock() is fatal and
@@ -509,6 +549,46 @@ TEST(DeadlockWatchdogDeathTest, BlockedLockAbortsWithCycleReport) {
         T2.join();           // Unreachable.
       })(),
       "deadlock");
+}
+
+TEST(DeadlockWatchdogDeathTest, BlockedInflatedLockAbortsWithCycleReport) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The fat twin of BlockedLockAbortsWithCycleReport: both monitors are
+  // inflated before the cycle forms, so both threads wait queued on a
+  // monitor, where plain lock() ticks the watchdog once per 1 s slice
+  // without leaving the queue.  The first tick after the cycle closes
+  // aborts with the report.
+  EXPECT_DEATH(
+      ([] {
+        Heap TheHeap;
+        ThreadRegistry Registry;
+        MonitorTable Monitors;
+        ContentionOptions Options;
+        Options.AbortOnDeadlock = true;
+        ThinLockManager Locks{Monitors, nullptr, DeflationPolicy::Never,
+                              Options};
+        const ClassInfo &Class = TheHeap.classes().registerClass("T", 1);
+        Object *A = TheHeap.allocate(Class);
+        Object *B = TheHeap.allocate(Class);
+
+        ThreadContext Main = Registry.attach("main");
+        Locks.lock(A, Main);
+        Locks.inflate(A, Main);
+        std::atomic<uint16_t> T2Index{0};
+        std::thread T2([&] {
+          ScopedThreadAttachment Attachment(Registry, "t2");
+          Locks.lock(B, Attachment.context());
+          Locks.inflate(B, Attachment.context());
+          T2Index.store(Attachment.context().index());
+          Locks.lock(A, Attachment.context()); // Never returns: aborts.
+        });
+        while (T2Index.load() == 0 ||
+               Registry.blockedOn(T2Index.load()) != A)
+          std::this_thread::yield();
+        Locks.lock(B, Main); // A watchdog tick confirms the cycle.
+        T2.join();           // Unreachable.
+      })(),
+      "deadlock: 2 thread");
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -549,6 +550,55 @@ TEST_F(FatLockTest, RetiredMonitorAnswersRetiredToEveryFormOfLock) {
   EXPECT_EQ(Lock.ownerIndex(), 0);
   EXPECT_EQ(Lock.holdCount(), 0u);
   EXPECT_EQ(Lock.unlock(Main), FatLock::ReleaseResult::NotOwner);
+}
+
+TEST_F(FatLockTest, TickingWaiterKeepsItsPlaceInTheEntryQueue) {
+  // A waiter that ticks (ThinLockImpl's watchdog) stays queued through
+  // every tick: B queues before C, waits through at least two ticks
+  // after C has queued, and still enters first.  Each tick reads the
+  // monitor, which only works with the monitor's mutex released.
+  constexpr int64_t TickNanos = 5'000'000;
+  Lock.lock(Main);
+  std::atomic<int> Ticks{0};
+  std::atomic<uint16_t> OwnerSeenByTick{0};
+  std::mutex OrderMutex;
+  std::vector<char> Order;
+  auto enter = [&](char Name, const ThreadContext &Thread) {
+    {
+      std::lock_guard<std::mutex> Guard(OrderMutex);
+      Order.push_back(Name);
+    }
+    Lock.unlock(Thread);
+  };
+  std::thread B([&] {
+    ScopedThreadAttachment Attachment(Registry, "b");
+    EXPECT_EQ(Lock.lockTicking(Attachment.context(), TickNanos,
+                               [&] {
+                                 OwnerSeenByTick.store(Lock.ownerIndex());
+                                 Ticks.fetch_add(1);
+                               }),
+              FatLock::TimedResult::Acquired);
+    enter('B', Attachment.context());
+  });
+  while (Lock.entryQueueLength() != 1)
+    std::this_thread::yield();
+  std::thread C([&] {
+    ScopedThreadAttachment Attachment(Registry, "c");
+    Lock.lock(Attachment.context());
+    enter('C', Attachment.context());
+  });
+  while (Lock.entryQueueLength() != 2)
+    std::this_thread::yield();
+  const int TicksWithBothQueued = Ticks.load();
+  while (Ticks.load() < TicksWithBothQueued + 2)
+    std::this_thread::yield();
+  EXPECT_EQ(Lock.entryQueueLength(), 2u);
+  EXPECT_EQ(OwnerSeenByTick.load(), Main.index());
+  Lock.unlock(Main);
+  B.join();
+  C.join();
+  EXPECT_EQ(Order, (std::vector<char>{'B', 'C'}));
+  EXPECT_EQ(Lock.entryQueueLength(), 0u);
 }
 
 TEST_F(FatLockTest, ZeroTimeoutBehindAQueueIsRefusedWithoutQueueing) {

@@ -30,6 +30,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,6 +49,63 @@ TEST(Zipf, DeterministicFromSeed) {
   SplitMix64 A(42), B(42);
   for (int I = 0; I < 1000; ++I)
     EXPECT_EQ(Sampler.sample(A), Sampler.sample(B));
+}
+
+// DESIGN.md §8 promises that an (N, theta, seed) triple draws the same
+// ranks in every version, and every convoy and session schedule relies
+// on it.  These digests pin the first 1 M sample() ranks at the convoy's
+// and the sessions' shape (N = 64, theta 0.8, seed 1), one FNV-1a digest
+// per block of 10 000 ranks, as commit 5f1f1b0 drew them.  A change to
+// the CDF or the cut-table arithmetic moves them even when sample() and
+// sampleBatch() still agree with each other.
+TEST(Zipf, SampleKeepsTheRecordedSchedule) {
+  constexpr uint64_t Recorded[] = {
+      0x0e8b4e0904dabf51ull, 0x2904b3773444cf50ull, 0x534da1a7c1c746afull,
+      0xf6694baf060448e8ull, 0xd8ad457ad0322dadull, 0x284c296f4f1d3fc2ull,
+      0xa942966c51565b20ull, 0x40ba72902bdc2678ull, 0xe9f093c031cd0255ull,
+      0xc8ca751bd76239c8ull, 0x2965fc240b6dbd98ull, 0xade4068a9637c46eull,
+      0x92b290dc5bae8883ull, 0x57b9384c19aa8f71ull, 0x3cab58f02716e078ull,
+      0xd17bc249589f1543ull, 0x0e96a444cac9c4bcull, 0x4c296128b45a367full,
+      0x29ecf445e5022670ull, 0x37e0f422eaa65906ull, 0x42a434a976aea1b4ull,
+      0xc0d38b57a629077aull, 0xd7908facb33b6c1eull, 0xd330070f1f749ef5ull,
+      0x184bdb4e7cd4b129ull, 0x302b654880945b18ull, 0xc33aabc4780726fbull,
+      0xc74ca3fdd4bfe44cull, 0x9de49e7eb030b0d2ull, 0xf9a0961684a88730ull,
+      0xf37ae3946a3003a2ull, 0xa3040b8758e38832ull, 0x211e72cb7530e17full,
+      0x2782e448828cc417ull, 0xa6e7b668e7a4ea8full, 0x11cee42df59db0d0ull,
+      0xae76f5e98d4eddaaull, 0x0a3707b4c5587c52ull, 0x3e08d6e0cdf8fba9ull,
+      0xf6d78bcaae299bbdull, 0xa172f05f7063a673ull, 0xe929eed77668a1abull,
+      0x291c514ee2d15068ull, 0xc690ca80c4be6368ull, 0x12ee9727cb6a5aa4ull,
+      0xd2f03d69b4224a77ull, 0xe53038a06016b4dfull, 0xebc726bd2304e649ull,
+      0xd1a0243bc0176a36ull, 0x93585d39f23337e1ull, 0xeec1019cc590ade5ull,
+      0x4a29b584f0d56bc2ull, 0xb8ba90a9ec528947ull, 0x5f9df6c3835da8bfull,
+      0x078cc0c9c2edcc46ull, 0x31057ee71629032full, 0x78df8272acdd1af3ull,
+      0x9cbcdc48687ee688ull, 0x973418efbcedb11bull, 0x1b8b4c09b87a874bull,
+      0x10c33c93442a27b3ull, 0x7398ae4a4967e3c9ull, 0xb5ff3f870113feb9ull,
+      0xb87dd9cd7676e73aull, 0x81f23a8a9a60a636ull, 0x4651d947a807623bull,
+      0xa9974d0ee6065f8dull, 0x54c2b44cfcc7418bull, 0x7c5a1750b30ea5f3ull,
+      0x70ff38ca5ef65bb2ull, 0xbf38e789bb4f1025ull, 0x21e182d42d06775full,
+      0xa7ed3331f592e4c3ull, 0x6a8aafbdd85f7a32ull, 0xb704fff9af203ac3ull,
+      0x5422ce3fbfd806b8ull, 0x4a2ddb78afde9347ull, 0x9dbfb549aae11053ull,
+      0x9680c8486ef0a348ull, 0x570c6ff27adc7ae8ull, 0xf56aac25c9751a63ull,
+      0x206e269ae037b18cull, 0x0209fa3cb18a7a6dull, 0x794a7b2822926773ull,
+      0xe69613e889cf80f6ull, 0xce06273224f7b794ull, 0xde54ecc589a2c160ull,
+      0x020a975294f2dba5ull, 0x3185bd2ceb521778ull, 0x3c87e529e0780557ull,
+      0x2f612a466e7abcf9ull, 0x6124aa7bef1b2630ull, 0xd43e2809e0d2719dull,
+      0xedcc5f016fc2fc50ull, 0x8d0ea3f61ea018ebull, 0xc19884eece217145ull,
+      0xe789f9c0cf460167ull, 0x59fca2cc05234980ull, 0x0b18a451dd4633f8ull,
+      0x3eca6f785e85ee98ull,
+  };
+  constexpr int RanksPerBlock = 10'000;
+  const ZipfSampler Sampler(64, 0.8);
+  SplitMix64 Rng(1);
+  for (size_t Block = 0; Block < std::size(Recorded); ++Block) {
+    uint64_t Digest = 0xcbf29ce484222325ull;
+    for (int I = 0; I < RanksPerBlock; ++I)
+      Digest = (Digest ^ Sampler.sample(Rng)) * 0x100000001b3ull;
+    ASSERT_EQ(Digest, Recorded[Block])
+        << "the first block that differs holds ranks "
+        << Block * RanksPerBlock << " to " << (Block + 1) * RanksPerBlock - 1;
+  }
 }
 
 TEST(Zipf, InRangeAndSkewed) {

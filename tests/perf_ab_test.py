@@ -144,7 +144,7 @@ class Runs(unittest.TestCase):
         self.assertIsNone(perf_ab.parse_result("")[1])
 
     def test_reads_the_committed_benchmark(self):
-        command, seconds, workloads, metrics = perf_ab.load_benchmark(
+        command, seconds, workloads, metrics, _ = perf_ab.load_benchmark(
             os.path.join(ROOT, "BENCHMARK.json"))
         self.assertTrue(command)
         self.assertGreater(seconds, 0)
@@ -169,6 +169,66 @@ class Runs(unittest.TestCase):
         self.assertTrue(lines[2].endswith("better"))
         self.assertIn("10/10", lines[2])
         self.assertTrue(lines[3].endswith("within"))
+
+
+class Trace(unittest.TestCase):
+    """--trace: per-layer rows, no bound, no verdict."""
+
+    def setUp(self):
+        _, _, _, self.metrics, self.layers = perf_ab.load_benchmark(
+            os.path.join(ROOT, "BENCHMARK.json"))
+
+    def test_rows_come_from_per_layer(self):
+        names = [name for name, _, _ in self.layers]
+        self.assertIn("txn.self_s", names)
+        self.assertIn("core.trylock.ns_p50", names)
+        self.assertFalse(set(names) & {name for name, _, _ in self.metrics})
+        by_name = {name: (better, bound) for name, better, bound in self.layers}
+        self.assertEqual(by_name["txn.commit_ratio"], ("higher", None))
+        self.assertEqual(by_name["txn.aborts_busy"], ("lower", None))
+
+    def test_direction_decides_who_wins(self):
+        base, change = [175.0] * 4, [139.0] * 4
+        lower = perf_ab.compare(base, change, "lower", None)
+        higher = perf_ab.compare(base, change, "higher", None)
+        self.assertEqual((lower["wins"], lower["losses"]), (4, 0))
+        self.assertEqual((higher["wins"], higher["losses"]), (0, 4))
+        self.assertGreater(lower["gain"], 0)
+        self.assertLess(higher["gain"], 0)
+
+    def test_no_verdict(self):
+        # A gain that would read "better", and a loss that would read
+        # "worse", with a bound: without one neither gets a verdict.
+        values = {"BASE": [{"txn.self_s": v, "txn.commit_ratio": 0.99}
+                           for v in BASE],
+                  "CHANGE": [{"txn.self_s": v * 0.5, "txn.commit_ratio": 0.5}
+                             for v in BASE]}
+        layers = [("txn.self_s", "lower", None),
+                  ("txn.commit_ratio", "higher", None)]
+        rows = perf_ab.table_rows("txn_validated", values, layers)
+        self.assertEqual([c["verdict"] for _, c in rows], [None, None])
+        lines = perf_ab.format_report("txn_validated", list(range(1, 11)),
+                                      rows).splitlines()
+        self.assertNotIn("verdict", lines[1])
+        self.assertTrue(lines[2].startswith("txn.self_s"))
+        self.assertTrue(lines[2].endswith("0/10"))  # Lost none.
+        self.assertTrue(lines[3].endswith("10/10"))  # Lost every pair.
+        for line in lines[2:]:
+            for verdict in ("better", "within", "worse", "unresolved"):
+                self.assertNotIn(verdict, line)
+
+    def test_a_missing_metric_is_an_error(self):
+        values = {"BASE": [{"txn.self_s": 1.0}], "CHANGE": [{}]}
+        with self.assertRaises(RuntimeError):
+            perf_ab.table_rows("txn_validated", values,
+                               [("txn.self_s", "lower", None)])
+
+    def test_every_run_passes_trace(self):
+        traced = perf_ab.Side("BASE", "r", "/x", ["python3", "run.py"], True)
+        plain = perf_ab.Side("BASE", "r", "/x", ["python3", "run.py"], False)
+        self.assertEqual(traced.argv("txn_validated", 3, 15)[-2:],
+                         ["--trace", "1"])
+        self.assertNotIn("--trace", plain.argv("txn_validated", 3, 15))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <vector>
 
 using namespace thinlocks;
 
@@ -107,6 +108,38 @@ TEST(SplitMix64, DoubleInUnitInterval) {
     EXPECT_GE(V, 0.0);
     EXPECT_LT(V, 1.0);
   }
+}
+
+TEST(SplitMix64, RewindReplaysOutputs) {
+  SplitMix64 Rng(13);
+  for (uint64_t K : {uint64_t{1}, uint64_t{5}, uint64_t{64}}) {
+    std::vector<uint64_t> Outputs;
+    for (uint64_t I = 0; I < K; ++I)
+      Outputs.push_back(Rng.next());
+    Rng.rewind(K);
+    for (uint64_t I = 0; I < K; ++I)
+      EXPECT_EQ(Rng.next(), Outputs[I]) << "k=" << K << " output " << I;
+  }
+
+  SplitMix64 Still(21), Reference(21);
+  Still.next();
+  Reference.next();
+  Still.rewind(0);
+  EXPECT_EQ(Still.next(), Reference.next());
+
+  // Seeded at 0, the state passes through 0 again when rewound past the
+  // first output, and the modular subtraction wraps below it.
+  SplitMix64 Wrapped(0), Fresh(0);
+  const uint64_t First = Fresh.next(), Second = Fresh.next();
+  Wrapped.next();
+  Wrapped.rewind(1);
+  EXPECT_EQ(Wrapped.next(), First);
+  Wrapped.rewind(3); // Two steps below state 0.
+  SplitMix64 Below(0 - 2 * 0x9e3779b97f4a7c15ull);
+  EXPECT_EQ(Wrapped.next(), Below.next());
+  EXPECT_EQ(Wrapped.next(), Below.next());
+  EXPECT_EQ(Wrapped.next(), First);
+  EXPECT_EQ(Wrapped.next(), Second);
 }
 
 TEST(SplitMix64, NextBoolRespectsProbabilityRoughly) {

@@ -21,7 +21,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <thread>
+#include <vector>
 
 using namespace thinlocks;
 using namespace thinlocks::txn;
@@ -68,11 +70,10 @@ TEST(TxnPolicyTest, WaitDieDecisionOrdering) {
 
 TEST(TxnPolicyTest, DrawAccessDistinctWritesFirst) {
   load::ZipfSampler Popularity(64, 0.8);
-  SplitMix64 Rng(42);
+  load::RankStream Ranks(Popularity, 42);
   TxnAccess Access;
   for (int Draw = 0; Draw < 200; ++Draw) {
-    drawTxnAccess(Popularity, Rng, /*ReadTarget=*/4, /*WriteTarget=*/2,
-                  Access);
+    drawTxnAccess(Ranks, /*ReadTarget=*/4, /*WriteTarget=*/2, Access);
     ASSERT_EQ(Access.Writes.size(), 2u);
     ASSERT_EQ(Access.Reads.size(), 4u);
     std::vector<size_t> All(Access.Writes);
@@ -88,15 +89,16 @@ TEST(TxnPolicyTest, DrawAccessDistinctWritesFirst) {
 TEST(TxnPolicyTest, DrawAccessShedsReadsBeforeWritesOnTinyUniverse) {
   // Universe of 3 < R+W: the 2 writes survive, reads shrink to 1.
   load::ZipfSampler Small(3, 0.8);
-  SplitMix64 Rng(7);
+  load::RankStream SmallRanks(Small, 7);
   TxnAccess Access;
-  drawTxnAccess(Small, Rng, /*ReadTarget=*/4, /*WriteTarget=*/2, Access);
+  drawTxnAccess(SmallRanks, /*ReadTarget=*/4, /*WriteTarget=*/2, Access);
   EXPECT_EQ(Access.Writes.size(), 2u);
   EXPECT_EQ(Access.Reads.size(), 1u);
 
   // The degenerate single-object universe: one blind write, no reads.
   load::ZipfSampler One(1, 0.0);
-  drawTxnAccess(One, Rng, /*ReadTarget=*/4, /*WriteTarget=*/2, Access);
+  load::RankStream OneRanks(One, 7);
+  drawTxnAccess(OneRanks, /*ReadTarget=*/4, /*WriteTarget=*/2, Access);
   ASSERT_EQ(Access.Writes.size(), 1u);
   EXPECT_EQ(Access.Writes[0], 0u);
   EXPECT_TRUE(Access.Reads.empty());
@@ -104,23 +106,32 @@ TEST(TxnPolicyTest, DrawAccessShedsReadsBeforeWritesOnTinyUniverse) {
 
 TEST(TxnPolicyTest, DrawAccessDeterministicPerSeed) {
   load::ZipfSampler Popularity(128, 0.9);
-  SplitMix64 RngA(11), RngB(11);
+  load::RankStream RanksA(Popularity, 11), RanksB(Popularity, 11);
   TxnAccess A, B;
   for (int Draw = 0; Draw < 50; ++Draw) {
-    drawTxnAccess(Popularity, RngA, 4, 2, A);
-    drawTxnAccess(Popularity, RngB, 4, 2, B);
+    drawTxnAccess(RanksA, 4, 2, A);
+    drawTxnAccess(RanksB, 4, 2, B);
     EXPECT_EQ(A.Writes, B.Writes);
     EXPECT_EQ(A.Reads, B.Reads);
   }
 }
 
+// What the reference draw saw.  RanksSinceScan counts the sample()
+// calls since the last fallback scan (or the start): a stream over the
+// same PRNG refills at every multiple of RankStream::Refill of them, so
+// a scan at any other count finds ranks drawn ahead in the stream.
+struct ReferenceDraws {
+  uint64_t FallbackScans = 0;
+  uint64_t ScansWithRanksDrawnAhead = 0;
+  uint64_t RanksSinceScan = 0;
+};
+
 // The reference for drawTxnAccess: the same algorithm with one sample()
-// per attempt and no pre-drawn ranks.  Counts the fallback scans it
-// makes.
+// per attempt straight from the PRNG.
 void sequentialDrawTxnAccess(const load::ZipfSampler &Popularity,
                              SplitMix64 &Rng, uint32_t ReadTarget,
                              uint32_t WriteTarget, TxnAccess &Access,
-                             uint64_t &FallbackScans) {
+                             ReferenceDraws &Seen) {
   Access.Reads.clear();
   Access.Writes.clear();
   const size_t Universe = Popularity.universe();
@@ -135,10 +146,14 @@ void sequentialDrawTxnAccess(const load::ZipfSampler &Popularity,
   auto drawDistinct = [&]() -> size_t {
     for (unsigned Attempt = 0; Attempt < 64; ++Attempt) {
       size_t Idx = Popularity.sample(Rng);
+      ++Seen.RanksSinceScan;
       if (!taken(Idx))
         return Idx;
     }
-    ++FallbackScans;
+    ++Seen.FallbackScans;
+    if (Seen.RanksSinceScan % load::RankStream::Refill != 0)
+      ++Seen.ScansWithRanksDrawnAhead;
+    Seen.RanksSinceScan = 0;
     size_t Start = Rng.nextBounded(Universe);
     for (size_t I = 0; I < Universe; ++I) {
       size_t Idx = (Start + I) % Universe;
@@ -153,17 +168,18 @@ void sequentialDrawTxnAccess(const load::ZipfSampler &Popularity,
     Access.Reads.push_back(drawDistinct());
 }
 
-// Pre-drawing ranks in a batch must change no draw and no PRNG output:
-// every seeded txn schedule depends on it.  The grid covers universes
-// smaller than the access set (reads shed), skews that force the
-// fallback scan (theta 4 on 6 or 70 objects), and access sets larger
-// than the 16-rank batch.
+// Drawing through the rank stream must change no draw and no PRNG
+// output: every seeded txn schedule depends on it.  The grid covers
+// universes smaller than the access set (reads shed), skews that force
+// the fallback scan (theta 4 on 6 or 70 objects) while the stream holds
+// ranks drawn ahead, and access sets larger than one refill.  Each case
+// runs one stream for 300 draws, so its buffer refills many times.
 TEST(TxnPolicyTest, DrawAccessMatchesSequentialDraws) {
   struct Shape {
     uint32_t Reads, Writes;
   };
   const Shape Shapes[] = {{4, 2}, {0, 3}, {1, 0}, {20, 4}, {66, 4}};
-  uint64_t FallbackScans = 0;
+  ReferenceDraws Seen;
   size_t MostSlots = 0;
   for (size_t N : {size_t(1), size_t(2), size_t(3), size_t(6), size_t(64),
                    size_t(70), size_t(4096), size_t(1'000'000)}) {
@@ -173,22 +189,66 @@ TEST(TxnPolicyTest, DrawAccessMatchesSequentialDraws) {
         SCOPED_TRACE(::testing::Message() << "N=" << N << " theta=" << Theta
                                           << " reads=" << S.Reads
                                           << " writes=" << S.Writes);
-        SplitMix64 Rng(N * 31 + S.Reads), RefRng(N * 31 + S.Reads);
+        load::RankStream Ranks(Popularity, N * 31 + S.Reads);
+        SplitMix64 RefRng(N * 31 + S.Reads);
+        Seen.RanksSinceScan = 0;
         TxnAccess Got, Want;
-        for (int Draw = 0; Draw < 100; ++Draw) {
-          drawTxnAccess(Popularity, Rng, S.Reads, S.Writes, Got);
+        for (int Draw = 0; Draw < 300; ++Draw) {
+          drawTxnAccess(Ranks, S.Reads, S.Writes, Got);
           sequentialDrawTxnAccess(Popularity, RefRng, S.Reads, S.Writes, Want,
-                                  FallbackScans);
+                                  Seen);
           ASSERT_EQ(Got.Writes, Want.Writes) << "draw " << Draw;
           ASSERT_EQ(Got.Reads, Want.Reads) << "draw " << Draw;
-          ASSERT_EQ(Rng.next(), RefRng.next()) << "draw " << Draw;
           MostSlots = std::max(MostSlots, Got.Writes.size() + Got.Reads.size());
         }
+        ASSERT_EQ(Ranks.rng().next(), RefRng.next())
+            << "the stream's rewound PRNG is not where sample() calls leave it";
       }
     }
   }
-  EXPECT_GT(FallbackScans, 0u) << "no case reached the fallback scan";
-  EXPECT_GT(MostSlots, 16u) << "no access set outgrew the rank batch";
+  EXPECT_GT(Seen.FallbackScans, 0u) << "no case reached the fallback scan";
+  EXPECT_GT(Seen.ScansWithRanksDrawnAhead, 0u)
+      << "no fallback scan had to rewind the stream";
+  EXPECT_GT(MostSlots, load::RankStream::Refill)
+      << "no access set outgrew one refill";
+}
+
+// One FNV-1a step over a 64-bit word: the pinned schedules' digest.
+uint64_t foldDigest(uint64_t Digest, uint64_t Word) {
+  return (Digest ^ Word) * 0x100000001b3ull;
+}
+
+// DESIGN.md §8 promises that an (N, theta, seed) triple draws the same
+// access sets in every version.  These digests pin the first 100 000
+// sets a stream seeded 1 draws at txn_validated's shape (N = 1 M, theta
+// 0.8, 4 reads + 2 writes), one per block of 10 000 sets, as commit
+// 5f1f1b0 drew them.  A change to the CDF, the cut table or the draw
+// moves them even when both of its paths still agree with each other.
+TEST(TxnPolicyTest, DrawAccessKeepsTheRecordedSchedule) {
+  constexpr uint64_t Recorded[] = {
+      0xebb6236e78a186bbull, 0xe3627332c72bb0dfull, 0x101583954e272c36ull,
+      0xcfe727bef28487ecull, 0xb902aeaa5896a6d7ull, 0x614ca486f20522abull,
+      0x236fc62fa0a8c423ull, 0x26660457ad2aed4cull, 0x9a0e1b6f0cefc4c3ull,
+      0xb6432299704562b4ull,
+  };
+  constexpr int SetsPerBlock = 10'000;
+  const load::ZipfSampler Popularity(1'000'000, 0.8);
+  load::RankStream Ranks(Popularity, 1);
+  TxnAccess Access;
+  for (size_t Block = 0; Block < std::size(Recorded); ++Block) {
+    uint64_t Digest = 0xcbf29ce484222325ull;
+    for (int I = 0; I < SetsPerBlock; ++I) {
+      drawTxnAccess(Ranks, /*ReadTarget=*/4, /*WriteTarget=*/2, Access);
+      for (const std::vector<size_t> *Set : {&Access.Writes, &Access.Reads}) {
+        Digest = foldDigest(Digest, Set->size());
+        for (size_t Idx : *Set)
+          Digest = foldDigest(Digest, Idx);
+      }
+    }
+    ASSERT_EQ(Digest, Recorded[Block])
+        << "the first block that differs holds sets " << Block * SetsPerBlock
+        << " to " << (Block + 1) * SetsPerBlock - 1;
+  }
 }
 
 TEST(TxnPolicyTest, StatsRecordAndMergeKeepTheIdentity) {
@@ -336,6 +396,41 @@ TEST_F(TxnEngineTest, RecordSharesItsObjectsCacheLine) {
     ASSERT_EQ(Cell.Version.load(), 0u) << "object " << I;
     ASSERT_EQ(Cell.Value.load(), 0u) << "object " << I;
   }
+}
+
+TEST_F(TxnEngineTest, TxnRunWorkerExecutesEveryDrawnSetInOrder) {
+  // runWorker draws transaction T + 1 before it executes T.  One worker
+  // meets no contention, so every attempt commits, and each object's
+  // commit count must equal how often the one-at-a-time reference,
+  // seeded as runWorker seeds this worker, wrote it: executing the set
+  // drawn ahead in place of the current one, or dropping the last, moves
+  // the counts.
+  TxnParams Params;
+  Params.HeapObjects = 1024;
+  Params.Threads = 1;
+  Params.TxnsPerThread = 5000;
+  Params.Seed = 17;
+  const unsigned WorkerId = 2;
+  TxnEngine Engine(sync(), TheHeap, Registry, ConflictPolicyKind::Validated,
+                   Params);
+  TxnStats Stats = Engine.runWorker(main(), WorkerId);
+  EXPECT_EQ(Stats.Started, Params.TxnsPerThread);
+  EXPECT_EQ(Stats.Committed, Params.TxnsPerThread);
+
+  const load::ZipfSampler Popularity(Params.HeapObjects, Params.ZipfTheta);
+  SplitMix64 Rng(Params.Seed + 0x9e3779b97f4a7c15ull * (WorkerId + 1));
+  ReferenceDraws Seen;
+  std::vector<uint64_t> Writes(Params.HeapObjects, 0);
+  TxnAccess Want;
+  for (uint64_t T = 0; T < Params.TxnsPerThread; ++T) {
+    sequentialDrawTxnAccess(Popularity, Rng, Params.ReadSetSize,
+                            Params.WriteSetSize, Want, Seen);
+    for (size_t Idx : Want.Writes)
+      ++Writes[Idx];
+  }
+  const TxnTable &Table = Engine.table();
+  for (size_t I = 0; I < Table.Size; ++I)
+    ASSERT_EQ(Table.cell(I).Version.load() >> 1, Writes[I]) << "object " << I;
 }
 
 TEST_F(TxnEngineTest, TxnNoWaitAbortsBusyAndReleasesEverything) {

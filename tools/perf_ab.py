@@ -4,6 +4,7 @@
 Run from anywhere inside a checkout:
 
     python3 tools/perf_ab.py BASE CHANGE [--workload W]... [--pairs 10] [--seed S]
+                             [--trace]
 
 BASE and CHANGE are any git revisions (for an uncommitted change, pass
 the commit that `git stash create` prints).  The tool exports each with
@@ -11,8 +12,9 @@ the commit that `git stash create` prints).  The tool exports each with
 length, so the binary path and the stamp that the benchmark passes on its
 command line are equally long on both sides; both live in one temporary
 directory (under $TMPDIR) that is deleted at exit.  It reads the command,
-`run_seconds` and each end-to-end metric's direction and bound from
-BENCHMARK.json at the root of the checkout it runs from.
+`run_seconds`, each end-to-end metric's direction and bound, and each
+per-layer metric's direction from BENCHMARK.json at the root of the
+checkout it runs from.
 
 Each side first runs once briefly, which builds its benchmark.  Then each
 workload (every workload in BENCHMARK.json unless --workload names some)
@@ -30,6 +32,12 @@ neither), and one verdict, checked in this order:
               every CHANGE run beats every BASE run;
   worse       CHANGE's median is worse than BASE's by more than the bound;
   within      otherwise.
+
+With --trace, every run passes `--trace 1` to the benchmark, which then
+reports the per-layer metrics instead of the end-to-end ones, and the
+table lists every per-layer metric with the same columns but no verdict:
+per-layer metrics have no bound.  They show where a change's saving
+sits, not whether it may land.
 
 It exits 1 if any run reported `correct: false` or `failed > 0`, and 2
 on a bad argument, a failed export, or a run that printed no result
@@ -49,14 +57,16 @@ RUN_TIMEOUT_S = 600
 
 
 def load_benchmark(path):
-    """Returns the command, run_seconds, workload names and end-to-end
-    metrics ([(name, better, bound)]) that BENCHMARK.json declares."""
+    """Returns the command, run_seconds, workload names, end-to-end
+    metrics ([(name, better, bound)]) and per-layer metrics ([(name,
+    better, None)]: no bound) that BENCHMARK.json declares."""
     with open(path) as f:
         spec = json.load(f)
     metrics = [(m["name"], m["better"], float(m["bound"]))
                for m in spec["end_to_end"]]
+    layers = [(m["name"], m["better"], None) for m in spec["per_layer"]]
     return (list(spec["command"]), float(spec["run_seconds"]),
-            [w["name"] for w in spec["workloads"]], metrics)
+            [w["name"] for w in spec["workloads"]], metrics, layers)
 
 
 def median_iqr(values):
@@ -89,7 +99,8 @@ def relative_gain(base, change, better):
 def compare(base, change, better, bound):
     """Summarizes one metric over paired runs: base[i] and change[i] come
     from pair i.  Returns a dict with both medians, both IQR fractions,
-    the pairs each side won, CHANGE's relative gain and the verdict."""
+    the pairs each side won, CHANGE's relative gain and the verdict,
+    which is None for a metric without a bound (bound None)."""
     assert len(base) == len(change) and base, "one value per side and pair"
     base_med, base_iqr = median_iqr(base)
     change_med, change_iqr = median_iqr(change)
@@ -102,7 +113,9 @@ def compare(base, change, better, bound):
     else:
         separated = max(change) < min(base)
 
-    if 10 * wins >= 9 * pairs and gain > base_iqr:
+    if bound is None:
+        verdict = None
+    elif 10 * wins >= 9 * pairs and gain > base_iqr:
         verdict = "better"
     elif max(base_iqr, change_iqr) > bound and not separated:
         verdict = "unresolved"
@@ -144,11 +157,13 @@ def format_value(value):
 
 
 def format_report(workload, seeds, rows):
-    """Renders one workload's table.  rows: [(metric, compare() dict)]."""
+    """Renders one workload's table.  rows: [(metric, compare() dict)].
+    Rows without a verdict (per-layer metrics) get no verdict column."""
     out = ["== %s: %d pairs, seeds %d-%d, BASE first in even pairs"
            % (workload, len(seeds), seeds[0], seeds[-1])]
+    verdicts = all(c["verdict"] is not None for _, c in rows)
     header = ("metric", "base", "iqr", "change", "iqr", "gain", "won",
-              "lost", "verdict")
+              "lost") + (("verdict",) if verdicts else ())
     table = [header]
     for metric, c in rows:
         table.append((metric, format_value(c["base_median"]),
@@ -157,7 +172,8 @@ def format_report(workload, seeds, rows):
                       "%.1f%%" % (100 * c["change_iqr"]),
                       "%+.1f%%" % (100 * c["gain"]),
                       "%d/%d" % (c["wins"], c["pairs"]),
-                      "%d/%d" % (c["losses"], c["pairs"]), c["verdict"]))
+                      "%d/%d" % (c["losses"], c["pairs"]))
+                     + ((c["verdict"],) if verdicts else ()))
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     for row in table:
         out.append("  ".join(cell.ljust(w) for cell, w in
@@ -184,15 +200,21 @@ def export(toplevel, rev, dest):
 class Side:
     """One exported revision and the runs made in it."""
 
-    def __init__(self, label, rev, root, command):
+    def __init__(self, label, rev, root, command, trace):
         self.label, self.rev, self.root = label, rev, root
         self.command = command
+        self.trace = trace
         self.stamp = ""
         self.failed_runs = 0
 
-    def run(self, workload, seed, seconds):
+    def argv(self, workload, seed, seconds):
+        """The benchmark command line of one run."""
         cmd = self.command + ["--workload", workload, "--seed", str(seed),
                               "--seconds", "%g" % seconds]
+        return cmd + ["--trace", "1"] if self.trace else cmd
+
+    def run(self, workload, seed, seconds):
+        cmd = self.argv(workload, seed, seconds)
         try:
             proc = subprocess.run(cmd, cwd=self.root, stdout=subprocess.PIPE,
                                   text=True, timeout=RUN_TIMEOUT_S)
@@ -229,6 +251,22 @@ def measure(sides, workload, first_seed, pairs, seconds):
     return values, seeds
 
 
+def table_rows(workload, values, metrics):
+    """Compares every metric over one workload's pairs.  values: per side
+    label, one {metric: value} dict per pair; metrics: [(name, better,
+    bound)].  A run that did not report a metric is an error."""
+    rows = []
+    for name, better, bound in metrics:
+        runs = values["BASE"] + values["CHANGE"]
+        if any(name not in run for run in runs):
+            raise RuntimeError("%s: a run did not report %s"
+                               % (workload, name))
+        base = [run[name] for run in values["BASE"]]
+        change = [run[name] for run in values["CHANGE"]]
+        rows.append((name, compare(base, change, better, bound)))
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", metavar="BASE")
@@ -238,13 +276,17 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair; pair i uses seed + i")
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced and report the per-layer metrics")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     toplevel = git("rev-parse", "--show-toplevel", cwd=os.getcwd())
-    command, seconds, workloads, metrics = load_benchmark(
+    command, seconds, workloads, metrics, layers = load_benchmark(
         os.path.join(toplevel, "BENCHMARK.json"))
+    if args.trace:
+        metrics = layers
     for name in args.workload or []:
         if name not in workloads:
             parser.error("unknown workload %r (BENCHMARK.json has %s)"
@@ -265,7 +307,7 @@ def main():
                                    ("CHANGE", commits[1], "chng")):
             dest = os.path.join(work, sub)  # "base" and "chng": same length.
             export(toplevel, commit, dest)
-            sides.append(Side(label, commit, dest, command))
+            sides.append(Side(label, commit, dest, command, args.trace))
         for side in sides:
             print("perf_ab: building %s (%s)" % (side.label, side.rev[:12]),
                   file=sys.stderr)
@@ -275,15 +317,7 @@ def main():
         for workload in selected:
             values, seeds = measure(sides, workload, args.seed, args.pairs,
                                     seconds)
-            rows = []
-            for name, better, bound in metrics:
-                runs = values["BASE"] + values["CHANGE"]
-                if any(name not in run for run in runs):
-                    raise RuntimeError("%s: a run did not report %s"
-                                       % (workload, name))
-                base = [run[name] for run in values["BASE"]]
-                change = [run[name] for run in values["CHANGE"]]
-                rows.append((name, compare(base, change, better, bound)))
+            rows = table_rows(workload, values, metrics)
             print(format_report(workload, seeds, rows), flush=True)
     except (RuntimeError, subprocess.CalledProcessError) as e:
         print("perf_ab: %s" % e, file=sys.stderr)
